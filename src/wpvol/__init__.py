@@ -1,6 +1,6 @@
 """Exact Weil-Petersson volume polynomials and intersection numbers."""
 
-from .poly import GaussianRational, Poly
+from .poly import Poly
 from .volume import (
     ConsistencyError,
     InvariantError,
@@ -34,7 +34,6 @@ from .intersections import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianRational",
     "Poly",
     "VolumePolynomial",
     "VolumeStore",

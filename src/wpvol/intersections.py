@@ -30,19 +30,12 @@ from .compute import ensure_volume
 from .store import VolumeStore
 from .volume import require_stable
 
-_shared_store = VolumeStore()
-
-
-def _store_or_default(store: VolumeStore | None) -> VolumeStore:
-    return _shared_store if store is None else store
-
-
 def psi_kappa(
     g: int,
     n: int,
     alpha: Sequence[int],
-    kappa: int = 0,
-    store: VolumeStore | None = None,
+    kappa: int,
+    store: VolumeStore,
 ) -> Fraction:
     """The integral of psi_1^a1 .. psi_n^an kappa_1^kappa over the
     compactified moduli space; 0 when any exponent is negative or the
@@ -56,9 +49,8 @@ def psi_kappa(
     weight = sum(alpha)
     if weight + kappa != 3 * g - 3 + n:
         return Fraction(0)
-    vol = ensure_volume(_store_or_default(store), g, n)
-    coeff = vol.poly.coeff_monomial(tuple(2 * a for a in alpha), 2 * kappa)
-    rational = coeff.re
+    vol = ensure_volume(store, g, n)
+    rational = vol.poly.coeff_monomial(tuple(2 * a for a in alpha), 2 * kappa)
     for a in alpha:
         rational *= math.factorial(a)
     rational *= math.factorial(kappa)
@@ -98,10 +90,9 @@ class CheckCase:
 
 
 def string2_case(
-    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore | None = None
+    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
 ) -> CheckCase:
     alpha = tuple(alpha)
-    store = _store_or_default(store)
     lhs = Fraction(0)
     for j in range(m + 1):
         sign = -1 if j % 2 else 1
@@ -117,10 +108,9 @@ def string2_case(
 
 
 def dilaton2_case(
-    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore | None = None
+    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
 ) -> CheckCase:
     alpha = tuple(alpha)
-    store = _store_or_default(store)
     lhs = Fraction(0)
     for j in range(m + 1):
         sign = -1 if j % 2 else 1
@@ -133,13 +123,13 @@ def dilaton2_case(
 
 
 def check_string2(
-    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore | None = None
+    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
 ) -> bool:
     return string2_case(g, n, alpha, m, store).ok
 
 
 def check_dilaton2(
-    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore | None = None
+    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
 ) -> bool:
     return dilaton2_case(g, n, alpha, m, store).ok
 

@@ -36,12 +36,11 @@ V(0,4) and V(1,2) and is frozen (see the README).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .poly import GR_ZERO, Poly
+from .poly import Poly
 from .volume import (
     ConsistencyError,
     VolumePolynomial,
@@ -87,14 +86,6 @@ def zeta_even_coeff(i: int) -> Fraction:
     return sign * bernoulli_number(2 * i) * Fraction(2 ** (2 * i), 2 * math.factorial(2 * i))
 
 
-@dataclass(frozen=True)
-class KernelMoment:
-    """The moment polynomial F_{2k+1}(t) as a one-variable Poly (t = L1)."""
-
-    index: int
-    poly: Poly
-
-
 @lru_cache(maxsize=None)
 def moment_F(k: int) -> Poly:
     """Exact F_{2k+1}(t): even in t, homogeneous of degree 2k+2, leading
@@ -108,10 +99,6 @@ def moment_F(k: int) -> Poly:
         c /= math.factorial(2 * k + 2 - 2 * i)
         terms[(2 * k + 2 - 2 * i, 2 * i)] = c
     return Poly.from_terms(1, terms)
-
-
-def kernel_moment(k: int) -> KernelMoment:
-    return KernelMoment(k, moment_F(k))
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +126,7 @@ def pair_moment(k: int) -> Poly:
         for r in range(0, s + 1, 2):
             coeff = c * (2 * math.comb(s, r))
             nkey = (s - r, r, pi_exp)
-            out[nkey] = out.get(nkey, GR_ZERO) + coeff
+            out[nkey] = out.get(nkey, 0) + coeff
     return Poly(2, out)
 
 

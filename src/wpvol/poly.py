@@ -1,9 +1,10 @@
 """Exact sparse polynomial arithmetic in boundary lengths L1..Ln and a formal pi.
 
-Coefficients are Gaussian rationals, an exact ``a + b*i`` over
-``fractions.Fraction`` with ``i*i = -1``.  The symbol pi is never a float: it
-is carried as an extra exponent slot on every monomial, so the pi-grading of
-a polynomial can be inspected and compared exactly.
+Coefficients are exact rationals (``fractions.Fraction``).  Volumes are even
+in every L_k, so substituting L_k = 2*pi*i turns each L_k**(2j) into the real
+(-4*pi**2)**j and no complex number is ever needed.  The symbol pi is never a
+float: it is carried as an extra exponent slot on every monomial, so the
+pi-grading of a polynomial can be inspected and compared exactly.
 
 Representation.  A polynomial in ``n_vars`` variables is a term map
 
@@ -27,105 +28,22 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
-class GaussianRational:
-    """Exact complex scalar ``re + im*i`` with rational parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __add__(self, other) -> "GaussianRational":
-        other = _as_coeff(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other) -> "GaussianRational":
-        other = _as_coeff(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "GaussianRational":
-        return _as_coeff(other) - self
-
-    def __mul__(self, other) -> "GaussianRational":
-        other = _as_coeff(other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re, _F0)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GaussianRational":
-        other = _as_coeff(other)
-        if not other:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        if not other.im:
-            return GaussianRational(self.re / other.re, self.im / other.re)
-        norm = other.re * other.re + other.im * other.im
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __repr__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-def _as_coeff(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
+def _as_coeff(value) -> Fraction:
+    if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+    if isinstance(value, int):
+        return Fraction(value)
     raise TypeError(f"cannot use {value!r} as a polynomial coefficient")
-
-
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
-
-# i**j for j mod 4
-_I_POWER = (GR_ONE, GR_I, GaussianRational(-1), GaussianRational(0, -1))
 
 
 class Poly:
     """Sparse exact polynomial in L1..Ln and pi.
 
     ``terms`` maps exponent tuples (length ``n_vars + 1``, pi last) to
-    nonzero GaussianRational coefficients.  The constructor takes ownership
+    nonzero Fraction coefficients.  The constructor takes ownership
     of the dict and trusts it to be canonical; use the classmethod builders
     or ``from_terms`` to construct values safely.
     """
@@ -161,13 +79,13 @@ class Poly:
             raise IndexError(f"variable index {k} out of range 1..{n_vars}")
         key = [0] * (n_vars + 1)
         key[k - 1] = power
-        return cls(n_vars, {tuple(key): GR_ONE})
+        return cls(n_vars, {tuple(key): _F1})
 
     @classmethod
     def pi(cls, n_vars: int, power: int = 1) -> "Poly":
         """The monomial pi**power."""
         key = (0,) * n_vars + (power,)
-        return cls(n_vars, {key: GR_ONE})
+        return cls(n_vars, {key: _F1})
 
     @classmethod
     def from_terms(cls, n_vars: int, items: dict | Iterable) -> "Poly":
@@ -180,7 +98,7 @@ class Poly:
                 raise ValueError(f"bad exponent tuple {key} for n_vars={n_vars}")
             c = _as_coeff(value)
             if c:
-                terms[key] = terms.get(key, GR_ZERO) + c
+                terms[key] = terms.get(key, _F0) + c
         return cls(n_vars, {k: v for k, v in terms.items() if v})
 
     # ------------------------------------------------------------------
@@ -190,7 +108,7 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = Poly.const(self.n_vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -199,9 +117,9 @@ class Poly:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def coeff_monomial(self, l_exps: Iterable[int], pi_exp: int = 0) -> GaussianRational:
+    def coeff_monomial(self, l_exps: Iterable[int], pi_exp: int = 0) -> Fraction:
         key = tuple(l_exps) + (pi_exp,)
-        return self.terms.get(key, GR_ZERO)
+        return self.terms.get(key, _F0)
 
     def total_degree(self) -> int:
         """Max over terms of (sum of L exponents) + pi exponent; -1 if zero."""
@@ -224,9 +142,6 @@ class Poly:
 
     def has_even_l_exponents(self) -> bool:
         return all(all(e % 2 == 0 for e in key[:-1]) for key in self.terms)
-
-    def is_real(self) -> bool:
-        return all(c.is_real for c in self.terms.values())
 
     def orbit_coefficients(self) -> dict:
         """Coefficients by symmetry orbit, or raise ValueError if asymmetric.
@@ -280,7 +195,7 @@ class Poly:
             )
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = Poly.const(self.n_vars, other)
         self._check_arity(other)
         out = dict(self.terms)
@@ -299,7 +214,7 @@ class Poly:
         return Poly(self.n_vars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             other = Poly.const(self.n_vars, other)
         return self + (-other)
 
@@ -307,7 +222,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_arity(other)
         out: dict = {}
@@ -331,14 +246,6 @@ class Poly:
         if not c:
             return Poly.zero(self.n_vars)
         return Poly(self.n_vars, {k: v * c for k, v in self.terms.items()})
-
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative powers are not supported")
-        result = Poly.one(self.n_vars)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     # ------------------------------------------------------------------
     # calculus
@@ -375,9 +282,10 @@ class Poly:
     def eval_two_pi_i(self, k: int) -> "Poly":
         """Substitute L_k = 2*pi*i exactly.
 
-        Each L_k**j becomes 2**j * i**j * pi**j folded into the coefficient
-        and the pi exponent; the result still has n_vars variables with
-        variable k absent from every monomial.
+        Each L_k**j, j even, becomes (-4)**(j/2) * pi**j folded into the
+        coefficient and the pi exponent; the result still has n_vars
+        variables with variable k absent from every monomial.  An odd power
+        of L_k would leave an imaginary value, so it raises ValueError.
         """
         if not 1 <= k <= self.n_vars:
             raise IndexError(f"variable index {k} out of range 1..{self.n_vars}")
@@ -385,8 +293,10 @@ class Poly:
         out: dict = {}
         for key, c in self.terms.items():
             j = key[i]
+            if j & 1:
+                raise ValueError(f"odd power of L{k} in {key} has no real value at 2*pi*i")
             if j:
-                c = c * (2 ** j) * _I_POWER[j & 3]
+                c = c * (-4) ** (j >> 1)
                 key = key[:i] + (0,) + key[i + 1:-1] + (key[-1] + j,)
             s = out.get(key)
             s = c if s is None else s + c
@@ -517,10 +427,7 @@ def _join_terms(rendered) -> str:
     return "".join(parts)
 
 
-def _coeff_plain(c: GaussianRational) -> str:
-    if not c.is_real:
-        return f"({c!r})"
-    r = c.re
+def _coeff_plain(r: Fraction) -> str:
     if r.denominator == 1:
         return str(r.numerator)
     if r < 0:
@@ -528,7 +435,7 @@ def _coeff_plain(c: GaussianRational) -> str:
     return f"({r})"
 
 
-def _term_plain(key: tuple[int, ...], c: GaussianRational) -> str:
+def _term_plain(key: tuple[int, ...], c: Fraction) -> str:
     parts = []
     for i, e in enumerate(key[:-1]):
         if e == 1:
@@ -541,9 +448,9 @@ def _term_plain(key: tuple[int, ...], c: GaussianRational) -> str:
         parts.append(f"pi^{key[-1]}")
     if not parts:
         return _coeff_plain(c)
-    if c == GR_ONE:
+    if c == 1:
         return "*".join(parts)
-    if c == GaussianRational(-1):
+    if c == -1:
         return "-" + "*".join(parts)
     return _coeff_plain(c) + "*" + "*".join(parts)
 
@@ -556,7 +463,7 @@ def _coeff_latex(r: Fraction) -> str:
     return f"{sign}\\frac{{{r.numerator}}}{{{r.denominator}}}"
 
 
-def _term_latex(key: tuple[int, ...], c: GaussianRational) -> str:
+def _term_latex(key: tuple[int, ...], c: Fraction) -> str:
     parts = []
     for i, e in enumerate(key[:-1]):
         if e == 1:
@@ -567,14 +474,11 @@ def _term_latex(key: tuple[int, ...], c: GaussianRational) -> str:
         parts.append("\\pi")
     elif key[-1]:
         parts.append(f"\\pi^{{{key[-1]}}}")
-    if not c.is_real:
-        body = f"({c!r})"
-    else:
-        body = _coeff_latex(c.re)
-        if parts and c.re == 1:
-            body = ""
-        elif parts and c.re == -1:
-            body = "-"
+    body = _coeff_latex(c)
+    if parts and c == 1:
+        body = ""
+    elif parts and c == -1:
+        body = "-"
     return body + " ".join(parts) if parts else body
 
 

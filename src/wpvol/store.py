@@ -7,9 +7,11 @@ One JSON document per (g, n):
 
 Terms are listed in the canonical order (ascending pi exponent, then L
 exponents) and rationals are serialized as strings, so serialization is
-deterministic and round-trips byte for byte.  Entries are validated against
-the volume invariants both when written and when read back, which turns any
-on-disk corruption into an immediate error instead of a wrong number.
+deterministic and round-trips byte for byte.  Coefficients are rational, so
+``"im"`` is always written as ``"0"``, and a document with a nonzero ``"im"``
+is rejected.  Entries are validated against the volume invariants both when
+written and when read back, which turns any on-disk corruption into an
+immediate error instead of a wrong number.
 
 Several provenances may record the same (g, n) in one session; they must
 agree exactly, and a disagreement is fatal because it means two independent
@@ -24,7 +26,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from .poly import GaussianRational, Poly
+from .poly import Poly
 from .volume import (
     InvariantError,
     VolumePolynomial,
@@ -62,8 +64,8 @@ def volume_to_document(vol: VolumePolynomial, provenance: str) -> dict:
         {
             "l": list(key[:-1]),
             "pi": key[-1],
-            "re": str(coeff.re),
-            "im": str(coeff.im),
+            "re": str(coeff),
+            "im": "0",
         }
         for key, coeff in vol.poly.sorted_terms()
     ]
@@ -101,7 +103,9 @@ def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
     try:
         for term in doc["terms"]:
             key = tuple(int(e) for e in term["l"]) + (int(term["pi"]),)
-            coeff = GaussianRational(Fraction(term["re"]), Fraction(term["im"]))
+            if Fraction(term["im"]):
+                raise CacheError(f"non-real coefficient at monomial {key}")
+            coeff = Fraction(term["re"])
             if key in terms:
                 raise CacheError(f"duplicate monomial {key}")
             terms[key] = coeff

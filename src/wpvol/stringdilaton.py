@@ -4,7 +4,13 @@ Setting one boundary length to 2*pi*i turns the volume of the (n+1)-holed
 surface into data of the n-holed one:
 
   string:   V(g, n+1)(L, 2*pi*i) = sum_k  integral_0^{L_k} L_k V(g, n) dL_k
-  dilaton:  dV(g, n+1)/dL_{n+1} (L, 2*pi*i) = 2*pi*i * (2g - 2 + n) * V(g, n)
+  dilaton:  W(L, 2*pi*i) = (2g - 2 + n) * V(g, n)
+
+where W = (dV(g, n+1)/dL_{n+1}) / L_{n+1}.  The dilaton relation is usually
+written dV/dL_{n+1} (L, 2*pi*i) = 2*pi*i * (2g - 2 + n) * V(g, n); dividing
+both sides by L_{n+1} = 2*pi*i gives the form above.  Because every volume
+is even in each L_k, W is even too, so both sides are real and every
+computation here stays over the rationals.
 
 Together with the stratified lift these generate all genus 0 and genus 1
 volumes from the two seeds.  The second derivative satisfies
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import GaussianRational, Poly
+from .poly import Poly
 from .symmetric import stratified_lift
 from .volume import ConsistencyError, VolumePolynomial
 
@@ -37,22 +43,6 @@ def string_rhs(vol: VolumePolynomial) -> Poly:
     for k in range(1, p.n_vars + 1):
         total = total + (Poly.var(p.n_vars, k) * p).integrate_from_zero(k)
     return total
-
-
-def _times_two_pi_i(p: Poly) -> Poly:
-    """Multiply by 2*pi*i: coefficient times 2i, pi exponent up by one."""
-    two_i = GaussianRational(0, 2)
-    return Poly(p.n_vars, {key[:-1] + (key[-1] + 1,): c * two_i for key, c in p.terms.items()})
-
-
-def _div_two_pi_i(p: Poly) -> Poly:
-    """Divide a purely imaginary polynomial by 2*pi*i, yielding a real one."""
-    out = {}
-    for key, c in p.terms.items():
-        if c.re or key[-1] < 1:
-            raise ConsistencyError("polynomial is not divisible by 2*pi*i", defect=p)
-        out[key[:-1] + (key[-1] - 1,)] = GaussianRational(c.im / 2)
-    return Poly(p.n_vars, out)
 
 
 def _check_pair(bigger: VolumePolynomial, smaller: VolumePolynomial) -> None:
@@ -77,12 +67,12 @@ def check_string(bigger: VolumePolynomial, smaller: VolumePolynomial) -> bool:
 
 
 def dilaton_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
-    """LHS minus RHS of the dilaton relation (both sides purely imaginary)."""
+    """LHS minus RHS of the dilaton relation in its real form W(2*pi*i)."""
     _check_pair(bigger, smaller)
     m = bigger.n
-    lhs = bigger.poly.ddx(m).eval_two_pi_i(m)
+    lhs = bigger.poly.ddx(m).divide_by_var(m).eval_two_pi_i(m)
     factor = 2 * smaller.g - 2 + smaller.n
-    rhs = _times_two_pi_i(smaller.poly).scale(factor).embed(m)
+    rhs = smaller.poly.scale(factor).embed(m)
     return lhs - rhs
 
 
@@ -145,8 +135,9 @@ def genus1_lift(vol: VolumePolynomial) -> tuple[VolumePolynomial, Fraction]:
     n = vol.n
     _, candidate = stratified_lift(string_rhs(vol), n + 1)
 
-    # dilaton mismatch of the candidate, as a real n-variable polynomial
-    residue = _div_two_pi_i(candidate.ddx(n + 1).eval_two_pi_i(n + 1)).drop_var(n + 1)
+    # W(L, 2*pi*i) of the candidate, the left side of the dilaton relation
+    w = candidate.ddx(n + 1).divide_by_var(n + 1)
+    residue = w.eval_two_pi_i(n + 1).drop_var(n + 1)
     numerator = vol.poly.scale(2 * vol.g - 2 + vol.n) - residue
     quotient = numerator
     for j in range(1, n + 1):
@@ -155,10 +146,7 @@ def genus1_lift(vol: VolumePolynomial) -> tuple[VolumePolynomial, Fraction]:
         raise ConsistencyError(
             "dilaton correction is not a constant", defect=quotient
         )
-    c2 = quotient.coeff_monomial((0,) * n, 0)
-    if not c2.is_real:
-        raise ConsistencyError("dilaton correction is not rational", defect=quotient)
-    constant = c2.re * _HALF
+    constant = quotient.coeff_monomial((0,) * n, 0) * _HALF
 
     correction = Poly.one(n + 1)
     for j in range(1, n + 1 + 1):
@@ -233,6 +221,6 @@ def closed_volume(vol: VolumePolynomial) -> Poly:
         raise ValueError("closed volume via the cofactor needs genus >= 2")
     cofactor = boundary_cofactor(vol)
     value = cofactor.eval_two_pi_i(1).drop_var(1).scale(Fraction(1, vol.g - 1))
-    if len(value) != 1 or not value.is_real():
+    if len(value) != 1:
         raise ConsistencyError("closed volume is not a single rational pi power")
     return value

@@ -6,8 +6,10 @@ structural facts used everywhere in this package:
 
   * every L exponent is even (the volume is a polynomial in the L_k**2),
   * the polynomial is symmetric under relabeling of the boundaries,
-  * it is homogeneous of total degree 6g - 6 + 2n once deg pi = deg L = 1,
-  * all coefficients are real rationals (times the pi power).
+  * it is homogeneous of total degree 6g - 6 + 2n once deg pi = deg L = 1.
+
+Coefficients are plain rationals (times the pi power), so realness needs no
+check: the coefficient type guarantees it.
 
 ``VolumePolynomial`` is a plain wrapper; ``validate``/``checked`` enforce
 the invariants.  Production code always goes through ``checked`` so that a
@@ -83,8 +85,6 @@ class VolumePolynomial:
         else:
             if not self.poly.has_even_l_exponents():
                 problems.append("odd L exponent present")
-            if not self.poly.is_real():
-                problems.append("non-real coefficient present")
             if not self.poly.is_homogeneous(self.degree):
                 problems.append(f"not homogeneous of degree {self.degree}")
             if not self.poly.is_symmetric():

@@ -15,7 +15,7 @@ from itertools import permutations, product
 
 import pytest
 
-from wpvol.poly import GR_ZERO, GaussianRational, Poly
+from wpvol.poly import Poly
 from wpvol.volume import seed_volume
 
 
@@ -45,15 +45,13 @@ def random_rational(rng, allow_zero=True) -> Fraction:
     return Fraction(num, rng.randint(1, 9))
 
 
-def random_poly(rng, n_vars, max_terms=4, max_exp=3, max_pi=2, complex_coeffs=False) -> Poly:
+def random_poly(rng, n_vars, max_terms=4, max_exp=3, max_pi=2) -> Poly:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         key = tuple(rng.randint(0, max_exp) for _ in range(n_vars)) + (
             rng.randint(0, max_pi),
         )
-        re = random_rational(rng)
-        im = random_rational(rng) if complex_coeffs and rng.random() < 0.5 else Fraction(0)
-        terms[key] = GaussianRational(re, im)
+        terms[key] = random_rational(rng)
     return Poly.from_terms(n_vars, terms)
 
 
@@ -152,8 +150,8 @@ def brute_force_lift(f: Poly) -> Poly:
         rows = []
         rhs = []
         for key in keys:
-            rows.append([r.terms.get(key, GR_ZERO).re for r in restricted])
-            rhs.append(layer.terms.get(key, GR_ZERO).re)
+            rows.append([r.terms.get(key, 0) for r in restricted])
+            rhs.append(layer.terms.get(key, 0))
         solution = solve_linear(rows, rhs)
         assert solution is not None, "brute-force lift system was not uniquely solvable"
         for lam_poly, coeff in zip(basis, solution):
@@ -172,7 +170,7 @@ def _substitute_var(p: Poly, source: int, target: int) -> Poly:
             key[source - 1] = 0
             key[target - 1] += e
             key = tuple(key)
-        out[key] = out.get(key, GR_ZERO) + c
+        out[key] = out.get(key, 0) + c
     return Poly.from_terms(p.n_vars, out)
 
 

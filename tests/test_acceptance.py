@@ -150,7 +150,7 @@ def test_criterion_07_kernel_moment_oracle(capsys):
                 lambda x: x ** (2 * k + 1) * kernel_H(x, t), 0, math.inf, limit=200
             )
             exact = sum(
-                float(c.re) * t ** key[0] * math.pi ** key[1]
+                float(c) * t ** key[0] * math.pi ** key[1]
                 for key, c in F.terms.items()
             )
             rel = abs(exact - numeric) / (1 + abs(numeric))

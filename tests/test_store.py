@@ -83,6 +83,12 @@ def test_schema_version_mismatch(v11):
         parse_entry(text)
 
 
+def test_nonzero_imaginary_part_rejected(v11):
+    text = serialize_entry(v11, "seed").replace('"im":"0"', '"im":"1/2"', 1)
+    with pytest.raises(CacheError, match="non-real"):
+        parse_entry(text)
+
+
 def test_unreadable_document():
     with pytest.raises(CacheError):
         parse_entry("{not json")
