@@ -1,7 +1,8 @@
 """Command line for computing, verifying and exporting volume polynomials.
 
 Exit codes: 0 success, 1 relation or cache-verification failure, 2 usage or
-domain error, 3 internal mathematical inconsistency, 4 I/O failure.
+domain error (including a request over ``MAX_DENSE_TERMS``), 3 internal
+mathematical inconsistency, 4 I/O failure.
 Results go to stdout, diagnostics to stderr; identical flags against an
 identical cache produce byte-identical stdout.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +47,11 @@ EXIT_MATH = 3
 EXIT_IO = 4
 
 RELATIONS = ("string", "dilaton", "second", "factor", "string2", "dilaton2", "all")
+
+# Largest request served, in dense terms summed over the volumes it builds.
+# V(0,12) (395,693), V(1,10) (352,715) and V(9,0) (409,807) fit; V(0,13),
+# V(1,11) and V(10,0) do not.
+MAX_DENSE_TERMS = 500_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,6 +109,29 @@ def _open_store(args) -> VolumeStore:
     return VolumeStore(resolve_cache_dir(args.cache_dir))
 
 
+def _within_size_limit(g: int, n: int) -> bool:
+    """Whether building V(g, n) stays within MAX_DENSE_TERMS, else say why.
+
+    The kernel recursion for V(g, n) visits at most the stable V(g', n')
+    with g' <= g, n' >= 1 and g' + n' <= g + max(n, 1), and V(g', n') has
+    C(3g' - 3 + 2n', n') dense terms; the lift chain builds fewer.  The sum
+    grows with g' + n' and stops at the limit, so absurd requests are cheap.
+    """
+    total = 0
+    for size in range(2, g + max(n, 1) + 1):
+        for gg in range(min(g, size - 1) + 1):
+            if is_stable(gg, size - gg):
+                total += math.comb(3 * gg - 3 + 2 * (size - gg), size - gg)
+        if total > MAX_DENSE_TERMS:
+            print(
+                f"error: V({g},{n}) needs more than {MAX_DENSE_TERMS} dense "
+                "terms, the limit of this command",
+                file=sys.stderr,
+            )
+            return False
+    return True
+
+
 def _cmd_compute(args) -> int:
     g, n = args.genus, args.boundaries
     if not is_stable(g, n):
@@ -110,6 +140,8 @@ def _cmd_compute(args) -> int:
     method = args.method or ("lift" if g <= 1 else "mirzakhani")
     if method in ("lift", "both") and g > 1:
         print(f"error: method {method!r} needs genus <= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if not _within_size_limit(g, n):
         return EXIT_USAGE
     store = _open_store(args)
     vol = ensure_volume(store, g, n, method)
@@ -222,6 +254,8 @@ def run_verification(
 
 
 def _cmd_verify(args) -> int:
+    if not _within_size_limit(args.max_genus, args.max_boundaries):
+        return EXIT_USAGE
     store = _open_store(args)
     report = run_verification(store, args.relation, args.max_genus, args.max_boundaries)
     print(json.dumps(report, separators=(",", ":")))
@@ -259,6 +293,8 @@ def _cmd_intersect(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if not _within_size_limit(args.genus, args.n):
+        return EXIT_USAGE
     from .intersections import psi_kappa
 
     value = psi_kappa(args.genus, args.n, alpha, args.kappa, _open_store(args))
@@ -270,6 +306,8 @@ def _cmd_export(args) -> int:
     g, n = args.genus, args.boundaries
     if not is_stable(g, n):
         print(f"error: (g, n) = ({g}, {n}) is not stable", file=sys.stderr)
+        return EXIT_USAGE
+    if not _within_size_limit(g, n):
         return EXIT_USAGE
     store = _open_store(args)
     method = "lift" if g <= 1 else "mirzakhani"

@@ -31,16 +31,30 @@ orbifold volume.  (Doubling the kernel instead would put the familiar
 explicit 1/2 in front of each transform; the assembled recursion is the
 same.)  This convention is pinned by reproducing the independently lifted
 V(0,4) and V(1,2) and is frozen (see the README).
+
+Representatives.  The output is symmetric in L2..Ln, so only coefficients
+at (a1; beta), beta the exponents of L2..Ln in descending order, are
+computed.  Each lower volume is indexed once per call by its sorted tail
+(the exponents after the transformed slots); a sub-multiset of a sorted
+beta is sorted, so each read is one lookup.  The disconnected term splits
+the multiset beta, weighting a split that takes nu_v of the mu_v copies of
+each value v by prod C(mu_v, nu_v), its number of label subsets; the B-term
+pairs L1 with each distinct value of beta, weighted by its multiplicity.
+Orbit agreement: before the dense output is assembled, every orbit (sorted
+exponents, pi power) must be reached from each of its distinct values in
+the L1 slot, all with one coefficient, or ConsistencyError is raised and
+nothing is stored.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import product
 
-from .poly import Poly
+from .poly import Poly, arrangements
 from .volume import (
     ConsistencyError,
     VolumePolynomial,
@@ -130,35 +144,14 @@ def pair_moment(k: int) -> Poly:
     return Poly(2, out)
 
 
-def stable_splits(
-    g: int, labels: tuple[int, ...], reverse: bool = False
-) -> list[tuple[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]]]:
-    """Ordered stable splittings ((g1, I1), (g2, I2)) with g1+g2 = g and
-    I1, I2 partitioning the labels; each part must satisfy
-    2*g_i - 2 + (|I_i| + 1) > 0."""
-    out = []
-    label_set = set(labels)
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for size in range(len(labels) + 1):
-            for chosen in combinations(sorted(labels), size):
-                rest = tuple(sorted(label_set - set(chosen)))
-                if is_stable(g1, len(chosen) + 1) and is_stable(g2, len(rest) + 1):
-                    out.append(((g1, chosen), (g2, rest)))
-    if reverse:
-        out.reverse()
-    return out
-
-
-def disconnected_terms(g: int, n: int):
-    """The pieces of the possibly-disconnected transform input for (g, n).
-
-    Returns (include_connected, splits): whether the connected volume
-    V(g-1, n+1) is stable, plus the ordered stable splits of the remaining
-    boundary labels 2..n.
-    """
-    include_connected = is_stable(g - 1, n + 1)
-    return include_connected, stable_splits(g, tuple(range(2, n + 1)))
+def _tails(length: int, budget: int, top: int):
+    """Descending tuples of `length` even exponents, each <= top, sum <= budget."""
+    if length == 0:
+        yield ()
+        return
+    for e in range(min(budget, top), -1, -2):
+        for rest in _tails(length - 1, budget - e, e):
+            yield (e,) + rest
 
 
 def mirzakhani_volume(
@@ -169,10 +162,9 @@ def mirzakhani_volume(
 ) -> VolumePolynomial:
     """Compute V(g, n) by the kernel recursion, memoizing through a store.
 
-    The recursion privileges L1; symmetry of the output is a theorem and is
-    re-verified on every produced polynomial.  ``split_reverse`` reverses
-    the enumeration order of the disconnected splits (the result must not
-    depend on it).
+    Runs on representatives and checks orbit agreement (module docstring).
+    ``split_reverse`` reverses the order in which split shapes are summed;
+    the result must not depend on it.
     """
     require_stable(g, n)
     if n < 1:
@@ -194,77 +186,81 @@ def mirzakhani_volume(
     if cached is not None:
         return cached
 
-    def recurse(gg: int, nn: int) -> Poly:
-        return mirzakhani_volume(gg, nn, store, split_reverse).poly
+    def index(gg: int, nn: int, head: int) -> dict:
+        # sorted tail -> [(head exponents, pi exponent, coefficient)]; a
+        # sorted tail is all any representative ever reads
+        out: dict = {}
+        if is_stable(gg, nn):
+            for key, c in mirzakhani_volume(gg, nn, store, split_reverse).poly.terms.items():
+                tail = key[head:-1]
+                if all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1)):
+                    out.setdefault(tail, []).append((key[:head], key[-1], c))
+        return out
 
-    acc: dict = {}
-    width = n + 1
+    connected = index(g - 1, n + 1, 2)
+    lower = {
+        (gg, nn): index(gg, nn, 1)
+        for gg in range(g + 1)
+        for nn in range(1, n + 1)
+        if (gg, nn) != (g, n)
+    }
+    reps: dict = {}  # (a1, beta, pi exponent) -> coefficient of d(L1 V)/dL1
+    degree = 6 * g - 6 + 2 * n
+    for beta in _tails(n - 1, degree, degree):
+        mult = Counter(beta)
+        values = sorted(mult, reverse=True)
+        # double-moment inputs (a, b, pi) and pair-moment inputs (k, v, pi)
+        doubles, pairs = {}, {}
+        for (x, y), p, c in connected.get(beta, ()):
+            key = (x // 2, y // 2, p)
+            doubles[key] = doubles.get(key, 0) + c
+        shapes = list(product(range(g + 1), product(*(range(mult[v] + 1) for v in values))))
+        for g1, nu in reversed(shapes) if split_reverse else shapes:
+            beta1 = tuple(v for v, k in zip(values, nu) for _ in range(k))
+            beta2 = tuple(v for v, k in zip(values, nu) for _ in range(mult[v] - k))
+            left = lower.get((g1, len(beta1) + 1), {}).get(beta1)
+            right = lower.get((g - g1, len(beta2) + 1), {}).get(beta2)
+            if not left or not right:
+                continue
+            # label subsets of L2..Ln that carry this sub-multiset
+            weight = math.prod(math.comb(mult[v], k) for v, k in zip(values, nu))
+            for (x1,), p1, c1 in left:
+                for (x2,), p2, c2 in right:
+                    key = (x1 // 2, x2 // 2, p1 + p2)
+                    doubles[key] = doubles.get(key, 0) + weight * c1 * c2
+        for v in values:
+            i = beta.index(v)
+            for (x,), p, c in lower.get((g, n - 1), {}).get(beta[:i] + beta[i + 1:], ()):
+                key = (x // 2, v, p)
+                pairs[key] = pairs.get(key, 0) + mult[v] * c
+        for (a, b, p), c in doubles.items():
+            for (t, q), mc in double_moment(a, b).terms.items():
+                key = (t, beta, p + q)
+                reps[key] = reps.get(key, 0) + c * mc
+        for (k, v, p), c in pairs.items():
+            for (t, w, q), mc in pair_moment(k).terms.items():
+                if w == v:
+                    key = (t, beta, p + q)
+                    reps[key] = reps.get(key, 0) + c * mc
 
-    def add_transformed(moment: Poly, slots: tuple[int, ...], rest_key: tuple[int, ...], c) -> None:
-        # rest_key: full-width exponent tuple holding the untransformed part
-        for mkey, mc in moment.terms.items():
-            key = list(rest_key)
-            for idx, e in enumerate(mkey[:-1]):
-                key[slots[idx] - 1] += e
-            key[-1] += mkey[-1]
-            key = tuple(key)
-            s = acc.get(key)
-            v = c * mc
-            s = v if s is None else s + v
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-
-    # A-term: double transform of the possibly-disconnected volumes
-    include_connected, splits = disconnected_terms(g, n)
-    if split_reverse:
-        splits = list(reversed(splits))
-    if include_connected:
-        # variables of V(g-1, n+1): 1 -> x, 2 -> y, 2+t -> label t+1 (t>=1)
-        inner = recurse(g - 1, n + 1)
-        for key, c in inner.terms.items():
-            a, b = key[0] // 2, key[1] // 2
-            rest = [0] * width
-            for t in range(2, n + 1):
-                rest[t - 1] = key[t]
-            rest[-1] = key[-1]
-            add_transformed(double_moment(a, b), (1,), tuple(rest), c)
-    for (g1, labels1), (g2, labels2) in splits:
-        p1 = recurse(g1, len(labels1) + 1)
-        p2 = recurse(g2, len(labels2) + 1)
-        for key1, c1 in p1.terms.items():
-            a = key1[0] // 2
-            base = [0] * width
-            for t, label in enumerate(labels1):
-                base[label - 1] = key1[1 + t]
-            base[-1] = key1[-1]
-            for key2, c2 in p2.terms.items():
-                b = key2[0] // 2
-                rest = list(base)
-                for t, label in enumerate(labels2):
-                    rest[label - 1] = key2[1 + t]
-                rest[-1] += key2[-1]
-                add_transformed(double_moment(a, b), (1,), tuple(rest), c1 * c2)
-
-    # B-term: single transform pairing L1 with each other boundary
-    if n >= 2:
-        inner = recurse(g, n - 1)
-        for j in range(2, n + 1):
-            others = [t for t in range(2, n + 1) if t != j]
-            for key, c in inner.terms.items():
-                k_exp = key[0] // 2
-                rest = [0] * width
-                for t, label in enumerate(others):
-                    rest[label - 1] = key[1 + t]
-                rest[-1] = key[-1]
-                add_transformed(pair_moment(k_exp), (1, j), tuple(rest), c)
-
-    derivative = Poly(n, acc)
-    try:
-        poly = derivative.integrate_from_zero(1).divide_by_var(1)
-    except ValueError as exc:
-        raise ConsistencyError(f"recursion output for ({g},{n}): {exc}") from exc
-    vol = VolumePolynomial.checked(g, n, poly)
+    # integrate from 0 in L1 and divide by L1, then check every orbit
+    orbits: dict = {}
+    for (a1, beta, p), c in reps.items():
+        if c:
+            sig = (tuple(sorted((a1,) + beta, reverse=True)), p)
+            orbits.setdefault(sig, {})[a1] = c / (a1 + 1)
+    terms = {}
+    for (pattern, p), reach in orbits.items():
+        coeffs = set(reach.values())
+        if set(reach) != set(pattern) or len(coeffs) != 1:
+            raise ConsistencyError(
+                f"recursion output for ({g},{n}) fails the orbit-agreement "
+                f"check at exponents {pattern}, pi^{p}: L1 exponent -> "
+                f"coefficient {dict(sorted(reach.items()))}"
+            )
+        c = coeffs.pop()
+        for arrangement in arrangements(pattern):
+            terms[arrangement + (p,)] = c
+    vol = VolumePolynomial.checked(g, n, Poly(n, terms))
     store.put(vol, "mirzakhani")
     return vol

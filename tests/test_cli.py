@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from wpvol.cli import main
+import wpvol.cli
+import wpvol.compute
+import wpvol.intersections
+from wpvol.cli import MAX_DENSE_TERMS, main
+from wpvol.volume import seed_volume
 
 
 def run(capsys, *argv):
@@ -213,6 +218,40 @@ class TestVerify:
         report = json.loads(out)
         assert report["relation"] == "all"
         assert report["failed"] == 0
+
+
+class TestSizeLimit:
+    def stub_volumes(self, monkeypatch, fake):
+        for module in (wpvol.cli, wpvol.compute, wpvol.intersections):
+            monkeypatch.setattr(module, "ensure_volume", fake)
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--genus", "200", "--boundaries", "0"),
+        ("compute", "--genus", "0", "--boundaries", "13"),
+        ("export", "--format", "json", "--genus", "200", "--boundaries", "3"),
+        ("intersect", "--genus", "200", "--n", "1", "--alpha", "0", "--kappa", "598"),
+        ("verify", "--relation", "all", "--max-genus", "200"),
+    ])
+    def test_refused_before_any_work(self, capsys, cache, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused request must not compute")
+
+        self.stub_volumes(monkeypatch, refuse)
+        code, out, err = run(capsys, "--cache-dir", cache, *argv)
+        assert code == 2
+        assert not out
+        assert str(MAX_DENSE_TERMS) in err
+        assert not Path(cache).exists()
+
+    @pytest.mark.parametrize("g, n, admitted", [
+        (0, 12, True), (1, 10, True), (9, 0, True),
+        (0, 13, False), (1, 11, False), (10, 0, False),
+    ])
+    def test_limit_edge(self, capsys, cache, monkeypatch, g, n, admitted):
+        self.stub_volumes(monkeypatch, lambda *args, **kwargs: seed_volume(1, 1))
+        code, _, _ = run(capsys, "--cache-dir", cache, "compute",
+                         "--genus", str(g), "--boundaries", str(n))
+        assert code == (0 if admitted else 2)
 
 
 def test_usage_error_exit_code(capsys):

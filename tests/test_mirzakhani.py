@@ -6,19 +6,19 @@ from scipy.integrate import dblquad, quad
 
 from wpvol.mirzakhani import (
     bernoulli_number,
-    disconnected_terms,
     double_moment,
     kernel_H,
     mirzakhani_volume,
     moment_F,
     pair_moment,
-    stable_splits,
     zeta_even_coeff,
 )
 from wpvol.poly import Poly
 from wpvol.store import VolumeStore
 from wpvol.stringdilaton import genus0_lift, genus1_lift
-from wpvol.volume import UnstableSurfaceError, is_stable
+from wpvol import mirzakhani
+from wpvol.compute import ensure_volume
+from wpvol.volume import ConsistencyError, UnstableSurfaceError
 
 
 def eval_float(p: Poly, *values: float) -> float:
@@ -161,48 +161,6 @@ class TestPairMoment:
             assert pair_moment(k).has_even_l_exponents()
 
 
-class TestSplits:
-    def test_genus_two_one_boundary(self):
-        include_connected, splits = disconnected_terms(2, 1)
-        assert include_connected  # V(1,2) term
-        assert splits == [((1, ()), (1, ()))]
-
-    def test_genus_two_two_boundaries(self):
-        _, splits = disconnected_terms(2, 2)
-        assert splits == [((1, ()), (1, (2,))), ((1, (2,)), (1, ()))]
-
-    def test_four_holed_sphere_has_no_transform_pieces(self):
-        include_connected, splits = disconnected_terms(0, 4)
-        assert not include_connected
-        assert splits == []
-
-    def test_torus_has_no_stable_pieces(self):
-        # (1,1) is a base case: nothing stable would feed its transform
-        include_connected, splits = disconnected_terms(1, 1)
-        assert not include_connected
-        assert splits == []
-
-    def test_against_brute_force_enumeration(self):
-        from itertools import combinations
-
-        for g, n in [(0, 5), (1, 3), (2, 2), (3, 1)]:
-            labels = tuple(range(2, n + 1))
-            expected = []
-            for g1 in range(g + 1):
-                for size in range(len(labels) + 1):
-                    for chosen in combinations(labels, size):
-                        rest = tuple(sorted(set(labels) - set(chosen)))
-                        if is_stable(g1, len(chosen) + 1) and is_stable(
-                            g - g1, len(rest) + 1
-                        ):
-                            expected.append(((g1, chosen), (g - g1, rest)))
-            assert sorted(stable_splits(g, labels)) == sorted(expected)
-
-    def test_each_ordered_pair_once(self):
-        _, splits = disconnected_terms(2, 1)
-        assert len(splits) == len(set(splits))
-
-
 class TestVolumes:
     def test_base_cases_returned(self, v03, v11):
         store = VolumeStore()
@@ -248,3 +206,49 @@ class TestVolumes:
         first = mirzakhani_volume(1, 2, store)
         again = mirzakhani_volume(1, 2, store)
         assert first is again
+
+
+class TestOrbitCheck:
+    def test_asymmetric_pair_moment_is_caught(self, monkeypatch):
+        # a moment that is no longer symmetric in (L1, Lj) breaks the symmetry
+        # of every volume with a B-term; the representatives must notice
+        original = mirzakhani.pair_moment
+
+        def perturbed(k):
+            terms = dict(original(k).terms)
+            terms[(2 * k + 2, 0, 0)] += Fraction(1, 7)
+            return Poly(2, terms)
+
+        monkeypatch.setattr(mirzakhani, "pair_moment", perturbed)
+        store = VolumeStore()
+        with pytest.raises(ConsistencyError, match="orbit-agreement"):
+            mirzakhani_volume(0, 5, store)
+        assert store.get(0, 5, provenance="mirzakhani") is None
+
+
+class TestLargeGenus:
+    def test_closed_volumes_genus_four_and_five(self):
+        store = VolumeStore()
+        assert str(ensure_volume(store, 4, 0).poly) == "(1959225867017/493807104000)*pi^18"
+        assert str(ensure_volume(store, 5, 0).poly) == (
+            "(84374265930915479/355541114880000)*pi^24"
+        )
+
+    def test_mirzakhani_zograf_trend(self):
+        # arXiv 1112.1151: 4 pi^2 (2g-2) V(g,0) / V(g,1) -> 1 and
+        # V(g-1,2) / V(g,0) -> 1, both with error O(1/g), on constant terms
+        store = VolumeStore()
+
+        def at_zero(g, n):
+            vol = ensure_volume(store, g, n, "mirzakhani")
+            return vol.poly.coeff_monomial((0,) * n, 6 * g - 6 + 2 * n)
+
+        errors = []
+        for g in range(2, 8):
+            r1 = 4 * (2 * g - 2) * at_zero(g, 0) / at_zero(g, 1)
+            r2 = float(at_zero(g - 1, 2) / at_zero(g, 0)) / math.pi ** 2
+            errors.append((g, abs(float(r1) - 1), abs(r2 - 1)))
+        for (g, e1, e2), (h, f1, f2) in zip(errors, errors[1:]):
+            assert f1 <= e1 and f2 <= e2
+            assert h * f1 <= g * e1 and h * f2 <= g * e2
+        assert errors[-1][1] < 0.01 and errors[-1][2] < 0.05
