@@ -16,7 +16,6 @@ from .stringdilaton import (
     check_second_derivative,
     check_string,
     closed_volume,
-    euler_field,
     genus0_lift,
     genus1_lift,
     string_rhs,
@@ -24,12 +23,7 @@ from .stringdilaton import (
 from .mirzakhani import kernel_H, mirzakhani_volume, moment_F
 from .store import VolumeStore, resolve_cache_dir
 from .compute import ensure_volume, lift_volume
-from .intersections import (
-    check_dilaton2,
-    check_string2,
-    genus0_psi,
-    psi_kappa,
-)
+from .intersections import genus0_psi, psi_kappa
 
 __version__ = "0.1.0"
 
@@ -44,13 +38,10 @@ __all__ = [
     "Stratum",
     "boundary_cofactor",
     "check_dilaton",
-    "check_dilaton2",
     "check_second_derivative",
     "check_string",
-    "check_string2",
     "closed_volume",
     "ensure_volume",
-    "euler_field",
     "genus0_lift",
     "genus0_psi",
     "genus1_lift",

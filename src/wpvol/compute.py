@@ -64,9 +64,8 @@ def ensure_volume(
         cached = store.get(g, 0)
         if cached is not None:
             return cached
-        vol = VolumePolynomial.checked(
-            g, 0, closed_volume(mirzakhani_volume(g, 1, store))
-        )
+        closed = closed_volume(mirzakhani_volume(g, 1, store))
+        vol = VolumePolynomial(g, 0, closed.orbit_coefficients())
         store.put(vol, "mirzakhani")
         return vol
     if method == "auto":
@@ -77,7 +76,7 @@ def ensure_volume(
         return mirzakhani_volume(g, n, store)
     lifted = lift_volume(store, g, n)
     recursed = mirzakhani_volume(g, n, store)
-    if lifted.poly != recursed.poly:
+    if lifted.orbits != recursed.orbits:
         raise ConsistencyError(
             f"lift and kernel recursion disagree for V({g},{n})",
             defect=lifted.poly - recursed.poly,

@@ -50,7 +50,8 @@ def psi_kappa(
     if weight + kappa != 3 * g - 3 + n:
         return Fraction(0)
     vol = ensure_volume(store, g, n)
-    rational = vol.poly.coeff_monomial(tuple(2 * a for a in alpha), 2 * kappa)
+    pattern = tuple(sorted((2 * a for a in alpha), reverse=True))
+    rational = vol.orbits.get((pattern, 2 * kappa), Fraction(0))
     for a in alpha:
         rational *= math.factorial(a)
     rational *= math.factorial(kappa)
@@ -120,18 +121,6 @@ def dilaton2_case(
     rhs = (2 * g - 2 + n) * psi_kappa(g, n, alpha, m, store)
     vacuous = sum(alpha) + m != 3 * g - 3 + n
     return CheckCase(g, n, alpha, m, lhs, rhs, vacuous)
-
-
-def check_string2(
-    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
-) -> bool:
-    return string2_case(g, n, alpha, m, store).ok
-
-
-def check_dilaton2(
-    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
-) -> bool:
-    return dilaton2_case(g, n, alpha, m, store).ok
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

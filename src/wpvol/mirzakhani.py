@@ -34,16 +34,17 @@ V(0,4) and V(1,2) and is frozen (see the README).
 
 Representatives.  The output is symmetric in L2..Ln, so only coefficients
 at (a1; beta), beta the exponents of L2..Ln in descending order, are
-computed.  Each lower volume is indexed once per call by its sorted tail
-(the exponents after the transformed slots); a sub-multiset of a sorted
-beta is sorted, so each read is one lookup.  The disconnected term splits
-the multiset beta, weighting a split that takes nu_v of the mu_v copies of
-each value v by prod C(mu_v, nu_v), its number of label subsets; the B-term
-pairs L1 with each distinct value of beta, weighted by its multiplicity.
-Orbit agreement: before the dense output is assembled, every orbit (sorted
-exponents, pi power) must be reached from each of its distinct values in
-the L1 slot, all with one coefficient, or ConsistencyError is raised and
-nothing is stored.
+computed.  Each lower volume is indexed once per call, from its orbits, by
+its sorted tail (the exponents after the transformed slots); a sub-multiset
+of a sorted beta is sorted, so each read is one lookup.  The disconnected
+term splits the multiset beta, weighting a split that takes nu_v of the
+mu_v copies of each value v by prod C(mu_v, nu_v), its number of label
+subsets; the B-term pairs L1 with each distinct value of beta, weighted by
+its multiplicity.
+Orbit agreement: every orbit (sorted exponents, pi power) must be reached
+from each of its distinct values in the L1 slot, all with one coefficient,
+or ConsistencyError is raised and nothing is stored; the agreed
+coefficients are the stored volume.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .poly import Poly, arrangements
+from .poly import Poly
 from .volume import (
     ConsistencyError,
     VolumePolynomial,
@@ -157,7 +158,7 @@ def _tails(length: int, budget: int, top: int):
 def mirzakhani_volume(
     g: int,
     n: int,
-    store=None,
+    store,
     split_reverse: bool = False,
 ) -> VolumePolynomial:
     """Compute V(g, n) by the kernel recursion, memoizing through a store.
@@ -172,10 +173,6 @@ def mirzakhani_volume(
             "the kernel recursion needs a distinguished boundary; closed "
             "volumes come from the one-boundary factorization"
         )
-    if store is None:
-        from .store import VolumeStore
-
-        store = VolumeStore()
     if is_seed(g, n):
         vol = store.get(g, n, provenance="seed")
         if vol is None:
@@ -187,14 +184,13 @@ def mirzakhani_volume(
         return cached
 
     def index(gg: int, nn: int, head: int) -> dict:
-        # sorted tail -> [(head exponents, pi exponent, coefficient)]; a
-        # sorted tail is all any representative ever reads
+        # sorted tail -> [(head exponents, pi exponent, coefficient)], one
+        # entry per way of taking `head` ordered values out of an orbit
         out: dict = {}
         if is_stable(gg, nn):
-            for key, c in mirzakhani_volume(gg, nn, store, split_reverse).poly.terms.items():
-                tail = key[head:-1]
-                if all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1)):
-                    out.setdefault(tail, []).append((key[:head], key[-1], c))
+            for (pattern, p), c in mirzakhani_volume(gg, nn, store, split_reverse).orbits.items():
+                for heads, tail in _take(pattern, head):
+                    out.setdefault(tail, []).append((heads, p, c))
         return out
 
     connected = index(g - 1, n + 1, 2)
@@ -249,7 +245,7 @@ def mirzakhani_volume(
         if c:
             sig = (tuple(sorted((a1,) + beta, reverse=True)), p)
             orbits.setdefault(sig, {})[a1] = c / (a1 + 1)
-    terms = {}
+    result = {}
     for (pattern, p), reach in orbits.items():
         coeffs = set(reach.values())
         if set(reach) != set(pattern) or len(coeffs) != 1:
@@ -258,9 +254,19 @@ def mirzakhani_volume(
                 f"check at exponents {pattern}, pi^{p}: L1 exponent -> "
                 f"coefficient {dict(sorted(reach.items()))}"
             )
-        c = coeffs.pop()
-        for arrangement in arrangements(pattern):
-            terms[arrangement + (p,)] = c
-    vol = VolumePolynomial.checked(g, n, Poly(n, terms))
+        result[(pattern, p)] = coeffs.pop()
+    vol = VolumePolynomial(g, n, result)
     store.put(vol, "mirzakhani")
     return vol
+
+
+def _take(pattern: tuple, head: int):
+    """Yield (ordered head values, sorted rest) for each way of taking
+    `head` values one by one out of a descending pattern."""
+    if head == 0:
+        yield (), pattern
+        return
+    for v in set(pattern):
+        i = pattern.index(v)
+        for heads, tail in _take(pattern[:i] + pattern[i + 1:], head - 1):
+            yield (v,) + heads, tail

@@ -16,6 +16,10 @@ exponent of pi.  Zero coefficients are never stored, so two polynomials are
 equal iff their term maps are equal.  Variable indices in the public API are
 1-based, matching the L1..Ln naming used everywhere else.
 
+Symmetric polynomials, volumes among them, are stored elsewhere by symmetry
+orbit, ``{(L exponents sorted descending, pi exponent): coefficient}``.
+``orbit_coefficients`` and ``from_orbits`` convert between the two forms.
+
 All values are immutable after construction and every operation returns a
 fresh polynomial, so values can be shared freely between threads.
 """
@@ -101,6 +105,20 @@ class Poly:
                 terms[key] = terms.get(key, _F0) + c
         return cls(n_vars, {k: v for k, v in terms.items() if v})
 
+    @classmethod
+    def from_orbits(cls, n_vars: int, orbits: dict) -> "Poly":
+        """Expand ``{(pattern, pi_exp): coefficient}`` over symmetry orbits.
+
+        Each pattern holds the ``n_vars`` L exponents of the orbit; every
+        distinct rearrangement becomes one monomial with the orbit's
+        coefficient.  Inverse of ``orbit_coefficients``.
+        """
+        terms = {}
+        for (pattern, pi_exp), c in orbits.items():
+            for arrangement in arrangements(pattern):
+                terms[arrangement + (pi_exp,)] = c
+        return cls(n_vars, terms)
+
     # ------------------------------------------------------------------
     # predicates and inspection
 
@@ -121,12 +139,6 @@ class Poly:
         key = tuple(l_exps) + (pi_exp,)
         return self.terms.get(key, _F0)
 
-    def total_degree(self) -> int:
-        """Max over terms of (sum of L exponents) + pi exponent; -1 if zero."""
-        if not self.terms:
-            return -1
-        return max(sum(key) for key in self.terms)
-
     def l_degree(self) -> int:
         """Max over terms of the sum of L exponents alone; -1 if zero."""
         if not self.terms:
@@ -136,9 +148,6 @@ class Poly:
     def is_homogeneous(self, degree: int) -> bool:
         """True iff every term has total degree (L exponents plus pi) equal."""
         return all(sum(key) == degree for key in self.terms)
-
-    def is_l_homogeneous(self, degree: int) -> bool:
-        return all(sum(key[:-1]) == degree for key in self.terms)
 
     def has_even_l_exponents(self) -> bool:
         return all(all(e % 2 == 0 for e in key[:-1]) for key in self.terms)
@@ -264,18 +273,6 @@ class Poly:
             out[nk] = c * e
         return Poly(self.n_vars, out)
 
-    def integrate_from_zero(self, k: int) -> "Poly":
-        """The definite integral from 0 to L_k, as a polynomial in L_k."""
-        if not 1 <= k <= self.n_vars:
-            raise IndexError(f"variable index {k} out of range 1..{self.n_vars}")
-        i = k - 1
-        out: dict = {}
-        for key, c in self.terms.items():
-            e = key[i] + 1
-            nk = key[:i] + (e,) + key[i + 1:]
-            out[nk] = c * Fraction(1, e)
-        return Poly(self.n_vars, out)
-
     # ------------------------------------------------------------------
     # substitution
 
@@ -332,28 +329,6 @@ class Poly:
             new_n_vars,
             {key[:-1] + pad + (key[-1],): c for key, c in self.terms.items()},
         )
-
-    def place(self, n_vars: int, slots: tuple[int, ...]) -> "Poly":
-        """Map variable i of self to variable slots[i-1] of an n_vars poly.
-
-        Slots are 1-based and must be distinct.  Used to drop small transform
-        polynomials into the right boundary positions of a larger one.
-        """
-        if len(slots) != self.n_vars:
-            raise ValueError("one target slot per variable is required")
-        if len(set(slots)) != len(slots):
-            raise ValueError("target slots must be distinct")
-        for s in slots:
-            if not 1 <= s <= n_vars:
-                raise IndexError(f"target slot {s} out of range 1..{n_vars}")
-        out = {}
-        for key, c in self.terms.items():
-            nk = [0] * (n_vars + 1)
-            for i, e in enumerate(key[:-1]):
-                nk[slots[i] - 1] = e
-            nk[-1] = key[-1]
-            out[tuple(nk)] = c
-        return Poly(n_vars, out)
 
     def drop_var(self, k: int) -> "Poly":
         """Remove variable k, which must be absent from every monomial."""

@@ -11,7 +11,10 @@ deterministic and round-trips byte for byte.  Coefficients are rational, so
 ``"im"`` is always written as ``"0"``, and a document with a nonzero ``"im"``
 is rejected.  Entries are validated against the volume invariants both when
 written and when read back, which turns any on-disk corruption into an
-immediate error instead of a wrong number.
+immediate error instead of a wrong number: ``put`` is the one gate every
+produced volume passes, and a document is read through
+``VolumePolynomial.checked``, which also converts its dense terms to the
+orbit form the store holds.
 
 Several provenances may record the same (g, n) in one session; they must
 agree exactly, and a disagreement is fatal because it means two independent
@@ -27,11 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .poly import Poly
-from .volume import (
-    InvariantError,
-    VolumePolynomial,
-    require_stable,
-)
+from .volume import InvariantError, VolumePolynomial
 
 SCHEMA_VERSION = 1
 PROVENANCES = ("seed", "genus0_lift", "genus1_lift", "mirzakhani")
@@ -112,9 +111,8 @@ def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheError(f"malformed term list: {exc}") from exc
     poly = Poly.from_terms(n, terms)
-    vol = VolumePolynomial(g, n, poly)
     try:
-        vol.validate()
+        vol = VolumePolynomial.checked(g, n, poly)
     except InvariantError as exc:
         raise CacheError(f"stored entry fails validation: {exc}") from exc
     return vol, provenance
@@ -166,14 +164,13 @@ class VolumeStore:
     def put(self, vol: VolumePolynomial, provenance: str) -> None:
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
-        require_stable(vol.g, vol.n)
         vol.validate()
         key = (vol.g, vol.n)
         if key not in self._entries:
             self._load_from_disk(*key)
         by_prov = self._entries.setdefault(key, {})
         for other_prov, other in by_prov.items():
-            if other.poly != vol.poly:
+            if other.orbits != vol.orbits:
                 raise ProvenanceConflictError(
                     f"V{key} from {provenance!r} disagrees with stored "
                     f"{other_prov!r} entry"
@@ -235,13 +232,13 @@ class VolumeStore:
                         raise CacheError(f"file for ({g},{n}) holds other key")
                     in_memory = self._entries.get((g, n), {})
                     for prov, mem_vol in in_memory.items():
-                        if mem_vol.poly != vol.poly:
+                        if mem_vol.orbits != vol.orbits:
                             raise ProvenanceConflictError(
                                 f"disk and {prov!r} entries disagree for ({g},{n})"
                             )
                 else:
                     vol = self.get(g, n)
-                vol.validate()
+                    vol.validate()
                 volumes[(g, n)] = vol
             except (CacheError, InvariantError) as exc:
                 record["ok"] = False

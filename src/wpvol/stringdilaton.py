@@ -20,6 +20,8 @@ volumes from the two seeds.  The second derivative satisfies
 with E the Euler vector field sum L_j d/dL_j.  All checks here are exact:
 a check returns True only on literal equality of canonical term maps, and
 the *_defect variants expose the difference polynomial for diagnostics.
+The lifts work by symmetry orbit; the checks work on the dense view
+``vol.poly``, so they stay independent of the orbit code they check.
 """
 
 from __future__ import annotations
@@ -33,16 +35,22 @@ from .volume import ConsistencyError, VolumePolynomial
 _HALF = Fraction(1, 2)
 
 
-def string_rhs(vol: VolumePolynomial) -> Poly:
-    """sum_k of the integral from 0 to L_k of L_k * V, an n-variable polynomial.
+def string_rhs(vol: VolumePolynomial) -> dict:
+    """sum_k of the integral from 0 to L_k of L_k * V, by orbit in n variables.
 
-    Equals the one-more-boundary volume evaluated at L_{n+1} = 2*pi*i.
+    Equals the one-more-boundary volume evaluated at L_{n+1} = 2*pi*i.  The
+    integral raises one exponent v to v + 2 and divides by v + 2; on orbits,
+    raising one copy of v reaches each monomial of the target orbit once per
+    slot holding v + 2.
     """
-    p = vol.poly
-    total = Poly.zero(p.n_vars)
-    for k in range(1, p.n_vars + 1):
-        total = total + (Poly.var(p.n_vars, k) * p).integrate_from_zero(k)
-    return total
+    out: dict = {}
+    for (pattern, pi_exp), c in vol.orbits.items():
+        for v in set(pattern):
+            i = pattern.index(v)
+            target = tuple(sorted(pattern[:i] + (v + 2,) + pattern[i + 1:], reverse=True))
+            key = (target, pi_exp)
+            out[key] = out.get(key, 0) + c * Fraction(target.count(v + 2), v + 2)
+    return {key: c for key, c in out.items() if c}
 
 
 def _check_pair(bigger: VolumePolynomial, smaller: VolumePolynomial) -> None:
@@ -58,7 +66,7 @@ def string_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
     _check_pair(bigger, smaller)
     m = bigger.n
     lhs = bigger.poly.eval_two_pi_i(m)
-    rhs = string_rhs(smaller).embed(m)
+    rhs = Poly.from_orbits(smaller.n, string_rhs(smaller)).embed(m)
     return lhs - rhs
 
 
@@ -88,10 +96,6 @@ def euler_poly(p: Poly) -> Poly:
     return total
 
 
-def euler_field(vol: VolumePolynomial) -> Poly:
-    return euler_poly(vol.poly)
-
-
 def second_derivative_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
     _check_pair(bigger, smaller)
     m = bigger.n
@@ -114,7 +118,7 @@ def genus0_lift(vol: VolumePolynomial) -> VolumePolynomial:
     if vol.g != 0 or vol.n < 3:
         raise ValueError("genus0_lift needs a genus-0 volume with n >= 3")
     _, candidate = stratified_lift(string_rhs(vol), vol.n - 2)
-    lifted = VolumePolynomial.checked(0, vol.n + 1, candidate)
+    lifted = VolumePolynomial(0, vol.n + 1, candidate)
     if not check_string(lifted, vol):
         raise ConsistencyError(
             "lifted genus-0 volume fails the string relation",
@@ -127,34 +131,40 @@ def genus1_lift(vol: VolumePolynomial) -> tuple[VolumePolynomial, Fraction]:
     """The next genus-1 volume and the correction constant: V(1, n) -> V(1, n+1).
 
     Here the squared degree equals the variable count, so the lift only pins
-    the volume up to a rational multiple of prod_j (L_j^2 + 4 pi^2) over all
-    n+1 variables; the dilaton relation determines that constant.
+    the volume up to c * prod_j (L_j^2 + 4 pi^2) over all n+1 variables.
+    The dilaton relation determines c: the correction adds
+    2c * prod_{j<=n} (L_j^2 + 4 pi^2) to W(L, 2*pi*i), so
+    (2g - 2 + n) V(1, n) minus the candidate's W(L, 2*pi*i) must be q times
+    that product, q its ((2,)*n, 0) coefficient, and c = q / 2.
     """
     if vol.g != 1 or vol.n < 1:
         raise ValueError("genus1_lift needs a genus-1 volume with n >= 1")
     n = vol.n
     _, candidate = stratified_lift(string_rhs(vol), n + 1)
 
-    # W(L, 2*pi*i) of the candidate, the left side of the dilaton relation
-    w = candidate.ddx(n + 1).divide_by_var(n + 1)
-    residue = w.eval_two_pi_i(n + 1).drop_var(n + 1)
-    numerator = vol.poly.scale(2 * vol.g - 2 + vol.n) - residue
-    quotient = numerator
-    for j in range(1, n + 1):
-        quotient = divide_boundary_quadratic(quotient, j)
-    if quotient.l_degree() > 0 or quotient.total_degree() > 0:
+    # less the candidate's W(L, 2*pi*i): L_{n+1}**v gives v * (2*pi*i)**(v-2)
+    rest = {key: (2 * vol.g - 2 + n) * c for key, c in vol.orbits.items()}
+    for (pattern, pi_exp), c in candidate.items():
+        for v in set(pattern) - {0}:
+            i = pattern.index(v)
+            key = (pattern[:i] + pattern[i + 1:], pi_exp + v - 2)
+            rest[key] = rest.get(key, 0) - c * v * (-4) ** (v // 2 - 1)
+    quotient = rest.get(((2,) * n, 0), 0)
+    for key, c in _boundary_product(n).items():
+        rest[key] = rest.get(key, 0) - quotient * c
+    defect = {key: c for key, c in rest.items() if c}
+    if defect:
         raise ConsistencyError(
-            "dilaton correction is not a constant", defect=quotient
+            "dilaton correction is not a constant", defect=Poly.from_orbits(n, defect)
         )
-    constant = quotient.coeff_monomial((0,) * n, 0) * _HALF
+    constant = quotient * _HALF
 
-    correction = Poly.one(n + 1)
-    for j in range(1, n + 1 + 1):
-        correction = correction * (
-            Poly.var(n + 1, j, 2) + Poly.pi(n + 1, 2).scale(4)
-        )
-    lifted_poly = candidate + correction.scale(constant)
-    lifted = VolumePolynomial.checked(1, n + 1, lifted_poly)
+    lifted_orbits = dict(candidate)
+    for key, c in _boundary_product(n + 1).items():
+        lifted_orbits[key] = lifted_orbits.get(key, 0) + constant * c
+    lifted = VolumePolynomial(
+        1, n + 1, {key: c for key, c in lifted_orbits.items() if c}
+    )
     if not check_string(lifted, vol):
         raise ConsistencyError(
             "lifted genus-1 volume fails the string relation",
@@ -166,6 +176,14 @@ def genus1_lift(vol: VolumePolynomial) -> tuple[VolumePolynomial, Fraction]:
             defect=dilaton_defect(lifted, vol),
         )
     return lifted, constant
+
+
+def _boundary_product(m: int) -> dict:
+    """prod_{j<=m} (L_j^2 + 4 pi^2) by orbit: 4^(m-s) pi^(2(m-s)) m_(2^s)."""
+    return {
+        ((2,) * s + (0,) * (m - s), 2 * (m - s)): Fraction(4 ** (m - s))
+        for s in range(m + 1)
+    }
 
 
 def divide_boundary_quadratic(p: Poly, k: int) -> Poly:

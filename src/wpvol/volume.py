@@ -11,16 +11,22 @@ structural facts used everywhere in this package:
 Coefficients are plain rationals (times the pi power), so realness needs no
 check: the coefficient type guarantees it.
 
-``VolumePolynomial`` is a plain wrapper; ``validate``/``checked`` enforce
-the invariants.  Production code always goes through ``checked`` so that a
-convention or arithmetic slip anywhere in a recursion surfaces immediately
-as an ``InvariantError``.
+``VolumePolynomial`` holds the canonical form of a volume, its coefficients
+by symmetry orbit: ``{(L exponents sorted descending, pi exponent): c}``.
+Symmetry holds by construction, and ``validate`` checks the rest on the
+orbit keys alone.  ``poly``, the dense view, is built on first use for
+rendering, export and the relation checks.  Every produced volume is
+validated once, by ``VolumeStore.put`` before anyone can read it; dense
+input (a cache document, a test polynomial) enters through ``checked``,
+which also rejects an asymmetric polynomial.  A convention or arithmetic
+slip anywhere in a recursion therefore surfaces as an ``InvariantError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .poly import Poly
 
@@ -59,11 +65,16 @@ def require_stable(g: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class VolumePolynomial:
-    """A volume polynomial tagged with its genus and boundary count."""
+    """A volume polynomial by symmetry orbit, tagged with (g, n)."""
 
     g: int
     n: int
-    poly: Poly
+    orbits: dict
+
+    @cached_property
+    def poly(self) -> Poly:
+        """The dense view: every monomial of every orbit."""
+        return Poly.from_orbits(self.n, self.orbits)
 
     @property
     def dimension(self) -> int:
@@ -77,18 +88,18 @@ class VolumePolynomial:
 
     def validate(self) -> None:
         require_stable(self.g, self.n)
-        problems = []
-        if self.poly.n_vars != self.n:
-            problems.append(
-                f"polynomial has {self.poly.n_vars} variables, expected {self.n}"
-            )
-        else:
-            if not self.poly.has_even_l_exponents():
-                problems.append("odd L exponent present")
-            if not self.poly.is_homogeneous(self.degree):
-                problems.append(f"not homogeneous of degree {self.degree}")
-            if not self.poly.is_symmetric():
-                problems.append("not symmetric in the boundary variables")
+        keys = list(self.orbits)
+        checks = (
+            (all(len(p) == self.n for p, _ in keys),
+             f"orbit key without {self.n} L exponents"),
+            (all(all(a >= b for a, b in zip(p, p[1:])) for p, _ in keys),
+             "orbit key not sorted descending"),
+            (all(e % 2 == 0 for p, _ in keys for e in p), "odd L exponent present"),
+            (all(sum(p) + q == self.degree for p, q in keys),
+             f"not homogeneous of degree {self.degree}"),
+            (all(self.orbits.values()), "zero coefficient stored"),
+        )
+        problems = [message for ok, message in checks if not ok]
         if problems:
             raise InvariantError(
                 f"V({self.g},{self.n}) invariant failure: " + "; ".join(problems)
@@ -96,9 +107,20 @@ class VolumePolynomial:
 
     @classmethod
     def checked(cls, g: int, n: int, poly: Poly) -> "VolumePolynomial":
-        vp = cls(g, n, poly)
-        vp.validate()
-        return vp
+        """Validate dense input and keep it as the dense view."""
+        if poly.n_vars != n:
+            raise InvariantError(
+                f"V({g},{n}) invariant failure: polynomial has {poly.n_vars} "
+                f"variables, expected {n}"
+            )
+        try:
+            orbits = poly.orbit_coefficients()
+        except ValueError as exc:
+            raise InvariantError(f"V({g},{n}) invariant failure: {exc}") from exc
+        vol = cls(g, n, orbits)
+        vol.validate()
+        vol.__dict__["poly"] = poly
+        return vol
 
 
 def seed_volume(g: int, n: int) -> VolumePolynomial:
@@ -109,12 +131,11 @@ def seed_volume(g: int, n: int) -> VolumePolynomial:
     integral:  V(1,1) = (L1^2 + 4 pi^2) / 48.
     """
     if (g, n) == (0, 3):
-        return VolumePolynomial(0, 3, Poly.one(3))
+        return VolumePolynomial(0, 3, {((0, 0, 0), 0): Fraction(1)})
     if (g, n) == (1, 1):
-        poly = Poly.from_terms(
-            1, {(2, 0): Fraction(1, 48), (0, 2): Fraction(1, 12)}
+        return VolumePolynomial(
+            1, 1, {((2,), 0): Fraction(1, 48), ((0,), 2): Fraction(1, 12)}
         )
-        return VolumePolynomial(1, 1, poly)
     raise ValueError(f"({g}, {n}) is not a base case")
 
 

@@ -252,3 +252,16 @@ class TestLargeGenus:
             assert f1 <= e1 and f2 <= e2
             assert h * f1 <= g * e1 and h * f2 <= g * e2
         assert errors[-1][1] < 0.01 and errors[-1][2] < 0.05
+
+
+class TestCrossPathRange:
+    def test_lift_matches_recursion_beyond_the_acceptance_range(self):
+        # past test_criterion_03's (0,4)..(0,8) and (1,2)..(1,5)
+        from wpvol.compute import lift_volume
+
+        lift_store, kernel_store = VolumeStore(), VolumeStore()
+        for g, n in [(0, 9), (0, 10), (1, 6), (1, 7), (1, 8)]:
+            lifted = lift_volume(lift_store, g, n)
+            recursed = mirzakhani_volume(g, n, kernel_store)
+            assert lifted.orbits == recursed.orbits, (g, n)
+            assert lifted.poly == recursed.poly, (g, n)

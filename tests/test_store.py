@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from wpvol.mirzakhani import mirzakhani_volume
 from wpvol.store import (
+    PROVENANCES,
     CacheError,
     ProvenanceConflictError,
     VolumeStore,
@@ -50,13 +52,13 @@ def test_disk_round_trip(tmp_path, v03):
 def test_unstable_rejected(v03):
     store = VolumeStore()
     with pytest.raises(UnstableSurfaceError):
-        store.put(VolumePolynomial(0, 2, v03.poly.drop_var(3)), "seed")
+        store.put(VolumePolynomial(0, 2, {((0, 0), 0): Fraction(1)}), "seed")
 
 
 def test_invalid_entry_rejected(v11):
     store = VolumeStore()
     with pytest.raises(Exception):
-        store.put(VolumePolynomial(1, 1, v11.poly + 1), "seed")
+        store.put(VolumePolynomial(1, 1, {**v11.orbits, ((0,), 0): Fraction(1)}), "seed")
 
 
 def test_cross_provenance_agreement(v03):
@@ -72,7 +74,7 @@ def test_cross_provenance_conflict_is_fatal(v03, v11):
     store = VolumeStore()
     lifted = genus0_lift(v03)
     store.put(lifted, "genus0_lift")
-    tampered = VolumePolynomial(0, 4, lifted.poly.scale(2))
+    tampered = VolumePolynomial(0, 4, {k: 2 * c for k, c in lifted.orbits.items()})
     with pytest.raises(ProvenanceConflictError):
         store.put(tampered, "mirzakhani")
 
@@ -148,3 +150,23 @@ def test_resolve_cache_dir(monkeypatch, tmp_path):
 def test_get_absent(tmp_path):
     assert VolumeStore(tmp_path).get(0, 5) is None
     assert VolumeStore().get(0, 2) is None
+
+
+def test_each_produced_volume_validated_once(monkeypatch):
+    from wpvol.compute import ensure_volume, lift_volume
+
+    calls = []
+    original = VolumePolynomial.validate
+
+    def counting(self):
+        calls.append((self.g, self.n))
+        return original(self)
+
+    monkeypatch.setattr(VolumePolynomial, "validate", counting)
+    store = VolumeStore()
+    lift_volume(store, 1, 4)
+    ensure_volume(store, 3, 0)
+    stored = [
+        (g, n) for g, n in store.keys() for prov in PROVENANCES if store.get(g, n, prov)
+    ]
+    assert sorted(calls) == stored

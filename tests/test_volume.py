@@ -74,3 +74,27 @@ def test_odd_pi_layers_vanish(v11):
 def test_seed_only_for_base_cases():
     with pytest.raises(ValueError):
         seed_volume(0, 4)
+
+
+def test_unsorted_orbit_key_rejected():
+    vol = VolumePolynomial(0, 4, {((0, 2, 0, 0), 0): Fraction(1, 2)})
+    with pytest.raises(InvariantError, match="sorted"):
+        vol.validate()
+
+
+def test_wrong_length_orbit_key_rejected():
+    vol = VolumePolynomial(0, 4, {((2, 0, 0), 0): Fraction(1, 2)})
+    with pytest.raises(InvariantError, match="4 L exponents"):
+        vol.validate()
+
+
+def test_zero_coefficient_rejected():
+    vol = VolumePolynomial(0, 4, {((2, 0, 0, 0), 0): Fraction(0)})
+    with pytest.raises(InvariantError, match="zero coefficient"):
+        vol.validate()
+
+
+def test_checked_keeps_the_dense_input_as_its_view(v11):
+    vol = VolumePolynomial.checked(1, 1, v11.poly)
+    assert vol.orbits == v11.orbits
+    assert vol.poly is v11.poly
