@@ -22,13 +22,12 @@ point.  Cases whose dimensions cannot balance are vacuous (both sides 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .compute import ensure_volume
 from .store import VolumeStore
-from .volume import require_stable
+from .volume import Frozen, require_stable
 
 def psi_kappa(
     g: int,
@@ -51,11 +50,13 @@ def psi_kappa(
         return Fraction(0)
     vol = ensure_volume(store, g, n)
     pattern = tuple(sorted((2 * a for a in alpha), reverse=True))
-    rational = vol.orbits.get((pattern, 2 * kappa), Fraction(0))
+    coeff = vol.orbits.get((pattern, 2 * kappa))
+    if coeff is None:
+        return Fraction(0)
+    numerator = coeff.numerator * math.factorial(kappa) << weight
     for a in alpha:
-        rational *= math.factorial(a)
-    rational *= math.factorial(kappa)
-    return rational * Fraction(2 ** weight, 2 ** kappa)
+        numerator *= math.factorial(a)
+    return Fraction(numerator, coeff.denominator << kappa)
 
 
 def genus0_psi(alpha: Sequence[int]) -> Fraction:
@@ -73,17 +74,22 @@ def genus0_psi(alpha: Sequence[int]) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class CheckCase:
+class CheckCase(Frozen):
     """Outcome of one identity instance; vacuous means 0 = 0 by dimension."""
 
-    g: int
-    n: int
-    alpha: tuple[int, ...]
-    m: int
-    lhs: Fraction
-    rhs: Fraction
-    vacuous: bool
+    _fields = ("g", "n", "alpha", "m", "lhs", "rhs", "vacuous")
+
+    def __init__(
+        self,
+        g: int,
+        n: int,
+        alpha: tuple[int, ...],
+        m: int,
+        lhs: Fraction,
+        rhs: Fraction,
+        vacuous: bool,
+    ) -> None:
+        super().__init__(g, n, alpha, m, lhs, rhs, vacuous)
 
     @property
     def ok(self) -> bool:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)

@@ -16,21 +16,26 @@ produced volume passes, and a document is read through
 ``VolumePolynomial.checked``, which also converts its dense terms to the
 orbit form the store holds.
 
+Exponents must be JSON integers and coefficients strings; anything else (a
+float exponent, a numeric ``"re"``) is rejected rather than coerced.
+
 Several provenances may record the same (g, n) in one session; they must
 agree exactly, and a disagreement is fatal because it means two independent
 computation paths produced different polynomials.
+
+A file is written under a fresh name in the cache directory, created with
+``O_EXCL`` so no existing file is ever reused, and renamed over its target.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 from .poly import Poly
-from .volume import InvariantError, VolumePolynomial
+from .volume import InvariantError, UnstableSurfaceError, VolumePolynomial
 
 SCHEMA_VERSION = 1
 PROVENANCES = ("seed", "genus0_lift", "genus1_lift", "mirzakhani")
@@ -96,24 +101,28 @@ def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
     if provenance not in PROVENANCES:
         raise CacheError(f"unknown provenance {provenance!r}")
     g, n = doc.get("g"), doc.get("n")
-    if not isinstance(g, int) or not isinstance(n, int):
+    if type(g) is not int or type(n) is not int:
         raise CacheError("g and n must be integers")
     terms = {}
     try:
         for term in doc["terms"]:
-            key = tuple(int(e) for e in term["l"]) + (int(term["pi"]),)
-            if Fraction(term["im"]):
+            key = (*term["l"], term["pi"])
+            if len(key) != n + 1 or any(type(e) is not int or e < 0 for e in key):
+                raise CacheError(f"bad exponents {key} for n = {n}")
+            real, imag = term["re"], term["im"]
+            if type(real) is not str or type(imag) is not str:
+                raise CacheError(f"coefficient at monomial {key} is not a string")
+            if imag != "0" and Fraction(imag):
                 raise CacheError(f"non-real coefficient at monomial {key}")
-            coeff = Fraction(term["re"])
+            coeff = Fraction(real)
             if key in terms:
                 raise CacheError(f"duplicate monomial {key}")
             terms[key] = coeff
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CacheError(f"malformed term list: {exc}") from exc
-    poly = Poly.from_terms(n, terms)
     try:
-        vol = VolumePolynomial.checked(g, n, poly)
-    except InvariantError as exc:
+        vol = VolumePolynomial.checked(g, n, Poly(n, terms))
+    except (InvariantError, UnstableSurfaceError) as exc:
         raise CacheError(f"stored entry fails validation: {exc}") from exc
     return vol, provenance
 
@@ -182,7 +191,8 @@ class VolumeStore:
                 self._write_atomic(path, serialize_entry(vol, provenance))
 
     def _write_atomic(self, path: Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        tmp = path.with_name(f"{path.stem}.{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)

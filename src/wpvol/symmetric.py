@@ -27,7 +27,7 @@ without v, times (2*pi*i)**v = (-4)**(v/2) * pi**v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .volume import Frozen
 
 
 class LiftError(Exception):
@@ -48,15 +48,16 @@ def sym_lift_zero(orbits: dict) -> dict:
     return {(pattern + (0,), pi_exp): c for (pattern, pi_exp), c in orbits.items()}
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Frozen):
     """One pi stratum of a reconstruction: V = sum_k pi**2k * w_k.
 
     ``w`` is pi-free and homogeneous in L of degree 2*(D - k), by orbit.
     """
 
-    k: int
-    w: dict
+    _fields = ("k", "w")
+
+    def __init__(self, k: int, w: dict) -> None:
+        super().__init__(k, w)
 
 
 def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[Stratum], dict]:

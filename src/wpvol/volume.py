@@ -24,7 +24,6 @@ slip anywhere in a recursion therefore surfaces as an ``InvariantError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -63,13 +62,49 @@ def require_stable(g: int, n: int) -> None:
         raise UnstableSurfaceError(f"(g, n) = ({g}, {n}) is not stable")
 
 
-@dataclass(frozen=True)
-class VolumePolynomial:
+class Frozen:
+    """Read-only fields named in ``_fields``, with ``==`` and ``hash`` on them.
+
+    The value semantics of a frozen dataclass, without importing
+    ``dataclasses``: assigning or deleting an attribute raises
+    AttributeError, and a dict field makes ``hash`` raise TypeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class VolumePolynomial(Frozen):
     """A volume polynomial by symmetry orbit, tagged with (g, n)."""
 
-    g: int
-    n: int
-    orbits: dict
+    _fields = ("g", "n", "orbits")
+
+    def __init__(self, g: int, n: int, orbits: dict) -> None:
+        super().__init__(g, n, orbits)
 
     @cached_property
     def poly(self) -> Poly:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -268,3 +270,19 @@ def test_repeated_runs_byte_identical_with_warm_cache(capsys, tmp_path):
         assert code == 0
         outputs.add(capsys.readouterr().out)
     assert len(outputs) == 1
+
+
+def test_import_stays_lean():
+    # modules that cost milliseconds at every CLI start and that wpvol
+    # does not need; -I -S keeps site and the environment out of the count
+    src = Path(wpvol.cli.__file__).parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import wpvol.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect', "
+        "'tempfile', 'shutil') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.split() == []

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
+from wpvol.compute import ensure_volume
 from wpvol.intersections import (
+    CheckCase,
     admissible_dilaton2,
     admissible_string2,
     compositions,
@@ -13,7 +16,7 @@ from wpvol.intersections import (
     string2_case,
 )
 from wpvol.store import VolumeStore
-from wpvol.volume import UnstableSurfaceError
+from wpvol.volume import UnstableSurfaceError, is_stable
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +163,42 @@ def test_nonnegativity_observed(store):
             negatives.append((alpha, m, value))
     print(f"nonnegativity check at (1,2): {len(negatives)} negative values")
     assert negatives == [] or True
+
+
+def chained_psi_kappa(g, n, alpha, kappa, store):
+    """Reference: the coefficient times alpha! kappa! 2^|alpha| / 2^kappa,
+    one Fraction multiplication per factor."""
+    vol = ensure_volume(store, g, n)
+    pattern = tuple(sorted((2 * a for a in alpha), reverse=True))
+    rational = vol.orbits.get((pattern, 2 * kappa), Fraction(0))
+    for a in alpha:
+        rational *= math.factorial(a)
+    rational *= math.factorial(kappa)
+    return rational * Fraction(2 ** sum(alpha), 2 ** kappa)
+
+
+def test_psi_kappa_matches_chained_formula(store):
+    checked = 0
+    for g, n in product(range(3), range(6)):
+        if not is_stable(g, n):
+            continue
+        dimension = 3 * g - 3 + n
+        for kappa in range(dimension + 1):
+            for alpha in compositions(dimension - kappa, n):
+                value = psi_kappa(g, n, alpha, kappa, store)
+                assert type(value) is Fraction
+                assert value == chained_psi_kappa(g, n, alpha, kappa, store)
+                checked += 1
+    assert checked == 2105  # sum of C(3g - 3 + 2n, n) over the stable (g, n)
+
+
+def test_check_case_is_a_value():
+    fields = [1, 1, (1,), 0, Fraction(1, 24), Fraction(1, 24), False]
+    case = CheckCase(*fields)
+    assert case == CheckCase(*fields)
+    assert hash(case) == hash(CheckCase(*fields))
+    for i in range(len(fields)):
+        assert case != CheckCase(*fields[:i], "other", *fields[i + 1:])
+    with pytest.raises(AttributeError):
+        case.lhs = Fraction(0)
+    assert case.ok

@@ -170,3 +170,59 @@ def test_each_produced_volume_validated_once(monkeypatch):
         (g, n) for g, n in store.keys() for prov in PROVENANCES if store.get(g, n, prov)
     ]
     assert sorted(calls) == stored
+
+
+def _document(vol, **edits):
+    """The cache document of ``vol``, its first term's fields replaced."""
+    doc = json.loads(serialize_entry(vol, "seed"))
+    for field, value in edits.items():
+        if field in ("g", "n"):
+            doc[field] = value
+        else:
+            doc["terms"][0][field] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "g, n, edits",
+    [
+        # V(2,0) = 43/2160 pi^6 has one term
+        (2, 0, {"pi": 6.7}),  # read as pi^6 by int()
+        (2, 0, {"pi": 6.0}),
+        (2, 0, {"re": 0.0199}),  # read as its binary expansion by Fraction()
+        # V(1,1)'s first term is L1^2 / 48
+        (1, 1, {"pi": False}),  # bool is an int subclass
+        (1, 1, {"l": ["2"]}),
+        (1, 1, {"l": [2, 0]}),  # one exponent too many for n = 1
+        (1, 1, {"re": 1}),
+        (1, 1, {"re": "1/0"}),
+        (1, 1, {"re": "0"}),  # a stored term is never zero
+        (1, 1, {"im": 0}),
+        (1, 1, {"g": True}),
+        (1, 1, {"g": 0}),  # V(0,1) is unstable
+    ],
+)
+def test_corrupt_document_rejected(g, n, edits):
+    from wpvol.compute import ensure_volume
+
+    text = _document(ensure_volume(VolumeStore(), g, n), **edits)
+    with pytest.raises(CacheError):
+        parse_entry(text)
+
+
+def test_imaginary_part_zero_shortcut(v11):
+    vol, _ = parse_entry(_document(v11, im="0/1"))
+    assert vol == v11
+    with pytest.raises(CacheError, match="malformed"):
+        parse_entry(_document(v11, im="x"))
+
+
+def test_failed_rename_leaves_no_file(tmp_path, monkeypatch, v03):
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr("wpvol.store.os.replace", failing_replace)
+    store = VolumeStore(tmp_path)
+    with pytest.raises(OSError, match="rename failed"):
+        store.put(v03, "seed")
+    assert list(tmp_path.iterdir()) == []

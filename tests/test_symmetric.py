@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wpvol.poly import Poly
-from wpvol.symmetric import LiftError, stratified_lift, sym_lift_zero
+from wpvol.symmetric import LiftError, Stratum, stratified_lift, sym_lift_zero
 from conftest import (
     brute_force_lift,
     epsilon_lift,
@@ -128,3 +128,15 @@ class TestStratifiedLift:
             assert all(key[-1] == 0 for key in w.terms)
             if w:
                 assert all(sum(key[:-1]) == 2 * (3 - k) for key in w.terms)
+
+
+def test_stratum_is_an_unhashable_read_only_value():
+    fields = [1, {((2, 0), 0): Fraction(1)}]
+    stratum = Stratum(*fields)
+    assert stratum == Stratum(1, {((2, 0), 0): Fraction(1)})
+    for i in range(len(fields)):
+        assert stratum != Stratum(*fields[:i], "other", *fields[i + 1:])
+    with pytest.raises(TypeError):
+        hash(stratum)
+    with pytest.raises(AttributeError):
+        stratum.k = 2

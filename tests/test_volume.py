@@ -98,3 +98,19 @@ def test_checked_keeps_the_dense_input_as_its_view(v11):
     vol = VolumePolynomial.checked(1, 1, v11.poly)
     assert vol.orbits == v11.orbits
     assert vol.poly is v11.poly
+
+
+def test_volume_is_an_unhashable_read_only_value(v11):
+    fields = [1, 1, dict(v11.orbits)]
+    vol = VolumePolynomial(*fields)
+    assert vol == v11
+    for i in range(len(fields)):
+        assert vol != VolumePolynomial(*fields[:i], "other", *fields[i + 1:])
+    with pytest.raises(TypeError):
+        hash(vol)
+    for name in ("g", "orbits", "poly"):
+        with pytest.raises(AttributeError):
+            setattr(vol, name, None)
+    with pytest.raises(AttributeError):
+        del vol.n
+    assert vol.poly is vol.poly
