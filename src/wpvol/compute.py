@@ -9,8 +9,10 @@ exact agreement.
 from __future__ import annotations
 
 from .mirzakhani import mirzakhani_volume
+from .poly import Poly
 from .store import VolumeStore
 from .stringdilaton import closed_volume, genus0_lift, genus1_lift
+from .symmetric import add
 from .volume import (
     ConsistencyError,
     VolumePolynomial,
@@ -79,6 +81,6 @@ def ensure_volume(
     if lifted.orbits != recursed.orbits:
         raise ConsistencyError(
             f"lift and kernel recursion disagree for V({g},{n})",
-            defect=lifted.poly - recursed.poly,
+            defect=Poly.from_orbits(n, add(lifted.orbits, recursed.orbits, -1)),
         )
     return lifted

@@ -24,10 +24,19 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .compute import ensure_volume
 from .store import VolumeStore
-from .volume import Frozen, require_stable
+from .volume import Frozen, VolumePolynomial, require_stable
+
+
+def balanced(g: int, n: int, alpha: Sequence[int], kappa: int) -> bool:
+    """Whether psi^alpha kappa_1^kappa can integrate to nonzero over M(g, n):
+    nonnegative exponents whose degrees sum to the dimension 3g - 3 + n."""
+    nonnegative = min(alpha, default=0) >= 0 and kappa >= 0
+    return nonnegative and sum(alpha) + kappa == 3 * g - 3 + n
+
 
 def psi_kappa(
     g: int,
@@ -39,16 +48,12 @@ def psi_kappa(
     """The integral of psi_1^a1 .. psi_n^an kappa_1^kappa over the
     compactified moduli space; 0 when any exponent is negative or the
     dimension does not balance."""
-    require_stable(g, n)
-    alpha = tuple(alpha)
-    if len(alpha) != n:
-        raise ValueError(f"alpha must have length n = {n}")
-    if any(a < 0 for a in alpha) or kappa < 0:
-        return Fraction(0)
+    return _reader(store)(g, n, tuple(alpha), kappa)
+
+
+def volume_coefficient(vol: VolumePolynomial, alpha: tuple, kappa: int) -> Fraction:
+    """psi_kappa read off V(g, n) itself, for a balanced (alpha, kappa)."""
     weight = sum(alpha)
-    if weight + kappa != 3 * g - 3 + n:
-        return Fraction(0)
-    vol = ensure_volume(store, g, n)
     pattern = tuple(sorted((2 * a for a in alpha), reverse=True))
     coeff = vol.orbits.get((pattern, 2 * kappa))
     if coeff is None:
@@ -57,6 +62,21 @@ def psi_kappa(
     for a in alpha:
         numerator *= math.factorial(a)
     return Fraction(numerator, coeff.denominator << kappa)
+
+
+def _reader(store: VolumeStore):
+    """psi_kappa on one store, fetching each volume at most once."""
+    volume = lru_cache(maxsize=None)(lambda g, n: ensure_volume(store, g, n))
+
+    def read(g: int, n: int, alpha: tuple[int, ...], kappa: int) -> Fraction:
+        require_stable(g, n)
+        if len(alpha) != n:
+            raise ValueError(f"alpha must have length n = {n}")
+        if not balanced(g, n, alpha, kappa):
+            return Fraction(0)
+        return volume_coefficient(volume(g, n), alpha, kappa)
+
+    return read
 
 
 def genus0_psi(alpha: Sequence[int]) -> Fraction:
@@ -100,16 +120,15 @@ def string2_case(
     g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
 ) -> CheckCase:
     alpha = tuple(alpha)
+    read = _reader(store)
     lhs = Fraction(0)
     for j in range(m + 1):
         sign = -1 if j % 2 else 1
-        lhs += sign * math.comb(m, j) * psi_kappa(
-            g, n + 1, alpha + (j,), m - j, store
-        )
+        lhs += sign * math.comb(m, j) * read(g, n + 1, alpha + (j,), m - j)
     rhs = Fraction(0)
     for k in range(n):
         lowered = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
-        rhs += psi_kappa(g, n, lowered, m, store)
+        rhs += read(g, n, lowered, m)
     vacuous = sum(alpha) + m != 3 * g - 2 + n
     return CheckCase(g, n, alpha, m, lhs, rhs, vacuous)
 
@@ -118,13 +137,12 @@ def dilaton2_case(
     g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
 ) -> CheckCase:
     alpha = tuple(alpha)
+    read = _reader(store)
     lhs = Fraction(0)
     for j in range(m + 1):
         sign = -1 if j % 2 else 1
-        lhs += sign * math.comb(m, j) * psi_kappa(
-            g, n + 1, alpha + (j + 1,), m - j, store
-        )
-    rhs = (2 * g - 2 + n) * psi_kappa(g, n, alpha, m, store)
+        lhs += sign * math.comb(m, j) * read(g, n + 1, alpha + (j + 1,), m - j)
+    rhs = (2 * g - 2 + n) * read(g, n, alpha, m)
     vacuous = sum(alpha) + m != 3 * g - 3 + n
     return CheckCase(g, n, alpha, m, lhs, rhs, vacuous)
 

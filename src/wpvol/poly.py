@@ -1,10 +1,9 @@
-"""Exact sparse polynomial arithmetic in boundary lengths L1..Ln and a formal pi.
+"""Exact sparse polynomials in boundary lengths L1..Ln and a formal pi.
 
-Coefficients are exact rationals (``fractions.Fraction``).  Volumes are even
-in every L_k, so substituting L_k = 2*pi*i turns each L_k**(2j) into the real
-(-4*pi**2)**j and no complex number is ever needed.  The symbol pi is never a
-float: it is carried as an extra exponent slot on every monomial, so the
-pi-grading of a polynomial can be inspected and compared exactly.
+Coefficients are exact rationals (``fractions.Fraction``).  The symbol pi
+is never a float: it is carried as an extra exponent slot on every
+monomial, so the pi-grading of a polynomial can be inspected and compared
+exactly.
 
 Representation.  A polynomial in ``n_vars`` variables is a term map
 
@@ -16,9 +15,13 @@ exponent of pi.  Zero coefficients are never stored, so two polynomials are
 equal iff their term maps are equal.  Variable indices in the public API are
 1-based, matching the L1..Ln naming used everywhere else.
 
-Symmetric polynomials, volumes among them, are stored elsewhere by symmetry
-orbit, ``{(L exponents sorted descending, pi exponent): coefficient}``.
-``orbit_coefficients`` and ``from_orbits`` convert between the two forms.
+This dense form is for the edges of the package: rendering and export,
+parsing a cache document, the kernel moments, and the difference
+polynomials that diagnostics print.  Symmetric polynomials, volumes among
+them, are stored and computed by symmetry orbit,
+``{(L exponents sorted descending, pi exponent): coefficient}``;
+``orbit_coefficients`` and ``from_orbits`` convert between the two forms,
+and the evaluation at L = 2*pi*i lives on orbits in ``symmetric``.
 
 All values are immutable after construction and every operation returns a
 fresh polynomial, so values can be shared freely between threads.
@@ -135,23 +138,6 @@ class Poly:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def coeff_monomial(self, l_exps: Iterable[int], pi_exp: int = 0) -> Fraction:
-        key = tuple(l_exps) + (pi_exp,)
-        return self.terms.get(key, _F0)
-
-    def l_degree(self) -> int:
-        """Max over terms of the sum of L exponents alone; -1 if zero."""
-        if not self.terms:
-            return -1
-        return max(sum(key[:-1]) for key in self.terms)
-
-    def is_homogeneous(self, degree: int) -> bool:
-        """True iff every term has total degree (L exponents plus pi) equal."""
-        return all(sum(key) == degree for key in self.terms)
-
-    def has_even_l_exponents(self) -> bool:
-        return all(all(e % 2 == 0 for e in key[:-1]) for key in self.terms)
-
     def orbit_coefficients(self) -> dict:
         """Coefficients by symmetry orbit, or raise ValueError if asymmetric.
 
@@ -183,16 +169,6 @@ class Poly:
                 )
             out[(pattern, pi_exp)] = c
         return out
-
-    def is_symmetric(self) -> bool:
-        """True iff invariant under every permutation of L1..Ln."""
-        if self.n_vars <= 1:
-            return True
-        try:
-            self.orbit_coefficients()
-        except ValueError:
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # ring operations
@@ -256,70 +232,6 @@ class Poly:
             return Poly.zero(self.n_vars)
         return Poly(self.n_vars, {k: v * c for k, v in self.terms.items()})
 
-    # ------------------------------------------------------------------
-    # calculus
-
-    def ddx(self, k: int) -> "Poly":
-        """Exact partial derivative with respect to L_k (1-based)."""
-        if not 1 <= k <= self.n_vars:
-            raise IndexError(f"variable index {k} out of range 1..{self.n_vars}")
-        i = k - 1
-        out: dict = {}
-        for key, c in self.terms.items():
-            e = key[i]
-            if e == 0:
-                continue
-            nk = key[:i] + (e - 1,) + key[i + 1:]
-            out[nk] = c * e
-        return Poly(self.n_vars, out)
-
-    # ------------------------------------------------------------------
-    # substitution
-
-    def eval_two_pi_i(self, k: int) -> "Poly":
-        """Substitute L_k = 2*pi*i exactly.
-
-        Each L_k**j, j even, becomes (-4)**(j/2) * pi**j folded into the
-        coefficient and the pi exponent; the result still has n_vars
-        variables with variable k absent from every monomial.  An odd power
-        of L_k would leave an imaginary value, so it raises ValueError.
-        """
-        if not 1 <= k <= self.n_vars:
-            raise IndexError(f"variable index {k} out of range 1..{self.n_vars}")
-        i = k - 1
-        out: dict = {}
-        for key, c in self.terms.items():
-            j = key[i]
-            if j & 1:
-                raise ValueError(f"odd power of L{k} in {key} has no real value at 2*pi*i")
-            if j:
-                c = c * (-4) ** (j >> 1)
-                key = key[:i] + (0,) + key[i + 1:-1] + (key[-1] + j,)
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Poly(self.n_vars, out)
-
-    def eval_zero(self, k: int) -> "Poly":
-        """Substitute L_k = 0 (keeps the variable count)."""
-        if not 1 <= k <= self.n_vars:
-            raise IndexError(f"variable index {k} out of range 1..{self.n_vars}")
-        i = k - 1
-        return Poly(self.n_vars, {key: c for key, c in self.terms.items() if not key[i]})
-
-    def coeff_pi(self, pi_exp: int) -> "Poly":
-        """The pi-free coefficient polynomial of pi**pi_exp."""
-        if pi_exp < 0:
-            raise IndexError("pi exponent must be nonnegative")
-        out = {}
-        for key, c in self.terms.items():
-            if key[-1] == pi_exp:
-                out[key[:-1] + (0,)] = c
-        return Poly(self.n_vars, out)
-
     def embed(self, new_n_vars: int) -> "Poly":
         """Reinterpret in new_n_vars >= n_vars variables (new ones absent)."""
         if new_n_vars < self.n_vars:
@@ -329,30 +241,6 @@ class Poly:
             new_n_vars,
             {key[:-1] + pad + (key[-1],): c for key, c in self.terms.items()},
         )
-
-    def drop_var(self, k: int) -> "Poly":
-        """Remove variable k, which must be absent from every monomial."""
-        if not 1 <= k <= self.n_vars:
-            raise IndexError(f"variable index {k} out of range 1..{self.n_vars}")
-        i = k - 1
-        out = {}
-        for key, c in self.terms.items():
-            if key[i]:
-                raise ValueError(f"variable {k} still occurs in {key}")
-            out[key[:i] + key[i + 1:]] = c
-        return Poly(self.n_vars - 1, out)
-
-    def divide_by_var(self, k: int) -> "Poly":
-        """Exact division by L_k; every monomial must contain L_k."""
-        if not 1 <= k <= self.n_vars:
-            raise IndexError(f"variable index {k} out of range 1..{self.n_vars}")
-        i = k - 1
-        out = {}
-        for key, c in self.terms.items():
-            if not key[i]:
-                raise ValueError(f"term {key} is not divisible by L{k}")
-            out[key[:i] + (key[i] - 1,) + key[i + 1:]] = c
-        return Poly(self.n_vars, out)
 
     # ------------------------------------------------------------------
     # ordering and formatting

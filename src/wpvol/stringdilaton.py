@@ -17,11 +17,13 @@ volumes from the two seeds.  The second derivative satisfies
 
   d2 V(g, n+1)/dL_{n+1}^2 (L, 2*pi*i) = E.V(g, n) - (4g - 4 + n) V(g, n)
 
-with E the Euler vector field sum L_j d/dL_j.  All checks here are exact:
-a check returns True only on literal equality of canonical term maps, and
-the *_defect variants expose the difference polynomial for diagnostics.
-The lifts work by symmetry orbit; the checks work on the dense view
-``vol.poly``, so they stay independent of the orbit code they check.
+with E the Euler vector field sum L_j d/dL_j, which scales an orbit by the
+sum of its pattern.  Everything here works by symmetry orbit through
+``symmetric.at_two_pi_i``.  A check holds only on an empty orbit
+difference; the *_defect variants render that difference densely, L_{n+1}
+absent, for diagnostics.  The lifts need no re-check: ``stratified_lift``
+returns only on a zero residual, which is the string relation, and
+``genus1_lift`` raises unless its correction cancels its dilaton defect.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly
-from .symmetric import stratified_lift
+from .symmetric import add, at_two_pi_i, stratified_lift
 from .volume import ConsistencyError, VolumePolynomial
-
-_HALF = Fraction(1, 2)
 
 
 def string_rhs(vol: VolumePolynomial) -> dict:
@@ -53,60 +53,53 @@ def string_rhs(vol: VolumePolynomial) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _check_pair(bigger: VolumePolynomial, smaller: VolumePolynomial) -> None:
-    if bigger.g != smaller.g or bigger.n != smaller.n + 1:
+def _dense(defect: dict, m: int) -> Poly:
+    """An orbit difference in m - 1 variables, as a polynomial in m."""
+    return Poly.from_orbits(m - 1, defect).embed(m)
+
+
+def _relation(bigger: VolumePolynomial, smaller: VolumePolynomial, order: int) -> dict:
+    """LHS minus RHS, by orbit, of the relation with ``order`` derivatives in
+    L_{n+1}: 0 string, 1 dilaton (real form), 2 second derivative."""
+    g, n = smaller.g, smaller.n
+    if bigger.g != g or bigger.n != n + 1:
         raise ValueError(
-            f"expected (g, n+1) against (g, n), got ({bigger.g},{bigger.n}) "
-            f"and ({smaller.g},{smaller.n})"
+            f"expected (g, n+1) against (g, n), got ({bigger.g},{bigger.n}) and ({g},{n})"
         )
+    if order == 0:
+        rhs = string_rhs(smaller)
+    elif order == 1:
+        rhs = {key: (2 * g - 2 + n) * c for key, c in smaller.orbits.items()}
+    else:
+        factor = 4 * g - 4 + n
+        rhs = {(p, q): (sum(p) - factor) * c for (p, q), c in smaller.orbits.items()}
+    return add(at_two_pi_i(bigger.orbits, order), rhs, -1)
 
 
 def string_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
     """LHS minus RHS of the string relation; zero iff the relation holds."""
-    _check_pair(bigger, smaller)
-    m = bigger.n
-    lhs = bigger.poly.eval_two_pi_i(m)
-    rhs = Poly.from_orbits(smaller.n, string_rhs(smaller)).embed(m)
-    return lhs - rhs
+    return _dense(_relation(bigger, smaller, 0), bigger.n)
 
 
 def check_string(bigger: VolumePolynomial, smaller: VolumePolynomial) -> bool:
-    return not string_defect(bigger, smaller)
+    return not _relation(bigger, smaller, 0)
 
 
 def dilaton_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
     """LHS minus RHS of the dilaton relation in its real form W(2*pi*i)."""
-    _check_pair(bigger, smaller)
-    m = bigger.n
-    lhs = bigger.poly.ddx(m).divide_by_var(m).eval_two_pi_i(m)
-    factor = 2 * smaller.g - 2 + smaller.n
-    rhs = smaller.poly.scale(factor).embed(m)
-    return lhs - rhs
+    return _dense(_relation(bigger, smaller, 1), bigger.n)
 
 
 def check_dilaton(bigger: VolumePolynomial, smaller: VolumePolynomial) -> bool:
-    return not dilaton_defect(bigger, smaller)
-
-
-def euler_poly(p: Poly) -> Poly:
-    """sum_j L_j * dp/dL_j; scales a term of L-degree 2d by 2d."""
-    total = Poly.zero(p.n_vars)
-    for k in range(1, p.n_vars + 1):
-        total = total + Poly.var(p.n_vars, k) * p.ddx(k)
-    return total
+    return not _relation(bigger, smaller, 1)
 
 
 def second_derivative_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
-    _check_pair(bigger, smaller)
-    m = bigger.n
-    lhs = bigger.poly.ddx(m).ddx(m).eval_two_pi_i(m)
-    factor = 4 * smaller.g - 4 + smaller.n
-    rhs = (euler_poly(smaller.poly) - smaller.poly.scale(factor)).embed(m)
-    return lhs - rhs
+    return _dense(_relation(bigger, smaller, 2), bigger.n)
 
 
 def check_second_derivative(bigger: VolumePolynomial, smaller: VolumePolynomial) -> bool:
-    return not second_derivative_defect(bigger, smaller)
+    return not _relation(bigger, smaller, 2)
 
 
 def genus0_lift(vol: VolumePolynomial) -> VolumePolynomial:
@@ -118,13 +111,7 @@ def genus0_lift(vol: VolumePolynomial) -> VolumePolynomial:
     if vol.g != 0 or vol.n < 3:
         raise ValueError("genus0_lift needs a genus-0 volume with n >= 3")
     _, candidate = stratified_lift(string_rhs(vol), vol.n - 2)
-    lifted = VolumePolynomial(0, vol.n + 1, candidate)
-    if not check_string(lifted, vol):
-        raise ConsistencyError(
-            "lifted genus-0 volume fails the string relation",
-            defect=string_defect(lifted, vol),
-        )
-    return lifted
+    return VolumePolynomial(0, vol.n + 1, candidate)
 
 
 def genus1_lift(vol: VolumePolynomial) -> tuple[VolumePolynomial, Fraction]:
@@ -132,50 +119,24 @@ def genus1_lift(vol: VolumePolynomial) -> tuple[VolumePolynomial, Fraction]:
 
     Here the squared degree equals the variable count, so the lift only pins
     the volume up to c * prod_j (L_j^2 + 4 pi^2) over all n+1 variables.
-    The dilaton relation determines c: the correction adds
-    2c * prod_{j<=n} (L_j^2 + 4 pi^2) to W(L, 2*pi*i), so
-    (2g - 2 + n) V(1, n) minus the candidate's W(L, 2*pi*i) must be q times
-    that product, q its ((2,)*n, 0) coefficient, and c = q / 2.
+    That correction vanishes at L_{n+1} = 2*pi*i, keeping the string
+    relation, and adds 2c * prod_{j<=n} (L_j^2 + 4 pi^2) to W(L, 2*pi*i),
+    so the candidate's dilaton defect must be -2c times that product.
     """
     if vol.g != 1 or vol.n < 1:
         raise ValueError("genus1_lift needs a genus-1 volume with n >= 1")
     n = vol.n
     _, candidate = stratified_lift(string_rhs(vol), n + 1)
-
-    # less the candidate's W(L, 2*pi*i): L_{n+1}**v gives v * (2*pi*i)**(v-2)
-    rest = {key: (2 * vol.g - 2 + n) * c for key, c in vol.orbits.items()}
-    for (pattern, pi_exp), c in candidate.items():
-        for v in set(pattern) - {0}:
-            i = pattern.index(v)
-            key = (pattern[:i] + pattern[i + 1:], pi_exp + v - 2)
-            rest[key] = rest.get(key, 0) - c * v * (-4) ** (v // 2 - 1)
-    quotient = rest.get(((2,) * n, 0), 0)
-    for key, c in _boundary_product(n).items():
-        rest[key] = rest.get(key, 0) - quotient * c
-    defect = {key: c for key, c in rest.items() if c}
-    if defect:
+    defect = _relation(VolumePolynomial(1, n + 1, candidate), vol, 1)
+    lead = defect.get(((2,) * n, 0), 0)
+    rest = add(defect, _boundary_product(n), -lead)
+    if rest:
         raise ConsistencyError(
-            "dilaton correction is not a constant", defect=Poly.from_orbits(n, defect)
+            "dilaton correction is not a constant", defect=Poly.from_orbits(n, rest)
         )
-    constant = quotient * _HALF
-
-    lifted_orbits = dict(candidate)
-    for key, c in _boundary_product(n + 1).items():
-        lifted_orbits[key] = lifted_orbits.get(key, 0) + constant * c
-    lifted = VolumePolynomial(
-        1, n + 1, {key: c for key, c in lifted_orbits.items() if c}
-    )
-    if not check_string(lifted, vol):
-        raise ConsistencyError(
-            "lifted genus-1 volume fails the string relation",
-            defect=string_defect(lifted, vol),
-        )
-    if not check_dilaton(lifted, vol):
-        raise ConsistencyError(
-            "lifted genus-1 volume fails the dilaton relation",
-            defect=dilaton_defect(lifted, vol),
-        )
-    return lifted, constant
+    constant = Fraction(-lead, 2)
+    lifted = add(candidate, _boundary_product(n + 1), constant)
+    return VolumePolynomial(1, n + 1, lifted), constant
 
 
 def _boundary_product(m: int) -> dict:
@@ -186,46 +147,31 @@ def _boundary_product(m: int) -> dict:
     }
 
 
-def divide_boundary_quadratic(p: Poly, k: int) -> Poly:
-    """Exact division by (L_k^2 + 4 pi^2); raises on a nonzero remainder."""
-    if not 1 <= k <= p.n_vars:
-        raise IndexError(f"variable index {k} out of range 1..{p.n_vars}")
-    i = k - 1
-    four = Fraction(4)
-    work = dict(p.terms)
-    quotient: dict = {}
-    max_e = max((key[i] for key in work), default=0)
-    for e in range(max_e, 1, -1):
-        for key in [key for key in work if key[i] == e]:
-            c = work.pop(key)
-            qkey = key[:i] + (e - 2,) + key[i + 1:]
-            prev = quotient.get(qkey)
-            prev = c if prev is None else prev + c
-            if prev:
-                quotient[qkey] = prev
-            else:
-                quotient.pop(qkey, None)
-            skey = qkey[:-1] + (qkey[-1] + 2,)
-            s = work.get(skey)
-            d = c * four
-            s = -d if s is None else s - d
-            if s:
-                work[skey] = s
-            else:
-                work.pop(skey, None)
-    if work:
+def _cofactor(vol: VolumePolynomial) -> dict:
+    """V(g, 1) / (L^2 + 4 pi^2) by orbit; raises on a nonzero remainder.
+
+    The remainder is V(2*pi*i), and each L**e leaves the quotient
+    sum_{j < e/2} (-4 pi^2)**j * L**(e - 2 - 2j).
+    """
+    if vol.n != 1 or vol.g < 1:
+        raise ValueError("boundary cofactor needs a one-boundary volume of genus >= 1")
+    remainder = at_two_pi_i(vol.orbits)
+    if remainder:
         raise ConsistencyError(
-            f"nonzero remainder dividing by (L{k}^2 + 4*pi^2)",
-            defect=Poly(p.n_vars, work),
+            "nonzero remainder dividing by (L1^2 + 4*pi^2)",
+            defect=_dense(remainder, 1),
         )
-    return Poly(p.n_vars, quotient)
+    quotient: dict = {}
+    for ((e,), q), c in vol.orbits.items():
+        for j in range(e // 2):
+            key = ((e - 2 - 2 * j,), q + 2 * j)
+            quotient[key] = quotient.get(key, 0) + c * (-4) ** j
+    return {key: c for key, c in quotient.items() if c}
 
 
 def boundary_cofactor(vol: VolumePolynomial) -> Poly:
     """The cofactor P with V(g, 1) = (L^2 + 4 pi^2) * P, by exact division."""
-    if vol.n != 1 or vol.g < 1:
-        raise ValueError("boundary cofactor needs a one-boundary volume of genus >= 1")
-    return divide_boundary_quadratic(vol.poly, 1)
+    return Poly.from_orbits(1, _cofactor(vol))
 
 
 def closed_volume(vol: VolumePolynomial) -> Poly:
@@ -237,8 +183,7 @@ def closed_volume(vol: VolumePolynomial) -> Poly:
     """
     if vol.g < 2:
         raise ValueError("closed volume via the cofactor needs genus >= 2")
-    cofactor = boundary_cofactor(vol)
-    value = cofactor.eval_two_pi_i(1).drop_var(1).scale(Fraction(1, vol.g - 1))
+    value = at_two_pi_i(_cofactor(vol))
     if len(value) != 1:
         raise ConsistencyError("closed volume is not a single rational pi power")
-    return value
+    return Poly.from_orbits(0, {key: c / (vol.g - 1) for key, c in value.items()})

@@ -1,6 +1,7 @@
-"""Symmetric extension by one variable and pi-stratified reconstruction.
+"""Symmetric extension by one variable, the specialization at 2*pi*i and
+pi-stratified reconstruction.
 
-Both work on symmetric polynomials by orbit, ``{(pattern, pi_exp): c}``
+All three work on symmetric polynomials by orbit, ``{(pattern, pi_exp): c}``
 with ``pattern`` the L exponents sorted descending (see ``poly``).
 
 ``sym_lift_zero`` solves: given a symmetric polynomial f in n variables
@@ -15,14 +16,15 @@ vacuous.  On orbits the lift appends a zero exponent to every pattern,
 which is the closed form of the 2**n inclusion-exclusion sum over subsets
 of zeroed variables.
 
+``at_two_pi_i`` is the package's one evaluation at 2*pi*i; the lifts and
+every relation check are built on it.
+
 ``stratified_lift`` rebuilds a symmetric, even, homogeneous polynomial V in
 n+1 variables of total degree 2D from its evaluation E = V(L1,...,Ln, 2*pi*i),
 peeling one pi stratum at a time: the pi**2k coefficient of the running
 residual is exactly stratum k restricted to L_{n+1} = 0, so lift it, subtract
 its own evaluation, and continue.  A nonzero final residual means E is not
-such an evaluation.  At L_{n+1} = 2*pi*i an orbit splits by the exponent v
-its last slot takes: each distinct v of the pattern leaves the pattern
-without v, times (2*pi*i)**v = (-4)**(v/2) * pi**v.
+such an evaluation.
 """
 
 from __future__ import annotations
@@ -36,6 +38,38 @@ class LiftError(Exception):
     def __init__(self, message: str, residual: dict | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+def at_two_pi_i(orbits: dict, derivatives: int = 0) -> dict:
+    """Set the last of n+1 variables to 2*pi*i, by orbit in n variables.
+
+    ``derivatives`` (0, 1 or 2) differentiates in it first; one derivative
+    is also divided by it, the real form (dV/dL)/L of the dilaton relation.
+    Each distinct exponent v of a pattern leaves the pattern without v, the
+    coefficient times (2*pi*i)**v = (-4)**(v/2) * pi**v, or after one or two
+    derivatives v or v*(v-1) times (2*pi*i)**(v-2).  Odd v raise ValueError.
+    """
+    drop = 2 if derivatives else 0
+    out: dict = {}
+    for (pattern, pi_exp), c in orbits.items():
+        for v in set(pattern):
+            if v & 1:
+                raise ValueError(f"odd power L^{v} has no real value at 2*pi*i")
+            if v < drop:
+                continue
+            weight = (1, v, v * (v - 1))[derivatives] * (-4) ** ((v - drop) >> 1)
+            i = pattern.index(v)
+            key = (pattern[:i] + pattern[i + 1:], pi_exp + v - drop)
+            out[key] = out.get(key, 0) + c * weight
+    return {key: c for key, c in out.items() if c}
+
+
+def add(a: dict, b: dict, scale=1) -> dict:
+    """a + scale * b, by orbit, with zero coefficients dropped."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
 
 
 def sym_lift_zero(orbits: dict) -> dict:
@@ -86,13 +120,9 @@ def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[Str
             )
         w = sym_lift_zero(layer)
         strata.append(Stratum(k, w))
-        for (pattern, _), c in w.items():
-            total[(pattern, 2 * k)] = c
-            for v in set(pattern):
-                i = pattern.index(v)
-                key = (pattern[:i] + pattern[i + 1:], 2 * k + v)
-                residual[key] = residual.get(key, 0) - c * (-4) ** (v // 2)
-        residual = {key: c for key, c in residual.items() if c}
+        stratum = {(pattern, 2 * k): c for (pattern, _), c in w.items()}
+        total.update(stratum)
+        residual = add(residual, at_two_pi_i(stratum), -1)
     if residual:
         raise LiftError(
             "nonzero residual: the input is not the evaluation of any "

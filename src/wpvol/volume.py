@@ -14,9 +14,8 @@ check: the coefficient type guarantees it.
 ``VolumePolynomial`` holds the canonical form of a volume, its coefficients
 by symmetry orbit: ``{(L exponents sorted descending, pi exponent): c}``.
 Symmetry holds by construction, and ``validate`` checks the rest on the
-orbit keys alone.  ``poly``, the dense view, is built on first use for
-rendering, export and the relation checks.  Every produced volume is
-validated once, by ``VolumeStore.put`` before anyone can read it; dense
+orbit keys alone.  ``poly``, the dense view, is built on first use, for
+rendering and export only.  Every produced volume is validated once, by ``VolumeStore.put`` before anyone can read it; dense
 input (a cache document, a test polynomial) enters through ``checked``,
 which also rejects an asymmetric polynomial.  A convention or arithmetic
 slip anywhere in a recursion therefore surfaces as an ``InvariantError``.

@@ -17,6 +17,7 @@ import pytest
 
 from wpvol.poly import Poly
 from wpvol.volume import seed_volume
+from dense_oracle import coeff_pi, drop_var, eval_zero
 
 
 @pytest.fixture(scope="session")
@@ -138,14 +139,14 @@ def brute_force_lift(f: Poly) -> Poly:
     total = Poly.zero(n + 1)
     pi_levels = sorted({key[-1] for key in f.terms})
     for pi_exp in pi_levels:
-        layer = f.coeff_pi(pi_exp)
+        layer = coeff_pi(f, pi_exp)
         degrees = sorted({sum(key[:-1]) for key in layer.terms})
         lambdas = []
         for degree in degrees:
             for pattern in partitions(degree // 2, n):
                 lambdas.append(tuple(2 * p for p in pattern))
         basis = [monomial_symmetric(n + 1, lam) for lam in lambdas]
-        restricted = [b.eval_zero(n + 1).drop_var(n + 1) for b in basis]
+        restricted = [drop_var(eval_zero(b, n + 1), n + 1) for b in basis]
         keys = sorted(set(layer.terms) | {k for r in restricted for k in r.terms})
         rows = []
         rhs = []
@@ -186,7 +187,7 @@ def epsilon_lift(f: Poly) -> Poly:
         zeroed = f
         for j, bit in enumerate(bits, start=1):
             if bit:
-                zeroed = zeroed.eval_zero(j)
+                zeroed = eval_zero(zeroed, j)
         zeroed = zeroed.embed(n + 1)
         inner = Poly.zero(n + 1)
         for i in range(1, n + 1):

@@ -1,0 +1,224 @@
+"""Dense reference implementations of the relations at L = 2*pi*i.
+
+The package evaluates at 2*pi*i only by symmetry orbit
+(``symmetric.at_two_pi_i``).  The functions here do the same work on the
+dense term map of ``Poly``, one monomial at a time, with no orbit code at
+all, so the tests can hold the orbit code against them.  They also carry
+the dense calculus and inspection helpers the tests use to state
+properties of polynomials.  Variable indices are 1-based, as in ``Poly``.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable
+from fractions import Fraction
+
+from wpvol.poly import Poly
+from wpvol.volume import ConsistencyError, VolumePolynomial
+
+_F0 = Fraction(0)
+
+
+def _check_index(p: Poly, k: int) -> int:
+    if not 1 <= k <= p.n_vars:
+        raise IndexError(f"variable index {k} out of range 1..{p.n_vars}")
+    return k - 1
+
+
+# ----------------------------------------------------------------------
+# inspection
+
+
+def coeff_monomial(p: Poly, l_exps: Iterable[int], pi_exp: int = 0) -> Fraction:
+    return p.terms.get(tuple(l_exps) + (pi_exp,), _F0)
+
+
+def l_degree(p: Poly) -> int:
+    """Max over terms of the sum of L exponents alone; -1 if zero."""
+    if not p.terms:
+        return -1
+    return max(sum(key[:-1]) for key in p.terms)
+
+
+def is_homogeneous(p: Poly, degree: int) -> bool:
+    """True iff every term has total degree (L exponents plus pi) equal."""
+    return all(sum(key) == degree for key in p.terms)
+
+
+def has_even_l_exponents(p: Poly) -> bool:
+    return all(all(e % 2 == 0 for e in key[:-1]) for key in p.terms)
+
+
+def is_symmetric(p: Poly) -> bool:
+    """True iff invariant under every permutation of L1..Ln."""
+    if p.n_vars <= 1:
+        return True
+    try:
+        p.orbit_coefficients()
+    except ValueError:
+        return False
+    return True
+
+
+# ----------------------------------------------------------------------
+# calculus and substitution
+
+
+def ddx(p: Poly, k: int) -> Poly:
+    """Exact partial derivative with respect to L_k."""
+    i = _check_index(p, k)
+    out: dict = {}
+    for key, c in p.terms.items():
+        e = key[i]
+        if e == 0:
+            continue
+        out[key[:i] + (e - 1,) + key[i + 1:]] = c * e
+    return Poly(p.n_vars, out)
+
+
+def eval_two_pi_i(p: Poly, k: int) -> Poly:
+    """Substitute L_k = 2*pi*i exactly.
+
+    Each L_k**j, j even, becomes (-4)**(j/2) * pi**j folded into the
+    coefficient and the pi exponent; the result keeps n_vars variables with
+    L_k absent.  An odd power of L_k would leave an imaginary value, so it
+    raises ValueError.
+    """
+    i = _check_index(p, k)
+    out: dict = {}
+    for key, c in p.terms.items():
+        j = key[i]
+        if j & 1:
+            raise ValueError(f"odd power of L{k} in {key} has no real value at 2*pi*i")
+        if j:
+            c = c * (-4) ** (j >> 1)
+            key = key[:i] + (0,) + key[i + 1:-1] + (key[-1] + j,)
+        s = out.get(key, _F0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return Poly(p.n_vars, out)
+
+
+def eval_zero(p: Poly, k: int) -> Poly:
+    """Substitute L_k = 0 (keeps the variable count)."""
+    i = _check_index(p, k)
+    return Poly(p.n_vars, {key: c for key, c in p.terms.items() if not key[i]})
+
+
+def coeff_pi(p: Poly, pi_exp: int) -> Poly:
+    """The pi-free coefficient polynomial of pi**pi_exp."""
+    if pi_exp < 0:
+        raise IndexError("pi exponent must be nonnegative")
+    return Poly(
+        p.n_vars,
+        {key[:-1] + (0,): c for key, c in p.terms.items() if key[-1] == pi_exp},
+    )
+
+
+def drop_var(p: Poly, k: int) -> Poly:
+    """Remove variable k, which must be absent from every monomial."""
+    i = _check_index(p, k)
+    out = {}
+    for key, c in p.terms.items():
+        if key[i]:
+            raise ValueError(f"variable {k} still occurs in {key}")
+        out[key[:i] + key[i + 1:]] = c
+    return Poly(p.n_vars - 1, out)
+
+
+def divide_by_var(p: Poly, k: int) -> Poly:
+    """Exact division by L_k; every monomial must contain L_k."""
+    i = _check_index(p, k)
+    out = {}
+    for key, c in p.terms.items():
+        if not key[i]:
+            raise ValueError(f"term {key} is not divisible by L{k}")
+        out[key[:i] + (key[i] - 1,) + key[i + 1:]] = c
+    return Poly(p.n_vars, out)
+
+
+def euler_poly(p: Poly) -> Poly:
+    """sum_j L_j * dp/dL_j; scales a term of L-degree 2d by 2d."""
+    total = Poly.zero(p.n_vars)
+    for k in range(1, p.n_vars + 1):
+        total = total + Poly.var(p.n_vars, k) * ddx(p, k)
+    return total
+
+
+def divide_boundary_quadratic(p: Poly, k: int) -> Poly:
+    """Exact division by (L_k^2 + 4 pi^2); raises on a nonzero remainder."""
+    i = _check_index(p, k)
+    work = dict(p.terms)
+    quotient: dict = {}
+    max_e = max((key[i] for key in work), default=0)
+    for e in range(max_e, 1, -1):
+        for key in [key for key in work if key[i] == e]:
+            c = work.pop(key)
+            qkey = key[:i] + (e - 2,) + key[i + 1:]
+            s = quotient.get(qkey, _F0) + c
+            if s:
+                quotient[qkey] = s
+            else:
+                quotient.pop(qkey, None)
+            skey = qkey[:-1] + (qkey[-1] + 2,)
+            s = work.get(skey, _F0) - 4 * c
+            if s:
+                work[skey] = s
+            else:
+                work.pop(skey, None)
+    if work:
+        raise ConsistencyError(
+            f"nonzero remainder dividing by (L{k}^2 + 4*pi^2)",
+            defect=Poly(p.n_vars, work),
+        )
+    return Poly(p.n_vars, quotient)
+
+
+# ----------------------------------------------------------------------
+# the relations, on the dense view of each volume
+
+
+def string_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
+    """V(g, n+1)(L, 2*pi*i) minus sum_k integral_0^{L_k} L_k V(g, n) dL_k."""
+    m = bigger.n
+    rhs = Poly.zero(smaller.n)
+    for k in range(1, smaller.n + 1):
+        rhs = rhs + _integrate_times_var(smaller.poly, k)
+    return eval_two_pi_i(bigger.poly, m) - rhs.embed(m)
+
+
+def _integrate_times_var(p: Poly, k: int) -> Poly:
+    """integral_0^{L_k} L_k p dL_k: L_k**e becomes L_k**(e+2) / (e+2)."""
+    i = k - 1
+    return Poly(
+        p.n_vars,
+        {
+            key[:i] + (key[i] + 2,) + key[i + 1:]: c / (key[i] + 2)
+            for key, c in p.terms.items()
+        },
+    )
+
+
+def dilaton_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
+    m = bigger.n
+    lhs = eval_two_pi_i(divide_by_var(ddx(bigger.poly, m), m), m)
+    factor = 2 * smaller.g - 2 + smaller.n
+    return lhs - smaller.poly.scale(factor).embed(m)
+
+
+def second_derivative_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
+    m = bigger.n
+    lhs = eval_two_pi_i(ddx(ddx(bigger.poly, m), m), m)
+    factor = 4 * smaller.g - 4 + smaller.n
+    return lhs - (euler_poly(smaller.poly) - smaller.poly.scale(factor)).embed(m)
+
+
+def boundary_cofactor(vol: VolumePolynomial) -> Poly:
+    return divide_boundary_quadratic(vol.poly, 1)
+
+
+def closed_volume(vol: VolumePolynomial) -> Poly:
+    cofactor = boundary_cofactor(vol)
+    return drop_var(eval_two_pi_i(cofactor, 1), 1).scale(Fraction(1, vol.g - 1))

@@ -245,6 +245,21 @@ class TestSizeLimit:
         assert str(MAX_DENSE_TERMS) in err
         assert not Path(cache).exists()
 
+    @pytest.mark.parametrize("alpha, kappa", [("0", "0"), ("-1", "599"), ("600", "-2")])
+    def test_unbalanced_intersect_answers_zero_before_any_work(
+        self, capsys, cache, monkeypatch, alpha, kappa
+    ):
+        # dimension 598 at (200, 1): no nonnegative class of another degree
+        def refuse(*args, **kwargs):
+            raise AssertionError("a zero answer must not compute")
+
+        self.stub_volumes(monkeypatch, refuse)
+        code, out, _ = run(capsys, "--cache-dir", cache, "intersect", "--genus", "200",
+                           "--n", "1", f"--alpha={alpha}", "--kappa", kappa)
+        assert code == 0
+        assert out == "0\n"
+        assert not Path(cache).exists()
+
     @pytest.mark.parametrize("g, n, admitted", [
         (0, 12, True), (1, 10, True), (9, 0, True),
         (0, 13, False), (1, 11, False), (10, 0, False),

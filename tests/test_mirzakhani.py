@@ -19,6 +19,13 @@ from wpvol.stringdilaton import genus0_lift, genus1_lift
 from wpvol import mirzakhani
 from wpvol.compute import ensure_volume
 from wpvol.volume import ConsistencyError, UnstableSurfaceError
+from dense_oracle import (
+    coeff_monomial,
+    eval_zero,
+    has_even_l_exponents,
+    is_homogeneous,
+    is_symmetric,
+)
 
 
 def eval_float(p: Poly, *values: float) -> float:
@@ -90,11 +97,11 @@ class TestMoments:
     def test_shape(self):
         for k in range(7):
             F = moment_F(k)
-            assert F.is_homogeneous(2 * k + 2)
-            assert F.has_even_l_exponents()
-            assert F.coeff_monomial((2 * k + 2,), 0) == Fraction(1, 4 * k + 4)
+            assert is_homogeneous(F, 2 * k + 2)
+            assert has_even_l_exponents(F)
+            assert coeff_monomial(F, (2 * k + 2,), 0) == Fraction(1, 4 * k + 4)
             # value at 0 is a pure pi power
-            at_zero = F.eval_zero(1)
+            at_zero = eval_zero(F, 1)
             assert list(at_zero.terms) == [(0, 2 * k + 2)]
 
     def test_against_quadrature(self):
@@ -120,7 +127,7 @@ class TestDoubleMoment:
     def test_leading_coefficient(self):
         # leading term of F_{2m+1} is t^(2m+2)/(4m+4) with m = a + b + 1
         for a, b in [(0, 0), (1, 0), (1, 1)]:
-            top = double_moment(a, b).coeff_monomial((2 * a + 2 * b + 4,), 0)
+            top = coeff_monomial(double_moment(a, b), (2 * a + 2 * b + 4,), 0)
             expected = Fraction(
                 math.factorial(2 * a + 1) * math.factorial(2 * b + 1),
                 math.factorial(2 * a + 2 * b + 3),
@@ -158,7 +165,7 @@ class TestPairMoment:
 
     def test_even_in_both_variables(self):
         for k in range(4):
-            assert pair_moment(k).has_even_l_exponents()
+            assert has_even_l_exponents(pair_moment(k))
 
 
 class TestVolumes:
@@ -193,7 +200,7 @@ class TestVolumes:
 
     def test_output_is_symmetric_despite_privileged_boundary(self):
         vol = mirzakhani_volume(1, 3, VolumeStore())
-        assert vol.poly.is_symmetric()
+        assert is_symmetric(vol.poly)
         vol.validate()
 
     def test_split_order_does_not_matter(self):
@@ -241,7 +248,7 @@ class TestLargeGenus:
 
         def at_zero(g, n):
             vol = ensure_volume(store, g, n, "mirzakhani")
-            return vol.poly.coeff_monomial((0,) * n, 6 * g - 6 + 2 * n)
+            return coeff_monomial(vol.poly, (0,) * n, 6 * g - 6 + 2 * n)
 
         errors = []
         for g in range(2, 8):

@@ -1,0 +1,168 @@
+"""The orbit relations against their dense twins in ``dense_oracle``.
+
+Every evaluation at L = 2*pi*i in the package runs on symmetry orbits.
+These tests render each orbit result densely and require it to equal the
+dense reference, monomial for monomial, on the real volumes, on random
+symmetric perturbations of them, and on random symmetric polynomials.
+The last test checks that computing and verifying build no dense view.
+"""
+
+from fractions import Fraction
+from functools import cached_property
+
+import pytest
+
+import dense_oracle as dense
+from conftest import partitions, random_rational, random_symmetric_even
+from wpvol.cli import run_verification
+from wpvol.compute import ensure_volume, lift_volume
+from wpvol.poly import Poly
+from wpvol.store import VolumeStore
+from wpvol.stringdilaton import (
+    boundary_cofactor,
+    check_dilaton,
+    check_second_derivative,
+    check_string,
+    closed_volume,
+    dilaton_defect,
+    second_derivative_defect,
+    string_defect,
+)
+from wpvol.symmetric import at_two_pi_i
+from wpvol.volume import ConsistencyError, VolumePolynomial, is_stable
+
+RELATIONS = (
+    (string_defect, check_string, dense.string_defect),
+    (dilaton_defect, check_dilaton, dense.dilaton_defect),
+    (second_derivative_defect, check_second_derivative, dense.second_derivative_defect),
+)
+
+PAIRS = [
+    (g, n)
+    for g in range(3)
+    for n in range(6)
+    if is_stable(g, n) and is_stable(g, n + 1)
+]
+
+
+@pytest.fixture(scope="module")
+def store():
+    return VolumeStore()
+
+
+def volume(store, g, n):
+    method = "lift" if g <= 1 and n > 0 else "mirzakhani"
+    return ensure_volume(store, g, n, method)
+
+
+def perturbed(rng, vol):
+    """vol plus a random symmetric, even, homogeneous polynomial, by orbit."""
+    half = vol.degree // 2
+    orbits = dict(vol.orbits)
+    for _ in range(3):
+        k = rng.randint(0, half)
+        parts = list(partitions(half - k, vol.n))
+        if not parts:
+            continue
+        pattern = tuple(2 * p for p in rng.choice(parts))
+        key = (pattern + (0,) * (vol.n - len(pattern)), 2 * k)
+        orbits[key] = orbits.get(key, 0) + random_rational(rng, allow_zero=False)
+    return VolumePolynomial(vol.g, vol.n, {key: c for key, c in orbits.items() if c})
+
+
+@pytest.mark.parametrize("g, n", PAIRS)
+def test_relations_match_dense_on_volumes(store, g, n):
+    smaller, bigger = volume(store, g, n), volume(store, g, n + 1)
+    for orbit_defect, check, dense_defect in RELATIONS:
+        expected = dense_defect(bigger, smaller)
+        assert not expected, (orbit_defect.__name__, g, n)
+        assert orbit_defect(bigger, smaller) == expected
+        assert check(bigger, smaller)
+
+
+@pytest.mark.parametrize("g, n", PAIRS)
+def test_relations_match_dense_on_perturbations(store, rng, g, n):
+    smaller, bigger = volume(store, g, n), volume(store, g, n + 1)
+    for _ in range(3):
+        bad = perturbed(rng, bigger)
+        for orbit_defect, check, dense_defect in RELATIONS:
+            expected = dense_defect(bad, smaller)
+            got = orbit_defect(bad, smaller)
+            assert got.n_vars == expected.n_vars == n + 1
+            assert got == expected, (orbit_defect.__name__, g, n)
+            assert str(got) == str(expected)
+            assert check(bad, smaller) == (not expected)
+
+
+def test_at_two_pi_i_matches_dense(rng):
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        p = random_symmetric_even(rng, m, rng.randint(0, 5))
+        orbits = p.orbit_coefficients()
+        dense_forms = (
+            p,
+            dense.divide_by_var(dense.ddx(p, m), m),
+            dense.ddx(dense.ddx(p, m), m),
+        )
+        for derivatives, q in enumerate(dense_forms):
+            expected = dense.drop_var(dense.eval_two_pi_i(q, m), m)
+            assert Poly.from_orbits(m - 1, at_two_pi_i(orbits, derivatives)) == expected
+
+
+def test_at_two_pi_i_rejects_odd_exponents():
+    with pytest.raises(ValueError, match="odd"):
+        at_two_pi_i({((2, 1), 0): Fraction(1)})
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_cofactor_and_closed_volume_match_dense(store, g):
+    v = volume(store, g, 1)
+    assert boundary_cofactor(v) == dense.boundary_cofactor(v)
+    # plus (L^2 + 4 pi^2) * pi^(6g - 6): still divisible
+    shifted = dict(v.orbits)
+    for key, c in ((((2,), 6 * g - 6), 1), (((0,), 6 * g - 4), 4)):
+        shifted[key] = shifted.get(key, 0) + c
+    shifted = VolumePolynomial(g, 1, {key: c for key, c in shifted.items() if c})
+    assert boundary_cofactor(shifted) == dense.boundary_cofactor(shifted)
+    if g >= 2:
+        assert closed_volume(v) == dense.closed_volume(v)
+        assert closed_volume(v).orbit_coefficients() == volume(store, g, 0).orbits
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_cofactor_remainder_matches_dense(store, rng, g):
+    v = volume(store, g, 1)
+    for _ in range(3):
+        bad = perturbed(rng, v)
+        try:
+            expected = dense.boundary_cofactor(bad)
+        except ConsistencyError as exc:
+            with pytest.raises(ConsistencyError) as info:
+                boundary_cofactor(bad)
+            assert str(info.value) == str(exc)
+            assert info.value.defect == exc.defect
+        else:
+            assert boundary_cofactor(bad) == expected
+
+
+def test_compute_and_verify_build_no_dense_view(monkeypatch):
+    built = []
+    dense_view = VolumePolynomial.__dict__["poly"]
+
+    def counted(vol):
+        built.append((vol.g, vol.n))
+        return dense_view.func(vol)
+
+    view = cached_property(counted)
+    view.__set_name__(VolumePolynomial, "poly")
+    monkeypatch.setattr(VolumePolynomial, "poly", view)
+
+    store = VolumeStore()
+    lift_volume(store, 0, 12)
+    lift_volume(store, 1, 10)
+    report = run_verification(store, "all", 2, 5)
+    assert report["failed"] == 0
+    assert built == []
+    # the counter sees a dense view when one is built
+    str(store.get(0, 4).poly)
+    assert built == [(0, 4)]

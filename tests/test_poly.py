@@ -4,6 +4,17 @@ import pytest
 
 from wpvol.poly import Poly, arrangements
 from conftest import random_poly
+from dense_oracle import (
+    coeff_monomial,
+    coeff_pi,
+    ddx,
+    divide_by_var,
+    drop_var,
+    eval_two_pi_i,
+    eval_zero,
+    is_homogeneous,
+    is_symmetric,
+)
 
 
 def L(n, k, power=1):
@@ -44,44 +55,44 @@ class TestConstruction:
 
 class TestCalculus:
     def test_ddx_power_rule(self):
-        assert L(1, 1, 2).ddx(1) == L(1, 1).scale(2)
+        assert ddx(L(1, 1, 2), 1) == L(1, 1).scale(2)
 
     def test_ddx_of_constant_in_that_variable(self):
-        assert not Poly.pi(1, 2).ddx(1)
+        assert not ddx(Poly.pi(1, 2), 1)
 
     def test_ddx_other_variable(self):
         p = L(2, 1) * L(2, 2, 3)
-        assert p.ddx(2) == (L(2, 1) * L(2, 2, 2)).scale(3)
+        assert ddx(p, 2) == (L(2, 1) * L(2, 2, 2)).scale(3)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            L(2, 1).ddx(3)
+            ddx(L(2, 1), 3)
         with pytest.raises(IndexError):
-            L(2, 1).ddx(0)
+            ddx(L(2, 1), 0)
 
 
 class TestSubstitution:
     def test_square_becomes_minus_four_pi_squared(self):
-        assert L(1, 1, 2).eval_two_pi_i(1) == Poly.pi(1, 2).scale(-4)
+        assert eval_two_pi_i(L(1, 1, 2), 1) == Poly.pi(1, 2).scale(-4)
 
     def test_odd_power_rejected(self):
         # L1 = 2*pi*i is imaginary; volumes never contain odd powers
         with pytest.raises(ValueError):
-            L(1, 1).eval_two_pi_i(1)
+            eval_two_pi_i(L(1, 1), 1)
 
     def test_root_of_boundary_factor(self):
         p = L(1, 1, 2) + Poly.pi(1, 2).scale(4)
-        assert not p.eval_two_pi_i(1)
+        assert not eval_two_pi_i(p, 1)
 
     def test_eval_zero(self):
         p = L(2, 1) * L(2, 2) + L(2, 2, 2)
-        assert p.eval_zero(1) == L(2, 2, 2)
+        assert eval_zero(p, 1) == L(2, 2, 2)
 
     def test_coeff_pi_reads_off(self):
         p = Poly.pi(3, 2).scale(2) + sum(
             (L(3, k, 2).scale(Fraction(1, 2)) for k in (1, 2, 3)), Poly.zero(3)
         )
-        assert p.coeff_pi(2) == Poly.const(3, 2)
+        assert coeff_pi(p, 2) == Poly.const(3, 2)
 
     def test_substitutions_are_ring_homomorphisms(self, rng):
         for _ in range(20):
@@ -89,9 +100,9 @@ class TestSubstitution:
             p = random_even_poly(rng, n)
             q = random_even_poly(rng, n)
             k = rng.randint(1, n)
-            assert (p * q).eval_two_pi_i(k) == p.eval_two_pi_i(k) * q.eval_two_pi_i(k)
-            assert (p * q).eval_zero(k) == p.eval_zero(k) * q.eval_zero(k)
-            assert (p + q).eval_two_pi_i(k) == p.eval_two_pi_i(k) + q.eval_two_pi_i(k)
+            assert eval_two_pi_i(p * q, k) == eval_two_pi_i(p, k) * eval_two_pi_i(q, k)
+            assert eval_zero(p * q, k) == eval_zero(p, k) * eval_zero(q, k)
+            assert eval_two_pi_i(p + q, k) == eval_two_pi_i(p, k) + eval_two_pi_i(q, k)
 
 
 class TestRingAxioms:
@@ -112,42 +123,42 @@ class TestRingAxioms:
 
 class TestStructure:
     def test_is_symmetric_false(self):
-        assert not (L(2, 1, 2) * L(2, 2)).is_symmetric()
+        assert not is_symmetric(L(2, 1, 2) * L(2, 2))
 
     def test_is_symmetric_true(self):
         p = L(2, 1, 2) + L(2, 2, 2)
-        assert p.is_symmetric()
+        assert is_symmetric(p)
 
     def test_symmetric_needs_equal_coefficients(self):
         p = L(2, 1, 2) + L(2, 2, 2).scale(2)
-        assert not p.is_symmetric()
+        assert not is_symmetric(p)
 
     def test_embed(self):
         p = L(2, 1) * L(2, 2)
         q = p.embed(4)
         assert q.n_vars == 4
-        assert q.coeff_monomial((1, 1, 0, 0), 0) == 1
+        assert coeff_monomial(q, (1, 1, 0, 0), 0) == 1
 
     def test_embed_cannot_shrink(self):
         with pytest.raises(ValueError):
             L(3, 1).embed(2)
 
     def test_drop_var(self):
-        p = (L(3, 1) * L(3, 3)).drop_var(2)
+        p = drop_var(L(3, 1) * L(3, 3), 2)
         assert p == L(2, 1) * L(2, 2)
         with pytest.raises(ValueError):
-            (L(3, 2)).drop_var(2)
+            drop_var(L(3, 2), 2)
 
     def test_divide_by_var(self):
         p = L(2, 1, 3) * L(2, 2)
-        assert p.divide_by_var(1) == L(2, 1, 2) * L(2, 2)
+        assert divide_by_var(p, 1) == L(2, 1, 2) * L(2, 2)
         with pytest.raises(ValueError):
-            L(2, 2).divide_by_var(1)
+            divide_by_var(L(2, 2), 1)
 
     def test_homogeneity_helpers(self):
         p = L(2, 1, 2) + Poly.pi(2, 2)
-        assert p.is_homogeneous(2)
-        assert not (p + 1).is_homogeneous(2)
+        assert is_homogeneous(p, 2)
+        assert not is_homogeneous(p + 1, 2)
 
 
 class TestFormatting:

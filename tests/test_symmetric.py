@@ -10,6 +10,14 @@ from conftest import (
     monomial_symmetric,
     random_symmetric_even,
 )
+from dense_oracle import (
+    coeff_monomial,
+    drop_var,
+    eval_two_pi_i,
+    eval_zero,
+    is_symmetric,
+    l_degree,
+)
 
 
 def lift(f):
@@ -48,18 +56,18 @@ class TestSymLiftZero:
         f = monomial_symmetric(n, (2,) * n)
         lifted = lift(f)
         assert lifted.n_vars == n + 1
-        assert lifted.eval_zero(n + 1).drop_var(n + 1) == f
-        assert not lifted.coeff_monomial((2,) * (n + 1), 0)
-        assert lifted.is_symmetric()
-        assert lifted.l_degree() == f.l_degree()
+        assert drop_var(eval_zero(lifted, n + 1), n + 1) == f
+        assert not coeff_monomial(lifted, (2,) * (n + 1), 0)
+        assert is_symmetric(lifted)
+        assert l_degree(lifted) == l_degree(f)
 
     def test_restriction_postcondition(self, rng):
         for _ in range(10):
             n = rng.randint(2, 4)
             f = random_symmetric_even(rng, n, rng.randint(0, 3))
             lifted = lift(f)
-            assert lifted.eval_zero(n + 1).drop_var(n + 1) == f
-            assert lifted.is_symmetric()
+            assert drop_var(eval_zero(lifted, n + 1), n + 1) == f
+            assert is_symmetric(lifted)
 
     def test_odd_exponent_rejected(self):
         odd = Poly.var(2, 1) + Poly.var(2, 2)
@@ -105,7 +113,7 @@ class TestStratifiedLift:
             n_plus_1 = rng.randint(3, 5)
             half_degree = rng.randint(0, n_plus_1 - 1)
             target = random_symmetric_even(rng, n_plus_1, half_degree)
-            evaluation = target.eval_two_pi_i(n_plus_1).drop_var(n_plus_1)
+            evaluation = drop_var(eval_two_pi_i(target, n_plus_1), n_plus_1)
             _, recovered = reconstruct(evaluation, half_degree)
             assert recovered == target
 
@@ -122,7 +130,7 @@ class TestStratifiedLift:
     def test_strata_are_pi_free_and_homogeneous(self, rng):
         n_plus_1 = 4
         target = random_symmetric_even(rng, n_plus_1, 3)
-        evaluation = target.eval_two_pi_i(n_plus_1).drop_var(n_plus_1)
+        evaluation = drop_var(eval_two_pi_i(target, n_plus_1), n_plus_1)
         strata, _ = reconstruct(evaluation, 3)
         for k, w in strata:
             assert all(key[-1] == 0 for key in w.terms)
