@@ -374,8 +374,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ConsistencyError, LiftError, InvariantError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
-        defect = getattr(exc, "defect", None) or getattr(exc, "residual", None)
-        if defect is not None:
+        defect = getattr(exc, "defect", None)
+        if defect:
             print(f"difference polynomial: {defect}", file=sys.stderr)
         return EXIT_MATH
     except CacheError as exc:

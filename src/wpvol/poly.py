@@ -22,6 +22,14 @@ them, are stored and computed by symmetry orbit,
 ``{(L exponents sorted descending, pi exponent): coefficient}``;
 ``orbit_coefficients`` and ``from_orbits`` convert between the two forms,
 and the evaluation at L = 2*pi*i lives on orbits in ``symmetric``.
+``from_orbits`` gives all the monomials of an orbit one shared coefficient.
+
+Rendering.  The canonical order is ascending pi exponent, then descending
+lexicographic L exponents: keys are bucketed by pi exponent and each bucket
+sorted in native tuple order, reversed.  ``str`` and ``to_latex`` share one
+renderer.  A term is one join over per-variable fragment tables (``*L3^4``,
+`` L_{3}^{4}``), filled on first use and kept across calls, and each
+coefficient object is formatted once per call: once per orbit for a volume.
 
 All values are immutable after construction and every operation returns a
 fresh polynomial, so values can be shared freely between threads.
@@ -30,9 +38,10 @@ fresh polynomial, so values can be shared freely between threads.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections import Counter, defaultdict
+from collections.abc import Iterable
 from fractions import Fraction
+from operator import getitem
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -114,12 +123,15 @@ class Poly:
 
         Each pattern holds the ``n_vars`` L exponents of the orbit; every
         distinct rearrangement becomes one monomial with the orbit's
-        coefficient.  Inverse of ``orbit_coefficients``.
+        coefficient object.  The orbits share one ``arrangements`` memo.
+        Inverse of ``orbit_coefficients``.
         """
         terms = {}
+        memo: dict = {}
         for (pattern, pi_exp), c in orbits.items():
-            for arrangement in arrangements(pattern):
-                terms[arrangement + (pi_exp,)] = c
+            tail = (pi_exp,)
+            for head in arrangements(pattern, memo):
+                terms[head + tail] = c
         return cls(n_vars, terms)
 
     # ------------------------------------------------------------------
@@ -246,28 +258,28 @@ class Poly:
     # ordering and formatting
 
     def sorted_terms(self) -> list:
-        """Terms in the canonical order.
-
-        Ascending pi exponent, then descending lexicographic L exponents, so
-        L1-heavy monomials print first and pure pi powers last.
-        """
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][-1],) + tuple(-e for e in kv[0][:-1]),
-        )
+        """(key, coefficient) pairs in the canonical order (see above)."""
+        terms = self.terms
+        if len(terms) < 2:
+            return list(terms.items())
+        buckets = defaultdict(list)
+        for key in terms:
+            buckets[key[-1]].append(key)
+        out = []
+        for pi_exp in sorted(buckets):
+            bucket = buckets[pi_exp]
+            bucket.sort(reverse=True)
+            out += bucket
+        return [(key, terms[key]) for key in out]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return _join_terms(_term_plain(key, c) for key, c in self.sorted_terms())
+        return _render(self, False)
 
     def __repr__(self) -> str:
         return f"Poly({self.n_vars}, {self})"
 
     def to_latex(self) -> str:
-        if not self.terms:
-            return "0"
-        return _join_terms(_term_latex(key, c) for key, c in self.sorted_terms())
+        return _render(self, True)
 
 
 def _arrangement_count(pattern: tuple[int, ...], n: int) -> int:
@@ -278,89 +290,83 @@ def _arrangement_count(pattern: tuple[int, ...], n: int) -> int:
     return count
 
 
-def _join_terms(rendered) -> str:
-    parts = []
-    for term in rendered:
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(" - " + term[1:])
-        else:
-            parts.append(" + " + term)
-    return "".join(parts)
+def arrangements(pattern: Iterable[int], memo: dict | None = None) -> list:
+    """The distinct rearrangements of a multiset, in descending lexicographic
+    order: each distinct value, largest first, heads every arrangement of
+    the rest.  ``memo`` maps each proper sub-multiset, sorted descending, to
+    its arrangements; one dict shared across patterns reuses the sub-multisets
+    they have in common.  The list returned is the caller's own.
+    """
+    items = tuple(sorted(pattern, reverse=True))
+    memo = {} if memo is None else memo
+    found = [] if items else [()]
+    for i, v in enumerate(items):
+        if not i or v != items[i - 1]:
+            rest = items[:i] + items[i + 1:]
+            rests = memo.get(rest)
+            if rests is None:
+                rests = memo[rest] = arrangements(rest, memo)
+            found += [(v,) + tail for tail in rests]
+    return found
 
 
-def _coeff_plain(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    if r < 0:
-        return f"-({-r})"
-    return f"({r})"
+class _Powers(dict):
+    """Exponent -> printed factor of one variable (``*L3^4``, `` L_{3}^{4}``),
+    each entry built on first use.  Every factor starts with its separator."""
+
+    def __init__(self, factor: str, power: str, close: str):
+        super().__init__({0: "", 1: factor})
+        self.head, self.tail = factor + power, close
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self.head}{e}{self.tail}"
+        return text
 
 
-def _term_plain(key: tuple[int, ...], c: Fraction) -> str:
-    parts = []
-    for i, e in enumerate(key[:-1]):
-        if e == 1:
-            parts.append(f"L{i + 1}")
-        elif e:
-            parts.append(f"L{i + 1}^{e}")
-    if key[-1] == 1:
-        parts.append("pi")
-    elif key[-1]:
-        parts.append(f"pi^{key[-1]}")
-    if not parts:
-        return _coeff_plain(c)
-    if c == 1:
-        return "*".join(parts)
-    if c == -1:
-        return "-" + "*".join(parts)
-    return _coeff_plain(c) + "*" + "*".join(parts)
+# (n_vars, latex) -> the _Powers of L1..Ln and of pi, kept across calls
+_TABLES: dict = {}
 
 
-def _coeff_latex(r: Fraction) -> str:
-    sign = "-" if r < 0 else ""
-    r = abs(r)
-    if r.denominator == 1:
-        return f"{sign}{r.numerator}"
-    return f"{sign}\\frac{{{r.numerator}}}{{{r.denominator}}}"
+def _tables(n_vars: int, latex: bool) -> list:
+    if latex:
+        names = [f" L_{{{i}}}" for i in range(1, n_vars + 1)] + [" \\pi"]
+        power = ("^{", "}")
+    else:
+        names = [f"*L{i}" for i in range(1, n_vars + 1)] + ["*pi"]
+        power = ("^", "")
+    tables = _TABLES[(n_vars, latex)] = [_Powers(name, *power) for name in names]
+    return tables
 
 
-def _term_latex(key: tuple[int, ...], c: Fraction) -> str:
-    parts = []
-    for i, e in enumerate(key[:-1]):
-        if e == 1:
-            parts.append(f"L_{{{i + 1}}}")
-        elif e:
-            parts.append(f"L_{{{i + 1}}}^{{{e}}}")
-    if key[-1] == 1:
-        parts.append("\\pi")
-    elif key[-1]:
-        parts.append(f"\\pi^{{{key[-1]}}}")
-    body = _coeff_latex(c)
-    if parts and c == 1:
-        body = ""
-    elif parts and c == -1:
-        body = "-"
-    return body + " ".join(parts) if parts else body
+def _coefficient(c: Fraction, latex: bool) -> tuple[str, int, str]:
+    """How c prints: the text before the factors, how many characters of the
+    factors to drop, and the term with no factor.  Both texts open with the
+    sign, " + " or " - "; a magnitude of 1 prints no digits before a factor."""
+    num, den = c.numerator, c.denominator
+    sign = " - " if num < 0 else " + "
+    num = abs(num)
+    if den == 1:
+        digits = str(num)
+    elif latex:
+        digits = f"\\frac{{{num}}}{{{den}}}"
+    else:
+        digits = f"({num}/{den})"
+    if num == den == 1:
+        return sign, 1, sign + digits
+    return sign + digits, int(latex), sign + digits
 
 
-def arrangements(pattern: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Yield the distinct rearrangements of a multiset of exponents."""
-    items = sorted(pattern, reverse=True)
-    counter = Counter(items)
-    values = sorted(counter)
-    out = [0] * len(items)
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == len(items):
-            yield tuple(out)
-            return
-        for v in values:
-            if counter[v]:
-                counter[v] -= 1
-                out[pos] = v
-                yield from rec(pos + 1)
-                counter[v] += 1
-
-    yield from rec(0)
+def _render(p: Poly, latex: bool) -> str:
+    if not p.terms:
+        return "0"
+    tables = _TABLES.get((p.n_vars, latex)) or _tables(p.n_vars, latex)
+    done: dict = {}  # id(coefficient) -> form; p.terms keeps every id alive
+    pieces = []
+    for key, c in p.sorted_terms():
+        form = done.get(id(c))
+        if form is None:
+            form = done[id(c)] = _coefficient(c, latex)
+        factors = "".join(map(getitem, tables, key))
+        pieces.append(form[0] + factors[form[1]:] if factors else form[2])
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]

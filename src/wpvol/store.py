@@ -64,15 +64,13 @@ def resolve_cache_dir(flag_value: str | None = None) -> Path:
 def volume_to_document(vol: VolumePolynomial, provenance: str) -> dict:
     if provenance not in PROVENANCES:
         raise ValueError(f"unknown provenance {provenance!r}")
-    terms = [
-        {
-            "l": list(key[:-1]),
-            "pi": key[-1],
-            "re": str(coeff),
-            "im": "0",
-        }
-        for key, coeff in vol.poly.sorted_terms()
-    ]
+    texts: dict = {}  # id(coefficient) -> str; an orbit shares one object
+    terms = []
+    for key, coeff in vol.poly.sorted_terms():
+        text = texts.get(id(coeff))
+        if text is None:
+            text = texts[id(coeff)] = str(coeff)
+        terms.append({"l": list(key[:-1]), "pi": key[-1], "re": text, "im": "0"})
     return {
         "schema": SCHEMA_VERSION,
         "g": vol.g,
@@ -104,6 +102,7 @@ def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
     if type(g) is not int or type(n) is not int:
         raise CacheError("g and n must be integers")
     terms = {}
+    parsed: dict = {}  # coefficient string -> its one Fraction object
     try:
         for term in doc["terms"]:
             key = (*term["l"], term["pi"])
@@ -114,7 +113,9 @@ def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
                 raise CacheError(f"coefficient at monomial {key} is not a string")
             if imag != "0" and Fraction(imag):
                 raise CacheError(f"non-real coefficient at monomial {key}")
-            coeff = Fraction(real)
+            coeff = parsed.get(real)
+            if coeff is None:
+                coeff = parsed[real] = Fraction(real)
             if key in terms:
                 raise CacheError(f"duplicate monomial {key}")
             terms[key] = coeff

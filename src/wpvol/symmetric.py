@@ -29,6 +29,7 @@ such an evaluation.
 
 from __future__ import annotations
 
+from .poly import Poly
 from .volume import Frozen
 
 
@@ -38,6 +39,12 @@ class LiftError(Exception):
     def __init__(self, message: str, residual: dict | None = None):
         super().__init__(message)
         self.residual = residual
+
+    @property
+    def defect(self) -> Poly | None:
+        """The residual as a polynomial in the variable count of its patterns."""
+        if self.residual:
+            return Poly.from_orbits(len(next(iter(self.residual))[0]), self.residual)
 
 
 def at_two_pi_i(orbits: dict, derivatives: int = 0) -> dict:

@@ -1,4 +1,5 @@
-"""Dense reference implementations of the relations at L = 2*pi*i.
+"""Dense reference implementations of the relations at L = 2*pi*i, and of
+rendering.
 
 The package evaluates at 2*pi*i only by symmetry orbit
 (``symmetric.at_two_pi_i``).  The functions here do the same work on the
@@ -6,14 +7,22 @@ dense term map of ``Poly``, one monomial at a time, with no orbit code at
 all, so the tests can hold the orbit code against them.  They also carry
 the dense calculus and inspection helpers the tests use to state
 properties of polynomials.  Variable indices are 1-based, as in ``Poly``.
+
+The rendering half is the straightforward printer: the canonical order by
+a key function, one term formatted at a time, and a recursive generator
+of arrangements.  The package's table-driven renderer must match it byte
+for byte.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import json
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from wpvol.poly import Poly
+from wpvol.store import SCHEMA_VERSION
 from wpvol.volume import ConsistencyError, VolumePolynomial
 
 _F0 = Fraction(0)
@@ -222,3 +231,131 @@ def boundary_cofactor(vol: VolumePolynomial) -> Poly:
 def closed_volume(vol: VolumePolynomial) -> Poly:
     cofactor = boundary_cofactor(vol)
     return drop_var(eval_two_pi_i(cofactor, 1), 1).scale(Fraction(1, vol.g - 1))
+
+
+# ----------------------------------------------------------------------
+# rendering, one term at a time
+
+
+def sorted_terms(p: Poly) -> list:
+    """Ascending pi exponent, then descending lexicographic L exponents."""
+    return sorted(
+        p.terms.items(),
+        key=lambda kv: (kv[0][-1],) + tuple(-e for e in kv[0][:-1]),
+    )
+
+
+def render(p: Poly) -> str:
+    if not p.terms:
+        return "0"
+    return _join_terms(_term_plain(key, c) for key, c in sorted_terms(p))
+
+
+def render_latex(p: Poly) -> str:
+    if not p.terms:
+        return "0"
+    return _join_terms(_term_latex(key, c) for key, c in sorted_terms(p))
+
+
+def serialize_entry(vol: VolumePolynomial, provenance: str) -> str:
+    """The cache document of vol, one ``str`` per term."""
+    terms = [
+        {"l": list(key[:-1]), "pi": key[-1], "re": str(c), "im": "0"}
+        for key, c in sorted_terms(vol.poly)
+    ]
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "g": vol.g,
+        "n": vol.n,
+        "provenance": provenance,
+        "terms": terms,
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _join_terms(rendered) -> str:
+    parts = []
+    for term in rendered:
+        if not parts:
+            parts.append(term)
+        elif term.startswith("-"):
+            parts.append(" - " + term[1:])
+        else:
+            parts.append(" + " + term)
+    return "".join(parts)
+
+
+def _coeff_plain(r: Fraction) -> str:
+    if r.denominator == 1:
+        return str(r.numerator)
+    if r < 0:
+        return f"-({-r})"
+    return f"({r})"
+
+
+def _term_plain(key: tuple[int, ...], c: Fraction) -> str:
+    parts = []
+    for i, e in enumerate(key[:-1]):
+        if e == 1:
+            parts.append(f"L{i + 1}")
+        elif e:
+            parts.append(f"L{i + 1}^{e}")
+    if key[-1] == 1:
+        parts.append("pi")
+    elif key[-1]:
+        parts.append(f"pi^{key[-1]}")
+    if not parts:
+        return _coeff_plain(c)
+    if c == 1:
+        return "*".join(parts)
+    if c == -1:
+        return "-" + "*".join(parts)
+    return _coeff_plain(c) + "*" + "*".join(parts)
+
+
+def _coeff_latex(r: Fraction) -> str:
+    sign = "-" if r < 0 else ""
+    r = abs(r)
+    if r.denominator == 1:
+        return f"{sign}{r.numerator}"
+    return f"{sign}\\frac{{{r.numerator}}}{{{r.denominator}}}"
+
+
+def _term_latex(key: tuple[int, ...], c: Fraction) -> str:
+    parts = []
+    for i, e in enumerate(key[:-1]):
+        if e == 1:
+            parts.append(f"L_{{{i + 1}}}")
+        elif e:
+            parts.append(f"L_{{{i + 1}}}^{{{e}}}")
+    if key[-1] == 1:
+        parts.append("\\pi")
+    elif key[-1]:
+        parts.append(f"\\pi^{{{key[-1]}}}")
+    body = _coeff_latex(c)
+    if parts and c == 1:
+        body = ""
+    elif parts and c == -1:
+        body = "-"
+    return body + " ".join(parts) if parts else body
+
+
+def arrangements(pattern: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Yield the distinct rearrangements of a multiset, one slot per level."""
+    items = sorted(pattern, reverse=True)
+    counter = Counter(items)
+    values = sorted(counter)
+    out = [0] * len(items)
+
+    def rec(pos: int) -> Iterator[tuple[int, ...]]:
+        if pos == len(items):
+            yield tuple(out)
+            return
+        for v in values:
+            if counter[v]:
+                counter[v] -= 1
+                out[pos] = v
+                yield from rec(pos + 1)
+                counter[v] += 1
+
+    yield from rec(0)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import wpvol.cli
 import wpvol.compute
 import wpvol.intersections
 from wpvol.cli import MAX_DENSE_TERMS, main
+from wpvol.symmetric import LiftError
 from wpvol.volume import seed_volume
 
 
@@ -269,6 +271,21 @@ class TestSizeLimit:
         code, _, _ = run(capsys, "--cache-dir", cache, "compute",
                          "--genus", str(g), "--boundaries", str(n))
         assert code == (0 if admitted else 2)
+
+
+def test_lift_residual_printed_as_polynomial(capsys, cache, monkeypatch):
+    def fail(vol):
+        raise LiftError("nonzero residual", residual={((2, 0), 0): Fraction(1, 3)})
+
+    monkeypatch.setattr(wpvol.compute, "genus0_lift", fail)
+    code, out, err = run(capsys, "--cache-dir", cache, "compute",
+                         "--genus", "0", "--boundaries", "5")
+    assert code == 3
+    assert not out
+    assert err.splitlines() == [
+        "internal inconsistency: nonzero residual",
+        "difference polynomial: (1/3)*L1^2 + (1/3)*L2^2",
+    ]
 
 
 def test_usage_error_exit_code(capsys):

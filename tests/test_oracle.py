@@ -1,10 +1,14 @@
-"""The orbit relations against their dense twins in ``dense_oracle``.
+"""The orbit relations and the renderer against their twins in
+``dense_oracle``.
 
 Every evaluation at L = 2*pi*i in the package runs on symmetry orbits.
 These tests render each orbit result densely and require it to equal the
 dense reference, monomial for monomial, on the real volumes, on random
 symmetric perturbations of them, and on random symmetric polynomials.
-The last test checks that computing and verifying build no dense view.
+A further test checks that computing and verifying build no dense view.
+The rendering tests require the table-driven renderer, the bucketed
+canonical order and the cache serializer to match the term-at-a-time
+reference byte for byte.
 """
 
 from fractions import Fraction
@@ -13,11 +17,11 @@ from functools import cached_property
 import pytest
 
 import dense_oracle as dense
-from conftest import partitions, random_rational, random_symmetric_even
+from conftest import partitions, random_poly, random_rational, random_symmetric_even
 from wpvol.cli import run_verification
 from wpvol.compute import ensure_volume, lift_volume
-from wpvol.poly import Poly
-from wpvol.store import VolumeStore
+from wpvol.poly import Poly, _arrangement_count, arrangements
+from wpvol.store import VolumeStore, parse_entry, serialize_entry
 from wpvol.stringdilaton import (
     boundary_cofactor,
     check_dilaton,
@@ -166,3 +170,73 @@ def test_compute_and_verify_build_no_dense_view(monkeypatch):
     # the counter sees a dense view when one is built
     str(store.get(0, 4).poly)
     assert built == [(0, 4)]
+
+
+# ----------------------------------------------------------------------
+# rendering
+
+RENDERED = (
+    [(g, n) for g in range(3) for n in range(6) if is_stable(g, n)]
+    + [(0, 10), (1, 8)]
+    + [(g, 0) for g in range(3, 6)]
+)
+
+
+def assert_renders_like_dense(p: Poly) -> None:
+    assert str(p) == dense.render(p)
+    assert p.to_latex() == dense.render_latex(p)
+    assert p.sorted_terms() == dense.sorted_terms(p)
+
+
+@pytest.mark.parametrize("g, n", RENDERED)
+def test_render_matches_dense_on_volumes(store, g, n):
+    vol = volume(store, g, n)
+    assert_renders_like_dense(vol.poly)
+    text = serialize_entry(vol, "mirzakhani")
+    assert text == dense.serialize_entry(vol, "mirzakhani")
+    # a parsed document shares one coefficient object per distinct string
+    parsed, _ = parse_entry(text)
+    assert_renders_like_dense(parsed.poly)
+    assert str(parsed.poly) == str(vol.poly)
+
+
+def test_render_matches_dense_on_random_polys(rng):
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        p = random_poly(rng, n, max_terms=rng.randint(0, 10), max_exp=rng.randint(1, 4))
+        assert_renders_like_dense(p)
+        assert_renders_like_dense(-p)
+        seen.add("zero" if not p else "nonzero")
+        if not dense.is_symmetric(p):
+            seen.add("asymmetric")
+        for key, c in p.terms.items():
+            seen.add("constant" if not any(key) else "monomial")
+            seen.add("negative" if c < 0 else "positive")
+            if abs(c) == 1:
+                seen.add("unit")
+            elif c.denominator == 1:
+                seen.add("integer")
+    assert seen >= {
+        "zero", "nonzero", "asymmetric", "constant", "monomial",
+        "negative", "positive", "unit", "integer",
+    }
+
+
+def test_render_matches_dense_on_string_defect(store, rng):
+    smaller, bigger = volume(store, 1, 3), volume(store, 1, 4)
+    defect = string_defect(perturbed(rng, bigger), smaller)
+    assert defect
+    assert_renders_like_dense(defect)
+
+
+def test_arrangements_match_dense(rng):
+    memo: dict = {}
+    for _ in range(200):
+        pattern = [rng.randint(0, 4) for _ in range(rng.randint(0, 8))]
+        got = arrangements(pattern)
+        assert got == sorted(set(got), reverse=True)
+        assert len(got) == _arrangement_count(tuple(pattern), len(pattern))
+        assert set(got) == set(dense.arrangements(pattern))
+        assert all(sorted(a) == sorted(pattern) for a in got)
+        assert arrangements(pattern, memo) == got

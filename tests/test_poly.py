@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import wpvol.poly
+from wpvol.compute import lift_volume
 from wpvol.poly import Poly, arrangements
+from wpvol.store import VolumeStore, serialize_entry
 from conftest import random_poly
 from dense_oracle import (
     coeff_monomial,
@@ -180,6 +183,35 @@ class TestFormatting:
         assert [k for k, _ in p.sorted_terms()] == [
             k for k, _ in Poly(3, dict(reversed(list(p.terms.items())))).sorted_terms()
         ]
+
+
+def test_rendering_formats_each_orbit_coefficient_once(monkeypatch):
+    # V(0,10) has 19,448 monomials in 45 orbits; each orbit shares one
+    # coefficient object, so each output formats at most 45 coefficients
+    formatted = []
+    coefficient = wpvol.poly._coefficient
+
+    def counted(c, latex):
+        formatted.append(c)
+        return coefficient(c, latex)
+
+    vol = lift_volume(VolumeStore(), 0, 10)
+    assert (len(vol.orbits), len(vol.poly)) == (45, 19448)
+    monkeypatch.setattr(wpvol.poly, "_coefficient", counted)
+    for render in (str, Poly.to_latex):
+        formatted.clear()
+        render(vol.poly)
+        assert 0 < len(formatted) <= 45
+    fraction_str = Fraction.__str__
+
+    def counted_str(c):
+        formatted.append(c)
+        return fraction_str(c)
+
+    formatted.clear()
+    monkeypatch.setattr(Fraction, "__str__", counted_str)
+    serialize_entry(vol, "genus0_lift")
+    assert 0 < len(formatted) <= 45
 
 
 def test_arrangements_distinct_count():
