@@ -9,7 +9,7 @@ from .volume import (
     is_stable,
     seed_volume,
 )
-from .symmetric import LiftError, Stratum, stratified_lift, sym_lift_zero
+from .symmetric import LiftError, stratified_lift, sym_lift_zero
 from .stringdilaton import (
     boundary_cofactor,
     check_dilaton,
@@ -35,7 +35,6 @@ __all__ = [
     "InvariantError",
     "LiftError",
     "UnstableSurfaceError",
-    "Stratum",
     "boundary_cofactor",
     "check_dilaton",
     "check_second_derivative",

@@ -136,7 +136,7 @@ def _cmd_compute(args) -> int:
     if not is_stable(g, n):
         print(f"error: (g, n) = ({g}, {n}) is not stable", file=sys.stderr)
         return EXIT_USAGE
-    method = args.method or ("lift" if g <= 1 else "mirzakhani")
+    method = args.method or "auto"
     if method in ("lift", "both") and g > 1:
         print(f"error: method {method!r} needs genus <= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -153,8 +153,7 @@ def run_verification(
 ) -> dict:
     """Run one relation sweep (or all) and return the JSON-ready report.
 
-    Volumes come from the store, computed on demand: the lift chain for
-    genus 0 and 1 and the kernel recursion for higher genus.
+    Volumes come from the store, computed on demand by ``ensure_volume``.
     """
     if relation == "all":
         reports = [
@@ -171,12 +170,6 @@ def run_verification(
             "vacuous": sum(r["vacuous"] for r in reports),
             "reports": reports,
         }
-
-    def volume(g: int, n: int):
-        # n = 0 comes from the one-boundary factorization, so the n = 0
-        # string/dilaton checks exercise the closed-volume formulas
-        method = "lift" if g <= 1 and n > 0 else "mirzakhani"
-        return ensure_volume(store, g, n, method)
 
     cases = []
     failed = vacuous = 0
@@ -204,12 +197,12 @@ def run_verification(
             for n in range(max_boundaries):
                 if not (is_stable(g, n) and is_stable(g, n + 1)):
                     continue
-                smaller = volume(g, n)
-                defect = relation_defect(volume(g, n + 1), smaller)
+                smaller = ensure_volume(store, g, n)
+                defect = relation_defect(ensure_volume(store, g, n + 1), smaller)
                 record(g, n, not defect, detail=str(defect) if defect else "")
     elif relation == "factor":
         for g in range(1, max_genus + 1):
-            vol = volume(g, 1)
+            vol = ensure_volume(store, g, 1)
             try:
                 boundary_cofactor(vol)  # the remainder is V(g, 1) at L = 2*pi*i
                 ok, detail = True, ""
@@ -308,12 +301,10 @@ def _cmd_export(args) -> int:
     if not _within_size_limit(g, n):
         return EXIT_USAGE
     store = _open_store(args)
-    method = "lift" if g <= 1 else "mirzakhani"
-    vol = ensure_volume(store, g, n, method)
+    if store.find(g, n) is None:
+        ensure_volume(store, g, n)
+    vol, provenance = store.find(g, n)
     if args.format == "json":
-        provenance = "seed" if (g, n) in ((0, 3), (1, 1)) else (
-            "genus0_lift" if g == 0 else "genus1_lift" if g == 1 else "mirzakhani"
-        )
         text = serialize_entry(vol, provenance)
     else:
         text = vol.poly.to_latex() + "\n"

@@ -13,13 +13,7 @@ from .poly import Poly
 from .store import VolumeStore
 from .stringdilaton import closed_volume, genus0_lift, genus1_lift
 from .symmetric import add
-from .volume import (
-    ConsistencyError,
-    VolumePolynomial,
-    is_seed,
-    require_stable,
-    seed_volume,
-)
+from .volume import ConsistencyError, VolumePolynomial, is_seed, require_stable
 
 METHODS = ("auto", "lift", "mirzakhani", "both")
 
@@ -30,11 +24,7 @@ def lift_volume(store: VolumeStore, g: int, n: int) -> VolumePolynomial:
     if g > 1:
         raise ValueError("the lift chain only generates genus 0 and 1 volumes")
     if is_seed(g, n):
-        vol = store.get(g, n, provenance="seed")
-        if vol is None:
-            vol = seed_volume(g, n)
-            store.put(vol, "seed")
-        return vol
+        return store.seed(g, n)
     provenance = "genus0_lift" if g == 0 else "genus1_lift"
     cached = store.get(g, n, provenance=provenance)
     if cached is not None:
@@ -66,8 +56,7 @@ def ensure_volume(
         cached = store.get(g, 0)
         if cached is not None:
             return cached
-        closed = closed_volume(mirzakhani_volume(g, 1, store))
-        vol = VolumePolynomial(g, 0, closed.orbit_coefficients())
+        vol = closed_volume(mirzakhani_volume(g, 1, store))
         store.put(vol, "mirzakhani")
         return vol
     if method == "auto":

@@ -62,7 +62,6 @@ from .volume import (
     is_seed,
     is_stable,
     require_stable,
-    seed_volume,
 )
 
 
@@ -125,7 +124,7 @@ def double_moment(a: int, b: int) -> Poly:
         math.factorial(2 * a + 1) * math.factorial(2 * b + 1),
         math.factorial(2 * a + 2 * b + 3),
     )
-    return moment_F(a + b + 1).scale(beta)
+    return Poly(1, {key: c * beta for key, c in moment_F(a + b + 1).terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -155,17 +154,10 @@ def _tails(length: int, budget: int, top: int):
             yield (e,) + rest
 
 
-def mirzakhani_volume(
-    g: int,
-    n: int,
-    store,
-    split_reverse: bool = False,
-) -> VolumePolynomial:
+def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
     """Compute V(g, n) by the kernel recursion, memoizing through a store.
 
     Runs on representatives and checks orbit agreement (module docstring).
-    ``split_reverse`` reverses the order in which split shapes are summed;
-    the result must not depend on it.
     """
     require_stable(g, n)
     if n < 1:
@@ -174,11 +166,7 @@ def mirzakhani_volume(
             "volumes come from the one-boundary factorization"
         )
     if is_seed(g, n):
-        vol = store.get(g, n, provenance="seed")
-        if vol is None:
-            vol = seed_volume(g, n)
-            store.put(vol, "seed")
-        return vol
+        return store.seed(g, n)
     cached = store.get(g, n, provenance="mirzakhani")
     if cached is not None:
         return cached
@@ -188,7 +176,7 @@ def mirzakhani_volume(
         # entry per way of taking `head` ordered values out of an orbit
         out: dict = {}
         if is_stable(gg, nn):
-            for (pattern, p), c in mirzakhani_volume(gg, nn, store, split_reverse).orbits.items():
+            for (pattern, p), c in mirzakhani_volume(gg, nn, store).orbits.items():
                 for heads, tail in _take(pattern, head):
                     out.setdefault(tail, []).append((heads, p, c))
         return out
@@ -210,8 +198,7 @@ def mirzakhani_volume(
         for (x, y), p, c in connected.get(beta, ()):
             key = (x // 2, y // 2, p)
             doubles[key] = doubles.get(key, 0) + c
-        shapes = list(product(range(g + 1), product(*(range(mult[v] + 1) for v in values))))
-        for g1, nu in reversed(shapes) if split_reverse else shapes:
+        for g1, nu in product(range(g + 1), product(*(range(mult[v] + 1) for v in values))):
             beta1 = tuple(v for v, k in zip(values, nu) for _ in range(k))
             beta2 = tuple(v for v, k in zip(values, nu) for _ in range(mult[v] - k))
             left = lower.get((g1, len(beta1) + 1), {}).get(beta1)

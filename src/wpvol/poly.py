@@ -12,17 +12,18 @@ Representation.  A polynomial in ``n_vars`` variables is a term map
 where ``exponents`` is a tuple of length ``n_vars + 1``.  Entries
 ``0 .. n_vars-1`` are the exponents of L1..Ln and the last entry is the
 exponent of pi.  Zero coefficients are never stored, so two polynomials are
-equal iff their term maps are equal.  Variable indices in the public API are
-1-based, matching the L1..Ln naming used everywhere else.
+equal iff their term maps are equal.
 
-This dense form is for the edges of the package: rendering and export,
-parsing a cache document, the kernel moments, and the difference
-polynomials that diagnostics print.  Symmetric polynomials, volumes among
-them, are stored and computed by symmetry orbit,
+This type is the text and parse edge of the package: rendering and
+export, parsing a cache document, the kernel moments, and the difference
+polynomials that diagnostics print.  It has no ring operations.  Symmetric
+polynomials, volumes among them, are stored and computed by symmetry orbit,
 ``{(L exponents sorted descending, pi exponent): coefficient}``;
 ``orbit_coefficients`` and ``from_orbits`` convert between the two forms,
 and the evaluation at L = 2*pi*i lives on orbits in ``symmetric``.
 ``from_orbits`` gives all the monomials of an orbit one shared coefficient.
+The tests keep a dense ring (sum, product, scaling, the monomials) on term
+maps as a reference, in ``tests/dense_oracle.py``.
 
 Rendering.  The canonical order is ascending pi exponent, then descending
 lexicographic L exponents: keys are bucketed by pi exponent and each bucket
@@ -31,8 +32,8 @@ renderer.  A term is one join over per-variable fragment tables (``*L3^4``,
 `` L_{3}^{4}``), filled on first use and kept across calls, and each
 coefficient object is formatted once per call: once per orbit for a volume.
 
-All values are immutable after construction and every operation returns a
-fresh polynomial, so values can be shared freely between threads.
+A polynomial is never changed after construction, so values can be shared
+freely between threads.
 """
 
 from __future__ import annotations
@@ -44,15 +45,6 @@ from fractions import Fraction
 from operator import getitem
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def _as_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"cannot use {value!r} as a polynomial coefficient")
 
 
 class Poly:
@@ -60,48 +52,18 @@ class Poly:
 
     ``terms`` maps exponent tuples (length ``n_vars + 1``, pi last) to
     nonzero Fraction coefficients.  The constructor takes ownership
-    of the dict and trusts it to be canonical; use the classmethod builders
-    or ``from_terms`` to construct values safely.
+    of the dict and trusts it to be canonical; ``from_terms`` and
+    ``from_orbits`` construct values safely.
     """
 
     __slots__ = ("n_vars", "terms")
 
-    def __init__(self, n_vars: int, terms: dict | None = None):
+    def __init__(self, n_vars: int, terms: dict):
         self.n_vars = n_vars
-        self.terms = terms if terms is not None else {}
+        self.terms = terms
 
     # ------------------------------------------------------------------
     # construction
-
-    @classmethod
-    def zero(cls, n_vars: int) -> "Poly":
-        return cls(n_vars, {})
-
-    @classmethod
-    def const(cls, n_vars: int, value) -> "Poly":
-        c = _as_coeff(value)
-        if not c:
-            return cls(n_vars, {})
-        return cls(n_vars, {(0,) * (n_vars + 1): c})
-
-    @classmethod
-    def one(cls, n_vars: int) -> "Poly":
-        return cls.const(n_vars, 1)
-
-    @classmethod
-    def var(cls, n_vars: int, k: int, power: int = 1) -> "Poly":
-        """The monomial L_k**power (k is 1-based)."""
-        if not 1 <= k <= n_vars:
-            raise IndexError(f"variable index {k} out of range 1..{n_vars}")
-        key = [0] * (n_vars + 1)
-        key[k - 1] = power
-        return cls(n_vars, {tuple(key): _F1})
-
-    @classmethod
-    def pi(cls, n_vars: int, power: int = 1) -> "Poly":
-        """The monomial pi**power."""
-        key = (0,) * n_vars + (power,)
-        return cls(n_vars, {key: _F1})
 
     @classmethod
     def from_terms(cls, n_vars: int, items: dict | Iterable) -> "Poly":
@@ -112,9 +74,10 @@ class Poly:
             key = tuple(key)
             if len(key) != n_vars + 1 or any(e < 0 for e in key):
                 raise ValueError(f"bad exponent tuple {key} for n_vars={n_vars}")
-            c = _as_coeff(value)
-            if c:
-                terms[key] = terms.get(key, _F0) + c
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"cannot use {value!r} as a polynomial coefficient")
+            if value:
+                terms[key] = terms.get(key, _F0) + value
         return cls(n_vars, {k: v for k, v in terms.items() if v})
 
     @classmethod
@@ -141,8 +104,6 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n_vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.n_vars == other.n_vars and self.terms == other.terms
@@ -181,68 +142,6 @@ class Poly:
                 )
             out[(pattern, pi_exp)] = c
         return out
-
-    # ------------------------------------------------------------------
-    # ring operations
-
-    def _check_arity(self, other: "Poly") -> None:
-        if self.n_vars != other.n_vars:
-            raise ValueError(
-                f"mismatched variable counts {self.n_vars} != {other.n_vars}"
-            )
-
-    def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n_vars, other)
-        self._check_arity(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Poly(self.n_vars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.n_vars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.n_vars, other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check_arity(other)
-        out: dict = {}
-        width = self.n_vars + 1
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(ka[i] + kb[i] for i in range(width))
-                c = ca * cb
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Poly(self.n_vars, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, value) -> "Poly":
-        c = _as_coeff(value)
-        if not c:
-            return Poly.zero(self.n_vars)
-        return Poly(self.n_vars, {k: v * c for k, v in self.terms.items()})
 
     def embed(self, new_n_vars: int) -> "Poly":
         """Reinterpret in new_n_vars >= n_vars variables (new ones absent)."""

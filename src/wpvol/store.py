@@ -35,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .poly import Poly
-from .volume import InvariantError, UnstableSurfaceError, VolumePolynomial
+from .volume import InvariantError, UnstableSurfaceError, VolumePolynomial, seed_volume
 
 SCHEMA_VERSION = 1
 PROVENANCES = ("seed", "genus0_lift", "genus1_lift", "mirzakhani")
@@ -158,18 +158,32 @@ class VolumeStore:
             )
         self._entries.setdefault((g, n), {})[provenance] = vol
 
-    def get(self, g: int, n: int, provenance: str | None = None) -> VolumePolynomial | None:
+    def find(self, g: int, n: int) -> tuple[VolumePolynomial, str] | None:
+        """The entry for (g, n) and its provenance, the first held in
+        ``PROVENANCES`` order; None when the store holds none."""
         if (g, n) not in self._entries:
             self._load_from_disk(g, n)
-        by_prov = self._entries.get((g, n))
-        if not by_prov:
-            return None
+        by_prov = self._entries.get((g, n), {})
+        for name in PROVENANCES:
+            if name in by_prov:
+                return by_prov[name], name
+        return None
+
+    def get(self, g: int, n: int, provenance: str | None = None) -> VolumePolynomial | None:
         if provenance is None:
-            for name in PROVENANCES:
-                if name in by_prov:
-                    return by_prov[name]
-            return None
-        return by_prov.get(provenance)
+            found = self.find(g, n)
+            return None if found is None else found[0]
+        if (g, n) not in self._entries:
+            self._load_from_disk(g, n)
+        return self._entries.get((g, n), {}).get(provenance)
+
+    def seed(self, g: int, n: int) -> VolumePolynomial:
+        """The seed V(g, n), stored on first use."""
+        vol = self.get(g, n, provenance="seed")
+        if vol is None:
+            vol = seed_volume(g, n)
+            self.put(vol, "seed")
+        return vol
 
     def put(self, vol: VolumePolynomial, provenance: str) -> None:
         if provenance not in PROVENANCES:

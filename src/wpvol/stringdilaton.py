@@ -174,16 +174,16 @@ def boundary_cofactor(vol: VolumePolynomial) -> Poly:
     return Poly.from_orbits(1, _cofactor(vol))
 
 
-def closed_volume(vol: VolumePolynomial) -> Poly:
+def closed_volume(vol: VolumePolynomial) -> VolumePolynomial:
     """The volume of the closed genus-g moduli space, from V(g, 1).
 
     Evaluates the boundary cofactor at L = 2*pi*i and divides by g - 1;
-    the result is a single positive rational multiple of pi**(6g-6),
-    returned as a zero-variable polynomial.  Needs g >= 2.
+    the result is V(g, 0), a single positive rational multiple of
+    pi**(6g-6).  Needs g >= 2.
     """
     if vol.g < 2:
         raise ValueError("closed volume via the cofactor needs genus >= 2")
     value = at_two_pi_i(_cofactor(vol))
     if len(value) != 1:
         raise ConsistencyError("closed volume is not a single rational pi power")
-    return Poly.from_orbits(0, {key: c / (vol.g - 1) for key, c in value.items()})
+    return VolumePolynomial(vol.g, 0, {key: c / (vol.g - 1) for key, c in value.items()})

@@ -30,7 +30,6 @@ such an evaluation.
 from __future__ import annotations
 
 from .poly import Poly
-from .volume import Frozen
 
 
 class LiftError(Exception):
@@ -89,25 +88,15 @@ def sym_lift_zero(orbits: dict) -> dict:
     return {(pattern + (0,), pi_exp): c for (pattern, pi_exp), c in orbits.items()}
 
 
-class Stratum(Frozen):
-    """One pi stratum of a reconstruction: V = sum_k pi**2k * w_k.
-
-    ``w`` is pi-free and homogeneous in L of degree 2*(D - k), by orbit.
-    """
-
-    _fields = ("k", "w")
-
-    def __init__(self, k: int, w: dict) -> None:
-        super().__init__(k, w)
-
-
-def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[Stratum], dict]:
+def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[dict], dict]:
     """Reconstruct V in n+1 variables, by orbit, from V(L1..Ln, 2*pi*i).
 
     ``evaluation`` is by orbit in n variables; the unknown V is symmetric,
     even and homogeneous of total degree ``2 * target_half_degree``.
-    Returns the strata and the reassembled candidate, whose evaluation at
-    L_{n+1} = 2*pi*i is ``evaluation`` exactly.  When the squared degree of
+    Returns the strata, V = sum_k pi**2k * strata[k] with ``strata[k]``
+    pi-free and homogeneous in L of degree 2*(D - k), by orbit, and the
+    reassembled candidate, whose evaluation at L_{n+1} = 2*pi*i is
+    ``evaluation`` exactly.  When the squared degree of
     V reaches n+1 the candidate is the representative with no all-variable
     orbit; callers needing a different representative add a correction
     downstream.
@@ -116,7 +105,7 @@ def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[Str
     if D < 0:
         raise ValueError("target half degree must be nonnegative")
     residual = dict(evaluation)
-    strata: list[Stratum] = []
+    strata = []
     total: dict = {}
     for k in range(D + 1):
         layer = {(p, 0): c for (p, pi_exp), c in residual.items() if pi_exp == 2 * k}
@@ -126,7 +115,7 @@ def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[Str
                 residual=residual,
             )
         w = sym_lift_zero(layer)
-        strata.append(Stratum(k, w))
+        strata.append(w)
         stratum = {(pattern, 2 * k): c for (pattern, _), c in w.items()}
         total.update(stratum)
         residual = add(residual, at_two_pi_i(stratum), -1)

@@ -17,7 +17,7 @@ import pytest
 
 from wpvol.poly import Poly
 from wpvol.volume import seed_volume
-from dense_oracle import coeff_pi, drop_var, eval_zero
+from dense_oracle import add, coeff_pi, drop_var, eval_zero, mul, pi, scale
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +33,13 @@ def v11():
 @pytest.fixture()
 def rng():
     return random.Random(20260810)
+
+
+def reversed_split_product(*factors):
+    """Stand-in for ``itertools.product`` in ``wpvol.mirzakhani``: every range
+    factor counts down, so the kernel recursion's split shapes, a product of
+    ranges nested in a product, come in exactly the reversed order."""
+    return product(*(f[::-1] if isinstance(f, range) else f for f in factors))
 
 
 # ----------------------------------------------------------------------
@@ -87,14 +94,14 @@ def monomial_symmetric(n_vars, pattern, pi_exp=0) -> Poly:
 def random_symmetric_even(rng, n_vars, half_degree) -> Poly:
     """Random symmetric polynomial, even L exponents, homogeneous of total
     degree 2*half_degree (pi included), squared degree <= half_degree."""
-    total = Poly.zero(n_vars)
+    total = Poly(n_vars, {})
     for k in range(half_degree + 1):
         for pattern in partitions(half_degree - k, n_vars):
             if rng.random() < 0.5:
                 continue
             c = random_rational(rng, allow_zero=False)
             doubled = tuple(2 * p for p in pattern)
-            total = total + monomial_symmetric(n_vars, doubled, 2 * k).scale(c)
+            total = add(total, scale(monomial_symmetric(n_vars, doubled, 2 * k), c))
     return total
 
 
@@ -136,7 +143,7 @@ def brute_force_lift(f: Poly) -> Poly:
     L_{n+1} = 0 against f.
     """
     n = f.n_vars
-    total = Poly.zero(n + 1)
+    total = Poly(n + 1, {})
     pi_levels = sorted({key[-1] for key in f.terms})
     for pi_exp in pi_levels:
         layer = coeff_pi(f, pi_exp)
@@ -157,7 +164,7 @@ def brute_force_lift(f: Poly) -> Poly:
         assert solution is not None, "brute-force lift system was not uniquely solvable"
         for lam_poly, coeff in zip(basis, solution):
             if coeff:
-                total = total + (lam_poly * Poly.pi(n + 1, pi_exp)).scale(coeff)
+                total = add(total, scale(mul(lam_poly, pi(n + 1, pi_exp)), coeff))
     return total
 
 
@@ -189,9 +196,9 @@ def epsilon_lift(f: Poly) -> Poly:
             if bit:
                 zeroed = eval_zero(zeroed, j)
         zeroed = zeroed.embed(n + 1)
-        inner = Poly.zero(n + 1)
+        inner = Poly(n + 1, {})
         for i in range(1, n + 1):
             if all(bits[j - 1] == 0 for j in range(i + 1, n + 1)):
-                inner = inner + _substitute_var(zeroed, i, n + 1)
-        total = total + inner.scale((-1) ** sum(bits))
+                inner = add(inner, _substitute_var(zeroed, i, n + 1))
+        total = add(total, scale(inner, (-1) ** sum(bits)))
     return total

@@ -1,12 +1,17 @@
-"""Dense reference implementations of the relations at L = 2*pi*i, and of
-rendering.
+"""Dense reference implementations of the polynomial ring, of the relations
+at L = 2*pi*i, and of rendering.
+
+``Poly`` has no arithmetic; the ring here (``const``, ``var``, ``pi``,
+``add``, ``scale``, ``mul``) builds and combines term maps through
+``Poly.from_terms``, which sums repeated keys and drops zeros.  The tests
+state expected polynomials with it and use it as the reference arithmetic.
 
 The package evaluates at 2*pi*i only by symmetry orbit
 (``symmetric.at_two_pi_i``).  The functions here do the same work on the
 dense term map of ``Poly``, one monomial at a time, with no orbit code at
 all, so the tests can hold the orbit code against them.  They also carry
 the dense calculus and inspection helpers the tests use to state
-properties of polynomials.  Variable indices are 1-based, as in ``Poly``.
+properties of polynomials.  Variable indices are 1-based (L1..Ln).
 
 The rendering half is the straightforward printer: the canonical order by
 a key function, one term formatted at a time, and a recursive generator
@@ -28,10 +33,49 @@ from wpvol.volume import ConsistencyError, VolumePolynomial
 _F0 = Fraction(0)
 
 
-def _check_index(p: Poly, k: int) -> int:
-    if not 1 <= k <= p.n_vars:
-        raise IndexError(f"variable index {k} out of range 1..{p.n_vars}")
+def _check_index(n: int, k: int) -> int:
+    if not 1 <= k <= n:
+        raise IndexError(f"variable index {k} out of range 1..{n}")
     return k - 1
+
+
+# ----------------------------------------------------------------------
+# the ring: monomials, sums, products and scaling of term maps; adding or
+# multiplying polynomials in different variable counts raises ValueError
+
+
+def const(n: int, value) -> Poly:
+    return Poly.from_terms(n, {(0,) * (n + 1): value})
+
+
+def var(n: int, k: int, power: int = 1) -> Poly:
+    """The monomial L_k**power in n variables."""
+    key = [0] * (n + 1)
+    key[_check_index(n, k)] = power
+    return Poly.from_terms(n, {tuple(key): 1})
+
+
+def pi(n: int, power: int = 1) -> Poly:
+    return Poly.from_terms(n, {(0,) * n + (power,): 1})
+
+
+def add(*ps: Poly) -> Poly:
+    return Poly.from_terms(ps[0].n_vars, [item for p in ps for item in p.terms.items()])
+
+
+def scale(p: Poly, c) -> Poly:
+    return Poly.from_terms(p.n_vars, {key: c * v for key, v in p.terms.items()})
+
+
+def mul(p: Poly, q: Poly) -> Poly:
+    return Poly.from_terms(
+        p.n_vars,
+        [
+            (tuple(a + b for a, b in zip(ka, kb, strict=True)), ca * cb)
+            for ka, ca in p.terms.items()
+            for kb, cb in q.terms.items()
+        ],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +119,7 @@ def is_symmetric(p: Poly) -> bool:
 
 def ddx(p: Poly, k: int) -> Poly:
     """Exact partial derivative with respect to L_k."""
-    i = _check_index(p, k)
+    i = _check_index(p.n_vars, k)
     out: dict = {}
     for key, c in p.terms.items():
         e = key[i]
@@ -93,7 +137,7 @@ def eval_two_pi_i(p: Poly, k: int) -> Poly:
     L_k absent.  An odd power of L_k would leave an imaginary value, so it
     raises ValueError.
     """
-    i = _check_index(p, k)
+    i = _check_index(p.n_vars, k)
     out: dict = {}
     for key, c in p.terms.items():
         j = key[i]
@@ -112,7 +156,7 @@ def eval_two_pi_i(p: Poly, k: int) -> Poly:
 
 def eval_zero(p: Poly, k: int) -> Poly:
     """Substitute L_k = 0 (keeps the variable count)."""
-    i = _check_index(p, k)
+    i = _check_index(p.n_vars, k)
     return Poly(p.n_vars, {key: c for key, c in p.terms.items() if not key[i]})
 
 
@@ -128,7 +172,7 @@ def coeff_pi(p: Poly, pi_exp: int) -> Poly:
 
 def drop_var(p: Poly, k: int) -> Poly:
     """Remove variable k, which must be absent from every monomial."""
-    i = _check_index(p, k)
+    i = _check_index(p.n_vars, k)
     out = {}
     for key, c in p.terms.items():
         if key[i]:
@@ -139,7 +183,7 @@ def drop_var(p: Poly, k: int) -> Poly:
 
 def divide_by_var(p: Poly, k: int) -> Poly:
     """Exact division by L_k; every monomial must contain L_k."""
-    i = _check_index(p, k)
+    i = _check_index(p.n_vars, k)
     out = {}
     for key, c in p.terms.items():
         if not key[i]:
@@ -150,15 +194,13 @@ def divide_by_var(p: Poly, k: int) -> Poly:
 
 def euler_poly(p: Poly) -> Poly:
     """sum_j L_j * dp/dL_j; scales a term of L-degree 2d by 2d."""
-    total = Poly.zero(p.n_vars)
-    for k in range(1, p.n_vars + 1):
-        total = total + Poly.var(p.n_vars, k) * ddx(p, k)
-    return total
+    n = p.n_vars
+    return add(Poly(n, {}), *(mul(var(n, k), ddx(p, k)) for k in range(1, n + 1)))
 
 
 def divide_boundary_quadratic(p: Poly, k: int) -> Poly:
     """Exact division by (L_k^2 + 4 pi^2); raises on a nonzero remainder."""
-    i = _check_index(p, k)
+    i = _check_index(p.n_vars, k)
     work = dict(p.terms)
     quotient: dict = {}
     max_e = max((key[i] for key in work), default=0)
@@ -192,10 +234,10 @@ def divide_boundary_quadratic(p: Poly, k: int) -> Poly:
 def string_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
     """V(g, n+1)(L, 2*pi*i) minus sum_k integral_0^{L_k} L_k V(g, n) dL_k."""
     m = bigger.n
-    rhs = Poly.zero(smaller.n)
-    for k in range(1, smaller.n + 1):
-        rhs = rhs + _integrate_times_var(smaller.poly, k)
-    return eval_two_pi_i(bigger.poly, m) - rhs.embed(m)
+    n = smaller.n
+    parts = (_integrate_times_var(smaller.poly, k) for k in range(1, n + 1))
+    rhs = add(Poly(n, {}), *parts)
+    return add(eval_two_pi_i(bigger.poly, m), scale(rhs.embed(m), -1))
 
 
 def _integrate_times_var(p: Poly, k: int) -> Poly:
@@ -214,14 +256,15 @@ def dilaton_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
     m = bigger.n
     lhs = eval_two_pi_i(divide_by_var(ddx(bigger.poly, m), m), m)
     factor = 2 * smaller.g - 2 + smaller.n
-    return lhs - smaller.poly.scale(factor).embed(m)
+    return add(lhs, scale(smaller.poly, -factor).embed(m))
 
 
 def second_derivative_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
     m = bigger.n
     lhs = eval_two_pi_i(ddx(ddx(bigger.poly, m), m), m)
     factor = 4 * smaller.g - 4 + smaller.n
-    return lhs - (euler_poly(smaller.poly) - smaller.poly.scale(factor)).embed(m)
+    rhs = add(euler_poly(smaller.poly), scale(smaller.poly, -factor))
+    return add(lhs, scale(rhs.embed(m), -1))
 
 
 def boundary_cofactor(vol: VolumePolynomial) -> Poly:
@@ -230,7 +273,7 @@ def boundary_cofactor(vol: VolumePolynomial) -> Poly:
 
 def closed_volume(vol: VolumePolynomial) -> Poly:
     cofactor = boundary_cofactor(vol)
-    return drop_var(eval_two_pi_i(cofactor, 1), 1).scale(Fraction(1, vol.g - 1))
+    return scale(drop_var(eval_two_pi_i(cofactor, 1), 1), Fraction(1, vol.g - 1))
 
 
 # ----------------------------------------------------------------------

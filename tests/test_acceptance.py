@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
+import wpvol.mirzakhani
 from wpvol.cli import main, run_verification
 from wpvol.compute import lift_volume
 from wpvol.intersections import (
@@ -28,9 +29,10 @@ from wpvol.store import VolumeStore, parse_entry, serialize_entry
 from wpvol.stringdilaton import boundary_cofactor, closed_volume
 from wpvol.symmetric import stratified_lift
 from wpvol.volume import seed_volume
-from conftest import random_symmetric_even
+from conftest import random_symmetric_even, reversed_split_product
 from dense_oracle import (
     coeff_monomial,
+    const,
     drop_var,
     eval_two_pi_i,
     is_homogeneous,
@@ -129,17 +131,16 @@ def test_criterion_05_generalized_identities_exhaustive(shared_store, capsys):
         report(5, f"{total} identity instances hold ({total - vacuous} nontrivial)")
 
 
-def test_criterion_06_factorization_and_closed_volume(shared_store, capsys):
-    from wpvol.poly import Poly
-
+def test_criterion_06_factorization_and_closed_volume(shared_store, capsys, monkeypatch):
     v11 = seed_volume(1, 1)
-    assert boundary_cofactor(v11) == Poly.const(1, Fraction(1, 48))
+    assert boundary_cofactor(v11) == const(1, Fraction(1, 48))
     v21 = mirzakhani_volume(2, 1, shared_store)
     cofactor = boundary_cofactor(v21)
     assert l_degree(cofactor) == 6
-    value_forward = closed_volume(v21)
-    v21_reversed = mirzakhani_volume(2, 1, VolumeStore(), split_reverse=True)
-    value_backward = closed_volume(v21_reversed)
+    value_forward = closed_volume(v21).poly
+    monkeypatch.setattr(wpvol.mirzakhani, "product", reversed_split_product)
+    v21_reversed = mirzakhani_volume(2, 1, VolumeStore())
+    value_backward = closed_volume(v21_reversed).poly
     assert value_forward == value_backward
     # golden value, derived once through the recursion and pinned
     assert coeff_monomial(value_forward, (), 6) == Fraction(43, 2160)

@@ -130,6 +130,23 @@ class TestExport:
         assert code == 0
         assert json.loads(out)["n"] == 5
 
+    @pytest.mark.parametrize("g, n", [(0, 4), (1, 3)])
+    def test_reports_stored_provenance(self, capsys, cache, monkeypatch, g, n):
+        # a volume the kernel recursion stored is exported as it is,
+        # without running the lift chain again
+        code, _, _ = run(capsys, "--cache-dir", cache, "compute", "--method",
+                         "mirzakhani", "--genus", str(g), "--boundaries", str(n))
+        assert code == 0
+
+        def fail(*args):
+            raise AssertionError("export recomputed a stored volume")
+
+        monkeypatch.setattr(wpvol.compute, "lift_volume", fail)
+        code, out, _ = run(capsys, "--cache-dir", cache, "export",
+                           "--format", "json", "--genus", str(g), "--boundaries", str(n))
+        assert code == 0
+        assert json.loads(out)["provenance"] == "mirzakhani"
+
     def test_output_file(self, capsys, tmp_path, cache):
         target = tmp_path / "out.json"
         code, out, _ = run(capsys, "--cache-dir", cache, "export",

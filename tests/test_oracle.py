@@ -129,8 +129,8 @@ def test_cofactor_and_closed_volume_match_dense(store, g):
     shifted = VolumePolynomial(g, 1, {key: c for key, c in shifted.items() if c})
     assert boundary_cofactor(shifted) == dense.boundary_cofactor(shifted)
     if g >= 2:
-        assert closed_volume(v) == dense.closed_volume(v)
-        assert closed_volume(v).orbit_coefficients() == volume(store, g, 0).orbits
+        assert closed_volume(v).poly == dense.closed_volume(v)
+        assert closed_volume(v).orbits == volume(store, g, 0).orbits
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -206,7 +206,7 @@ def test_render_matches_dense_on_random_polys(rng):
         n = rng.randint(0, 5)
         p = random_poly(rng, n, max_terms=rng.randint(0, 10), max_exp=rng.randint(1, 4))
         assert_renders_like_dense(p)
-        assert_renders_like_dense(-p)
+        assert_renders_like_dense(dense.scale(p, -1))
         seen.add("zero" if not p else "nonzero")
         if not dense.is_symmetric(p):
             seen.add("asymmetric")

@@ -8,8 +8,10 @@ from wpvol.poly import Poly, arrangements
 from wpvol.store import VolumeStore, serialize_entry
 from conftest import random_poly
 from dense_oracle import (
+    add,
     coeff_monomial,
     coeff_pi,
+    const,
     ddx,
     divide_by_var,
     drop_var,
@@ -17,11 +19,15 @@ from dense_oracle import (
     eval_zero,
     is_homogeneous,
     is_symmetric,
+    mul,
+    pi,
+    scale,
+    var,
 )
 
 
 def L(n, k, power=1):
-    return Poly.var(n, k, power)
+    return var(n, k, power)
 
 
 def random_even_poly(rng, n_vars) -> Poly:
@@ -40,32 +46,32 @@ class TestConstruction:
 
     def test_additive_inverse_is_empty(self):
         p = L(1, 1, 2)
-        assert not (p + (-p)).terms
+        assert not add(p, scale(p, -1)).terms
 
     def test_monomial_product(self):
-        assert L(1, 1, 2) * Poly.pi(1, 2) == Poly.from_terms(1, {(2, 2): 1})
+        assert mul(L(1, 1, 2), pi(1, 2)) == Poly.from_terms(1, {(2, 2): 1})
 
     def test_scale_produces_torus_seed(self, v11):
-        shape = L(1, 1, 2) + Poly.pi(1, 2).scale(4)
-        assert shape.scale(Fraction(1, 48)) == v11.poly
+        shape = add(L(1, 1, 2), scale(pi(1, 2), 4))
+        assert scale(shape, Fraction(1, 48)) == v11.poly
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            L(1, 1) + L(2, 1)
+            add(L(1, 1), L(2, 1))
         with pytest.raises(ValueError):
-            L(1, 1) * L(2, 1)
+            mul(L(1, 1), L(2, 1))
 
 
 class TestCalculus:
     def test_ddx_power_rule(self):
-        assert ddx(L(1, 1, 2), 1) == L(1, 1).scale(2)
+        assert ddx(L(1, 1, 2), 1) == scale(L(1, 1), 2)
 
     def test_ddx_of_constant_in_that_variable(self):
-        assert not ddx(Poly.pi(1, 2), 1)
+        assert not ddx(pi(1, 2), 1)
 
     def test_ddx_other_variable(self):
-        p = L(2, 1) * L(2, 2, 3)
-        assert ddx(p, 2) == (L(2, 1) * L(2, 2, 2)).scale(3)
+        p = mul(L(2, 1), L(2, 2, 3))
+        assert ddx(p, 2) == scale(mul(L(2, 1), L(2, 2, 2)), 3)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -76,7 +82,7 @@ class TestCalculus:
 
 class TestSubstitution:
     def test_square_becomes_minus_four_pi_squared(self):
-        assert eval_two_pi_i(L(1, 1, 2), 1) == Poly.pi(1, 2).scale(-4)
+        assert eval_two_pi_i(L(1, 1, 2), 1) == scale(pi(1, 2), -4)
 
     def test_odd_power_rejected(self):
         # L1 = 2*pi*i is imaginary; volumes never contain odd powers
@@ -84,18 +90,17 @@ class TestSubstitution:
             eval_two_pi_i(L(1, 1), 1)
 
     def test_root_of_boundary_factor(self):
-        p = L(1, 1, 2) + Poly.pi(1, 2).scale(4)
+        p = add(L(1, 1, 2), scale(pi(1, 2), 4))
         assert not eval_two_pi_i(p, 1)
 
     def test_eval_zero(self):
-        p = L(2, 1) * L(2, 2) + L(2, 2, 2)
+        p = add(mul(L(2, 1), L(2, 2)), L(2, 2, 2))
         assert eval_zero(p, 1) == L(2, 2, 2)
 
     def test_coeff_pi_reads_off(self):
-        p = Poly.pi(3, 2).scale(2) + sum(
-            (L(3, k, 2).scale(Fraction(1, 2)) for k in (1, 2, 3)), Poly.zero(3)
-        )
-        assert coeff_pi(p, 2) == Poly.const(3, 2)
+        halves = (scale(L(3, k, 2), Fraction(1, 2)) for k in (1, 2, 3))
+        p = add(scale(pi(3, 2), 2), *halves)
+        assert coeff_pi(p, 2) == const(3, 2)
 
     def test_substitutions_are_ring_homomorphisms(self, rng):
         for _ in range(20):
@@ -103,9 +108,10 @@ class TestSubstitution:
             p = random_even_poly(rng, n)
             q = random_even_poly(rng, n)
             k = rng.randint(1, n)
-            assert eval_two_pi_i(p * q, k) == eval_two_pi_i(p, k) * eval_two_pi_i(q, k)
-            assert eval_zero(p * q, k) == eval_zero(p, k) * eval_zero(q, k)
-            assert eval_two_pi_i(p + q, k) == eval_two_pi_i(p, k) + eval_two_pi_i(q, k)
+            at_root = [eval_two_pi_i(p, k), eval_two_pi_i(q, k)]
+            assert eval_two_pi_i(mul(p, q), k) == mul(*at_root)
+            assert eval_zero(mul(p, q), k) == mul(eval_zero(p, k), eval_zero(q, k))
+            assert eval_two_pi_i(add(p, q), k) == add(*at_root)
 
 
 class TestRingAxioms:
@@ -115,29 +121,29 @@ class TestRingAxioms:
             p = random_poly(rng, n)
             q = random_poly(rng, n)
             r = random_poly(rng, n)
-            assert (p + q) + r == p + (q + r)
-            assert p + q == q + p
-            assert p * q == q * p
-            assert (p * q) * r == p * (q * r)
-            assert p * (q + r) == p * q + p * r
+            assert add(add(p, q), r) == add(p, add(q, r))
+            assert add(p, q) == add(q, p)
+            assert mul(p, q) == mul(q, p)
+            assert mul(mul(p, q), r) == mul(p, mul(q, r))
+            assert mul(p, add(q, r)) == add(mul(p, q), mul(p, r))
             c = Fraction(3, 7)
-            assert (p + q).scale(c) == p.scale(c) + q.scale(c)
+            assert scale(add(p, q), c) == add(scale(p, c), scale(q, c))
 
 
 class TestStructure:
     def test_is_symmetric_false(self):
-        assert not is_symmetric(L(2, 1, 2) * L(2, 2))
+        assert not is_symmetric(mul(L(2, 1, 2), L(2, 2)))
 
     def test_is_symmetric_true(self):
-        p = L(2, 1, 2) + L(2, 2, 2)
+        p = add(L(2, 1, 2), L(2, 2, 2))
         assert is_symmetric(p)
 
     def test_symmetric_needs_equal_coefficients(self):
-        p = L(2, 1, 2) + L(2, 2, 2).scale(2)
+        p = add(L(2, 1, 2), scale(L(2, 2, 2), 2))
         assert not is_symmetric(p)
 
     def test_embed(self):
-        p = L(2, 1) * L(2, 2)
+        p = mul(L(2, 1), L(2, 2))
         q = p.embed(4)
         assert q.n_vars == 4
         assert coeff_monomial(q, (1, 1, 0, 0), 0) == 1
@@ -147,21 +153,21 @@ class TestStructure:
             L(3, 1).embed(2)
 
     def test_drop_var(self):
-        p = drop_var(L(3, 1) * L(3, 3), 2)
-        assert p == L(2, 1) * L(2, 2)
+        p = drop_var(mul(L(3, 1), L(3, 3)), 2)
+        assert p == mul(L(2, 1), L(2, 2))
         with pytest.raises(ValueError):
             drop_var(L(3, 2), 2)
 
     def test_divide_by_var(self):
-        p = L(2, 1, 3) * L(2, 2)
-        assert divide_by_var(p, 1) == L(2, 1, 2) * L(2, 2)
+        p = mul(L(2, 1, 3), L(2, 2))
+        assert divide_by_var(p, 1) == mul(L(2, 1, 2), L(2, 2))
         with pytest.raises(ValueError):
             divide_by_var(L(2, 2), 1)
 
     def test_homogeneity_helpers(self):
-        p = L(2, 1, 2) + Poly.pi(2, 2)
+        p = add(L(2, 1, 2), pi(2, 2))
         assert is_homogeneous(p, 2)
-        assert not is_homogeneous(p + 1, 2)
+        assert not is_homogeneous(add(p, const(2, 1)), 2)
 
 
 class TestFormatting:
@@ -169,11 +175,11 @@ class TestFormatting:
         assert str(v11.poly) == "(1/48)*L1^2 + (1/12)*pi^2"
 
     def test_integer_coefficients_bare(self):
-        p = Poly.pi(1, 2).scale(2)
+        p = scale(pi(1, 2), 2)
         assert str(p) == "2*pi^2"
 
     def test_zero(self):
-        assert str(Poly.zero(2)) == "0"
+        assert str(Poly(2, {})) == "0"
 
     def test_latex(self, v11):
         assert v11.poly.to_latex() == "\\frac{1}{48}L_{1}^{2} + \\frac{1}{12}\\pi^{2}"
