@@ -45,6 +45,17 @@ Orbit agreement: every orbit (sorted exponents, pi power) must be reached
 from each of its distinct values in the L1 slot, all with one coefficient,
 or ConsistencyError is raised and nothing is stored; the agreed
 coefficients are the stored volume.
+
+Arithmetic.  The inner loops run on int, over one denominator per node.
+Each lower volume enters as integer numerators over the least common
+denominator of its coefficients.  The A-term inputs (the connected term and
+each disconnected split, a product of two lower volumes) are rescaled by one
+integer each onto a common denominator, summed by s = a + b with
+(2a+1)!(2b+1)! folded into the numerator, and met with F_{2s+3}/(2s+3)! once
+per (s, pi power) instead of once per (a, b).  The moments are integer
+tables over the node denominator, built for each node from the module-level
+``moment_F`` and ``pair_moment``.  A Fraction is built only at the output:
+one per (a1, orbit), the numerator over the node denominator times a1 + 1.
 """
 
 from __future__ import annotations
@@ -116,18 +127,6 @@ def moment_F(k: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def double_moment(a: int, b: int) -> Poly:
-    """integral over x, y > 0 of x^(2a+1) y^(2b+1) H(x+y, t) dx dy, in t."""
-    if a < 0 or b < 0:
-        raise ValueError("moment indices must be nonnegative")
-    beta = Fraction(
-        math.factorial(2 * a + 1) * math.factorial(2 * b + 1),
-        math.factorial(2 * a + 2 * b + 3),
-    )
-    return Poly(1, {key: c * beta for key, c in moment_F(a + b + 1).terms.items()})
-
-
-@lru_cache(maxsize=None)
 def pair_moment(k: int) -> Poly:
     """F_{2k+1}(u + v) + F_{2k+1}(u - v) as a two-variable polynomial.
 
@@ -157,7 +156,8 @@ def _tails(length: int, budget: int, top: int):
 def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
     """Compute V(g, n) by the kernel recursion, memoizing through a store.
 
-    Runs on representatives and checks orbit agreement (module docstring).
+    Runs on representatives and checks orbit agreement, in integer
+    arithmetic over one denominator (module docstring).
     """
     require_stable(g, n)
     if n < 1:
@@ -171,67 +171,110 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
     if cached is not None:
         return cached
 
-    def index(gg: int, nn: int, head: int) -> dict:
-        # sorted tail -> [(head exponents, pi exponent, coefficient)], one
-        # entry per way of taking `head` ordered values out of an orbit
+    def index(gg: int, nn: int, head: int, weigh) -> tuple[int, dict]:
+        # (LCD of V(gg, nn), sorted tail -> [(key, numerator)]): over the
+        # ways of taking `head` ordered values out of an orbit, the orbit's
+        # numerator over the LCD times weigh's factor, summed by weigh's key.
+        # The tail and the key fix the pi exponent, as V(gg, nn) is
+        # homogeneous.
         out: dict = {}
-        if is_stable(gg, nn):
-            for (pattern, p), c in mirzakhani_volume(gg, nn, store).orbits.items():
-                for heads, tail in _take(pattern, head):
-                    out.setdefault(tail, []).append((heads, p, c))
-        return out
+        if nn < 1 or not is_stable(gg, nn):
+            return 1, out
+        orbits = mirzakhani_volume(gg, nn, store).orbits
+        den = math.lcm(*(c.denominator for c in orbits.values()))
+        for (pattern, _), c in orbits.items():
+            num = c.numerator * (den // c.denominator)
+            for heads, tail in _take(pattern, head):
+                key, w = weigh(heads)
+                terms = out.setdefault(tail, {})
+                terms[key] = terms.get(key, 0) + num * w
+        return den, {tail: list(terms.items()) for tail, terms in out.items()}
 
-    connected = index(g - 1, n + 1, 2)
-    lower = {
-        (gg, nn): index(gg, nn, 1)
-        for gg in range(g + 1)
-        for nn in range(1, n + 1)
-        if (gg, nn) != (g, n)
+    # A-term inputs carry (2a+1)!(2b+1)! and are keyed by s = a + b;
+    # B-term inputs are keyed by k = a
+    def by_sum(heads):
+        return sum(heads) // 2, math.prod(math.factorial(x + 1) for x in heads)
+
+    def by_index(heads):
+        return heads[0] // 2, 1
+
+    d_conn, connected = index(g - 1, n + 1, 2, by_sum)
+    # V(g, n-1) and V(g, n) have no stable partner in a split
+    dens, lower = {}, {}
+    for gg in range(g + 1):
+        for nn in range(1, n - 1 if gg == g else n + 1):
+            dens[gg, nn], lower[gg, nn] = index(gg, nn, 1, by_sum)
+    d_pair, pair_lower = index(g, n - 1, 1, by_index)
+    # one denominator for the A-term inputs: each disconnected split, a
+    # product of two lower volumes, is rescaled by one integer
+    split_den = {
+        (g1, n1): dens[g1, n1] * dens[g - g1, n + 1 - n1]
+        for g1, n1 in lower
+        if is_stable(g1, n1) and is_stable(g - g1, n + 1 - n1)
     }
-    reps: dict = {}  # (a1, beta, pi exponent) -> coefficient of d(L1 V)/dL1
+    d_a = math.lcm(d_conn, *split_den.values())
+    rescale = {key: d_a // d for key, d in split_den.items()}
+    r_conn = d_a // d_conn
+
     degree = 6 * g - 6 + 2 * n
+    half = degree // 2
+    d_node, a_table, b_table = _moment_tables(half, d_a, d_pair)
+
+    orbits: dict = {}  # (pattern, pi) -> {a1: coefficient}
     for beta in _tails(n - 1, degree, degree):
         mult = Counter(beta)
         values = sorted(mult, reverse=True)
-        # double-moment inputs (a, b, pi) and pair-moment inputs (k, v, pi)
-        doubles, pairs = {}, {}
-        for (x, y), p, c in connected.get(beta, ()):
-            key = (x // 2, y // 2, p)
-            doubles[key] = doubles.get(key, 0) + c
-        for g1, nu in product(range(g + 1), product(*(range(mult[v] + 1) for v in values))):
-            beta1 = tuple(v for v, k in zip(values, nu) for _ in range(k))
-            beta2 = tuple(v for v, k in zip(values, nu) for _ in range(mult[v] - k))
-            left = lower.get((g1, len(beta1) + 1), {}).get(beta1)
-            right = lower.get((g - g1, len(beta2) + 1), {}).get(beta2)
+        rest = degree - sum(beta)  # L1 and pi degree of the output at beta
+        # A-term inputs by s = a + b, over d_a, at pi exponent rest - 4 - 2s
+        grouped = [0] * (half - 1)
+        for s, c in connected.get(beta, ()):
+            grouped[s] = c * r_conn
+        # each split of the multiset beta, taking k of the m copies of each
+        # value, with its number of label subsets of L2..Ln, prod C(m, k)
+        splits = [((), (), 1)]
+        for v in values:
+            m = mult[v]
+            splits = [
+                (beta1 + (v,) * k, beta2 + (v,) * (m - k), subsets * math.comb(m, k))
+                for (beta1, beta2, subsets), k in product(splits, range(m + 1))
+            ]
+        for g1, (beta1, beta2, subsets) in product(range(g + 1), splits):
+            n1 = len(beta1) + 1
+            scale = rescale.get((g1, n1))
+            if scale is None:
+                continue
+            left = lower[g1, n1].get(beta1)
+            right = lower[g - g1, n + 1 - n1].get(beta2)
             if not left or not right:
                 continue
-            # label subsets of L2..Ln that carry this sub-multiset
-            weight = math.prod(math.comb(mult[v], k) for v, k in zip(values, nu))
-            for (x1,), p1, c1 in left:
-                for (x2,), p2, c2 in right:
-                    key = (x1 // 2, x2 // 2, p1 + p2)
-                    doubles[key] = doubles.get(key, 0) + weight * c1 * c2
+            weight = scale * subsets
+            for a1, c1 in left:
+                c1 *= weight
+                for a2, c2 in right:
+                    grouped[a1 + a2] += c1 * c2
+        reps: dict = {}  # (a1, pi) -> numerator of d(L1 V)/dL1 over d_node
+        for s, c in enumerate(grouped):
+            if c:
+                p = rest - 4 - 2 * s
+                for t, q, mom in a_table[s]:
+                    key = (t, p + q)
+                    reps[key] = reps.get(key, 0) + c * mom
+        # B-term inputs (k, v) over d_pair, at pi exponent rest - 2 + v - 2k
         for v in values:
             i = beta.index(v)
-            for (x,), p, c in lower.get((g, n - 1), {}).get(beta[:i] + beta[i + 1:], ()):
-                key = (x // 2, v, p)
-                pairs[key] = pairs.get(key, 0) + mult[v] * c
-        for (a, b, p), c in doubles.items():
-            for (t, q), mc in double_moment(a, b).terms.items():
-                key = (t, beta, p + q)
-                reps[key] = reps.get(key, 0) + c * mc
-        for (k, v, p), c in pairs.items():
-            for (t, w, q), mc in pair_moment(k).terms.items():
-                if w == v:
-                    key = (t, beta, p + q)
-                    reps[key] = reps.get(key, 0) + c * mc
+            for k, c in pair_lower.get(beta[:i] + beta[i + 1:], ()):
+                c *= mult[v]
+                p = rest - 2 + v - 2 * k
+                for t, q, mom in b_table[k].get(v, ()):
+                    key = (t, p + q)
+                    reps[key] = reps.get(key, 0) + c * mom
+        # integrate from 0 in L1 and divide by L1
+        for (a1, p), c in reps.items():
+            if c:
+                sig = (tuple(sorted((a1,) + beta, reverse=True)), p)
+                orbits.setdefault(sig, {})[a1] = Fraction(c, d_node * (a1 + 1))
 
-    # integrate from 0 in L1 and divide by L1, then check every orbit
-    orbits: dict = {}
-    for (a1, beta, p), c in reps.items():
-        if c:
-            sig = (tuple(sorted((a1,) + beta, reverse=True)), p)
-            orbits.setdefault(sig, {})[a1] = c / (a1 + 1)
+    # check every orbit
     result = {}
     for (pattern, p), reach in orbits.items():
         coeffs = set(reach.values())
@@ -245,6 +288,39 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
     vol = VolumePolynomial(g, n, result)
     store.put(vol, "mirzakhani")
     return vol
+
+
+def _moment_tables(half: int, d_a: int, d_b: int) -> tuple[int, list, list]:
+    """The moments of one node as integer tables over one denominator d.
+
+    Returns (d, A, B).  A[s], for s < half - 1, lists (t, q, numerator) of
+    F_{2s+3}(t) / (2s+3)!; B[k], for k < half, maps the exponent of Lj in
+    pair_moment(k) to its (t, q, numerator).  The A-term inputs are over d_a
+    and the B-term inputs over d_b, so each product of an input and a table
+    entry is over d.  Built from the current module-level moments.
+    """
+    a_terms = [
+        [(t, q, c.numerator, c.denominator * math.factorial(2 * s + 3))
+         for (t, q), c in moment_F(s + 1).terms.items()]
+        for s in range(half - 1)
+    ]
+    b_terms = [
+        [(t, w, q, c.numerator, c.denominator)
+         for (t, w, q), c in pair_moment(k).terms.items()]
+        for k in range(half)
+    ]
+    den_a = math.lcm(*(e[-1] for terms in a_terms for e in terms))
+    den_b = math.lcm(*(e[-1] for terms in b_terms for e in terms))
+    d = math.lcm(d_a * den_a, d_b * den_b)
+    f_a, f_b = d // d_a, d // d_b
+    a_table = [[(t, q, num * (f_a // den)) for t, q, num, den in terms] for terms in a_terms]
+    b_table = []
+    for terms in b_terms:
+        by_w: dict = {}
+        for t, w, q, num, den in terms:
+            by_w.setdefault(w, []).append((t, q, num * (f_b // den)))
+        b_table.append(by_w)
+    return d, a_table, b_table
 
 
 def _take(pattern: tuple, head: int):

@@ -13,6 +13,10 @@ all, so the tests can hold the orbit code against them.  They also carry
 the dense calculus and inspection helpers the tests use to state
 properties of polynomials.  Variable indices are 1-based (L1..Ln).
 
+The kernel half is the recursion as it ran on ``Fraction`` coefficients,
+one double moment per (a, b) and one product per term; the package's
+integer recursion must give the same orbit maps.
+
 The rendering half is the straightforward printer: the canonical order by
 a key function, one term formatted at a time, and a recursive generator
 of arrangements.  The package's table-driven renderer must match it byte
@@ -22,13 +26,23 @@ for byte.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
+from wpvol.mirzakhani import _tails, _take, moment_F, pair_moment
 from wpvol.poly import Poly
 from wpvol.store import SCHEMA_VERSION
-from wpvol.volume import ConsistencyError, VolumePolynomial
+from wpvol.volume import (
+    ConsistencyError,
+    VolumePolynomial,
+    is_seed,
+    is_stable,
+    require_stable,
+)
 
 _F0 = Fraction(0)
 
@@ -274,6 +288,102 @@ def boundary_cofactor(vol: VolumePolynomial) -> Poly:
 def closed_volume(vol: VolumePolynomial) -> Poly:
     cofactor = boundary_cofactor(vol)
     return scale(drop_var(eval_two_pi_i(cofactor, 1), 1), Fraction(1, vol.g - 1))
+
+
+# ----------------------------------------------------------------------
+# the kernel recursion, one Fraction product per term
+
+
+@lru_cache(maxsize=None)
+def double_moment(a: int, b: int) -> Poly:
+    """integral over x, y > 0 of x^(2a+1) y^(2b+1) H(x+y, t) dx dy, in t."""
+    if a < 0 or b < 0:
+        raise ValueError("moment indices must be nonnegative")
+    beta = Fraction(
+        math.factorial(2 * a + 1) * math.factorial(2 * b + 1),
+        math.factorial(2 * a + 2 * b + 3),
+    )
+    return Poly(1, {key: c * beta for key, c in moment_F(a + b + 1).terms.items()})
+
+
+def reference_volume(g: int, n: int, store) -> VolumePolynomial:
+    """V(g, n) by the kernel recursion on Fraction coefficients, with every
+    lower volume from this function too; stored as ``mirzakhani``."""
+    require_stable(g, n)
+    if n < 1:
+        raise ValueError("the kernel recursion needs a distinguished boundary")
+    if is_seed(g, n):
+        return store.seed(g, n)
+    cached = store.get(g, n, provenance="mirzakhani")
+    if cached is not None:
+        return cached
+
+    def index(gg: int, nn: int, head: int) -> dict:
+        # sorted tail -> [(head exponents, pi exponent, coefficient)]
+        out: dict = {}
+        if is_stable(gg, nn):
+            for (pattern, p), c in reference_volume(gg, nn, store).orbits.items():
+                for heads, tail in _take(pattern, head):
+                    out.setdefault(tail, []).append((heads, p, c))
+        return out
+
+    connected = index(g - 1, n + 1, 2)
+    lower = {
+        (gg, nn): index(gg, nn, 1)
+        for gg in range(g + 1)
+        for nn in range(1, n + 1)
+        if (gg, nn) != (g, n)
+    }
+    reps: dict = {}  # (a1, beta, pi exponent) -> coefficient of d(L1 V)/dL1
+    degree = 6 * g - 6 + 2 * n
+    for beta in _tails(n - 1, degree, degree):
+        mult = Counter(beta)
+        values = sorted(mult, reverse=True)
+        doubles, pairs = {}, {}
+        for (x, y), p, c in connected.get(beta, ()):
+            key = (x // 2, y // 2, p)
+            doubles[key] = doubles.get(key, 0) + c
+        for g1, nu in product(range(g + 1), product(*(range(mult[v] + 1) for v in values))):
+            beta1 = tuple(v for v, k in zip(values, nu) for _ in range(k))
+            beta2 = tuple(v for v, k in zip(values, nu) for _ in range(mult[v] - k))
+            left = lower.get((g1, len(beta1) + 1), {}).get(beta1)
+            right = lower.get((g - g1, len(beta2) + 1), {}).get(beta2)
+            if not left or not right:
+                continue
+            weight = math.prod(math.comb(mult[v], k) for v, k in zip(values, nu))
+            for (x1,), p1, c1 in left:
+                for (x2,), p2, c2 in right:
+                    key = (x1 // 2, x2 // 2, p1 + p2)
+                    doubles[key] = doubles.get(key, 0) + weight * c1 * c2
+        for v in values:
+            i = beta.index(v)
+            for (x,), p, c in lower.get((g, n - 1), {}).get(beta[:i] + beta[i + 1:], ()):
+                key = (x // 2, v, p)
+                pairs[key] = pairs.get(key, 0) + mult[v] * c
+        for (a, b, p), c in doubles.items():
+            for (t, q), mc in double_moment(a, b).terms.items():
+                key = (t, beta, p + q)
+                reps[key] = reps.get(key, 0) + c * mc
+        for (k, v, p), c in pairs.items():
+            for (t, w, q), mc in pair_moment(k).terms.items():
+                if w == v:
+                    key = (t, beta, p + q)
+                    reps[key] = reps.get(key, 0) + c * mc
+
+    orbits: dict = {}
+    for (a1, beta, p), c in reps.items():
+        if c:
+            sig = (tuple(sorted((a1,) + beta, reverse=True)), p)
+            orbits.setdefault(sig, {})[a1] = c / (a1 + 1)
+    result = {}
+    for (pattern, p), reach in orbits.items():
+        coeffs = set(reach.values())
+        if set(reach) != set(pattern) or len(coeffs) != 1:
+            raise ConsistencyError(f"reference recursion fails orbit agreement for ({g},{n})")
+        result[(pattern, p)] = coeffs.pop()
+    vol = VolumePolynomial(g, n, result)
+    store.put(vol, "mirzakhani")
+    return vol
 
 
 # ----------------------------------------------------------------------

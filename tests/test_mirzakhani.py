@@ -6,7 +6,6 @@ from scipy.integrate import dblquad, quad
 
 from wpvol.mirzakhani import (
     bernoulli_number,
-    double_moment,
     kernel_H,
     mirzakhani_volume,
     moment_F,
@@ -18,10 +17,11 @@ from wpvol.store import VolumeStore
 from wpvol.stringdilaton import genus0_lift, genus1_lift
 from wpvol import mirzakhani
 from wpvol.compute import ensure_volume
-from wpvol.volume import ConsistencyError, UnstableSurfaceError
+from wpvol.volume import ConsistencyError, UnstableSurfaceError, is_stable
 from conftest import reversed_split_product
 from dense_oracle import (
     coeff_monomial,
+    double_moment,
     eval_zero,
     has_even_l_exponents,
     is_homogeneous,
@@ -235,6 +235,52 @@ class TestOrbitCheck:
             mirzakhani_volume(0, 5, store)
         assert store.get(0, 5, provenance="mirzakhani") is None
 
+    def test_moment_tables_follow_a_patched_pair_moment(self, monkeypatch):
+        # integer moment tables built by an earlier recursion must not
+        # outlive a patch of the module-level pair_moment
+        mirzakhani_volume(2, 3, VolumeStore())
+        original = mirzakhani.pair_moment
+
+        def perturbed(k):
+            terms = dict(original(k).terms)
+            terms[(2 * k + 2, 0, 0)] += Fraction(1, 7)
+            return Poly(2, terms)
+
+        monkeypatch.setattr(mirzakhani, "pair_moment", perturbed)
+        store = VolumeStore()
+        with pytest.raises(ConsistencyError, match="orbit-agreement"):
+            mirzakhani_volume(0, 5, store)
+        assert store.get(0, 5, provenance="mirzakhani") is None
+
+
+class TestArithmetic:
+    @pytest.mark.parametrize("g, n", [(3, 1), (1, 6)])
+    def test_one_node_does_no_per_term_fraction_arithmetic(self, monkeypatch, g, n):
+        # with every input stored, V(3,1) took 347 Fraction + and * calls
+        # and V(1,6) 2,357 when each term was a Fraction product; integer
+        # numerators build one Fraction per output coefficient instead
+        store = VolumeStore()
+        for gg in range(g + 1):
+            for nn in range(1, n + 2):
+                if is_stable(gg, nn) and 2 * gg + nn < 2 * g + n:
+                    mirzakhani_volume(gg, nn, store)
+        assert store.get(g, n) is None
+        for k in range(3 * g + n):  # the exact moments are cached once per process
+            moment_F(k), pair_moment(k)
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            def counted(a, b, method=getattr(Fraction, name)):
+                calls.append(method)
+                return method(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        vol = mirzakhani_volume(g, n, store)
+        assert len(calls) <= 2 * len(vol.orbits)
+        # the counter sees both operand orders
+        seen = len(calls)
+        assert 1 + Fraction(1, 2) == 2 * Fraction(3, 4)
+        assert len(calls) == seen + 2
+
 
 class TestLargeGenus:
     def test_closed_volumes_genus_four_and_five(self):
@@ -262,6 +308,39 @@ class TestLargeGenus:
             assert f1 <= e1 and f2 <= e2
             assert h * f1 <= g * e1 and h * f2 <= g * e2
         assert errors[-1][1] < 0.01 and errors[-1][2] < 0.05
+
+    # the kernel recursion to genus 9, once per class
+    @pytest.fixture(scope="class")
+    def store(self):
+        return VolumeStore()
+
+    def test_closed_volumes_genus_six_to_nine(self, store):
+        expected = {
+            6: "(2516292682076619940682627/100667911267123200000)*pi^30",
+            7: "(57836500609415964441264863965730519/14128121232007335641088000000)*pi^36",
+            8: "(1368123622965616841128459067826888556813/"
+            "1421122782748973173309440000000)*pi^42",
+            9: "(18023847789626070555169453784661940895203207456841/"
+            "58595524689402363572010772070400000000)*pi^48",
+        }
+        for g, text in expected.items():
+            assert str(ensure_volume(store, g, 0).poly) == text
+
+    def test_mirzakhani_zograf_trend_to_genus_nine(self, store):
+        # the trend above, further out: both errors keep falling like 1/g
+        def at_zero(g, n):
+            vol = ensure_volume(store, g, n, "mirzakhani")
+            return vol.orbits[((0,) * n, 6 * g - 6 + 2 * n)]
+
+        errors = []
+        for g in range(2, 10):
+            r1 = 4 * (2 * g - 2) * at_zero(g, 0) / at_zero(g, 1)
+            r2 = float(at_zero(g - 1, 2) / at_zero(g, 0)) / math.pi ** 2
+            errors.append((g, abs(float(r1) - 1), abs(r2 - 1)))
+        for (g, e1, e2), (h, f1, f2) in zip(errors, errors[1:]):
+            assert f1 <= e1 and f2 <= e2
+            assert h * f1 <= g * e1 and h * f2 <= g * e2
+        assert errors[-1][1] < 0.007 and errors[-1][2] < 0.04
 
 
 class TestCrossPathRange:

@@ -8,7 +8,8 @@ symmetric perturbations of them, and on random symmetric polynomials.
 A further test checks that computing and verifying build no dense view.
 The rendering tests require the table-driven renderer, the bucketed
 canonical order and the cache serializer to match the term-at-a-time
-reference byte for byte.
+reference byte for byte.  The kernel tests require the integer recursion
+to give the orbit maps, and so the text, of the Fraction recursion.
 """
 
 from fractions import Fraction
@@ -17,9 +18,17 @@ from functools import cached_property
 import pytest
 
 import dense_oracle as dense
-from conftest import partitions, random_poly, random_rational, random_symmetric_even
+from conftest import (
+    partitions,
+    random_poly,
+    random_rational,
+    random_symmetric_even,
+    reversed_split_product,
+)
+from wpvol import mirzakhani
 from wpvol.cli import run_verification
 from wpvol.compute import ensure_volume, lift_volume
+from wpvol.mirzakhani import mirzakhani_volume
 from wpvol.poly import Poly, _arrangement_count, arrangements
 from wpvol.store import VolumeStore, parse_entry, serialize_entry
 from wpvol.stringdilaton import (
@@ -170,6 +179,50 @@ def test_compute_and_verify_build_no_dense_view(monkeypatch):
     # the counter sees a dense view when one is built
     str(store.get(0, 4).poly)
     assert built == [(0, 4)]
+
+
+# ----------------------------------------------------------------------
+# the kernel recursion
+
+KERNEL = (
+    [(g, n) for g in range(4) for n in range(1, 6) if is_stable(g, n)]
+    + [(0, 9), (1, 7)]
+)
+
+
+@pytest.fixture(scope="module")
+def reference_store():
+    return VolumeStore()
+
+
+def reference(reference_store, g, n):
+    if n == 0:
+        return closed_volume(dense.reference_volume(g, 1, reference_store))
+    return dense.reference_volume(g, n, reference_store)
+
+
+def assert_same_volume(got: VolumePolynomial, expected: VolumePolynomial) -> None:
+    assert got.orbits == expected.orbits
+    assert str(got.poly) == str(expected.poly)
+
+
+@pytest.mark.parametrize("g, n", KERNEL)
+def test_kernel_matches_fraction_reference(store, reference_store, g, n):
+    assert_same_volume(mirzakhani_volume(g, n, store), reference(reference_store, g, n))
+
+
+@pytest.mark.parametrize("g", range(2, 8))
+def test_closed_volumes_match_fraction_reference(store, reference_store, g):
+    assert_same_volume(ensure_volume(store, g, 0), reference(reference_store, g, 0))
+
+
+@pytest.mark.parametrize("g, n", [(0, 7), (1, 5), (2, 3), (3, 1), (3, 2)])
+def test_kernel_in_reversed_split_order_matches_reference(
+    monkeypatch, reference_store, g, n
+):
+    monkeypatch.setattr(mirzakhani, "product", reversed_split_product)
+    reversed_order = mirzakhani_volume(g, n, VolumeStore())
+    assert_same_volume(reversed_order, reference(reference_store, g, n))
 
 
 # ----------------------------------------------------------------------
