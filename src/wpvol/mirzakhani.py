@@ -34,13 +34,18 @@ V(0,4) and V(1,2) and is frozen (see the README).
 
 Representatives.  The output is symmetric in L2..Ln, so only coefficients
 at (a1; beta), beta the exponents of L2..Ln in descending order, are
-computed.  Each lower volume is indexed once per call, from its orbits, by
+computed.  Each lower volume is indexed once per volume, from its orbits, by
 its sorted tail (the exponents after the transformed slots); a sub-multiset
-of a sorted beta is sorted, so each read is one lookup.  The disconnected
-term splits the multiset beta, weighting a split that takes nu_v of the
-mu_v copies of each value v by prod C(mu_v, nu_v), its number of label
-subsets; the B-term pairs L1 with each distinct value of beta, weighted by
-its multiplicity.
+of a sorted beta is sorted, so each read is one lookup.  The one-head index,
+which the splits and the B-term of every node above a volume read, is kept
+on the volume object; the two-head index of V(g-1, n+1) is read by V(g, n)
+alone and is built there.  The disconnected term splits the multiset beta,
+weighting a split that takes nu_v of the mu_v copies of each value v by
+prod C(mu_v, nu_v), its number of label subsets.  A split
+(g1, beta1 | g - g1, beta2) and its mirror (g - g1, beta2 | g1, beta1) have
+the same product and weight, so each unordered pair is convolved once, with
+weight 2, or 1 on the diagonal g1 = g - g1, beta1 = beta2.  The B-term pairs
+L1 with each distinct value of beta, weighted by its multiplicity.
 Orbit agreement: every orbit (sorted exponents, pi power) must be reached
 from each of its distinct values in the L1 slot, all with one coefficient,
 or ConsistencyError is raised and nothing is stored; the agreed
@@ -48,14 +53,18 @@ coefficients are the stored volume.
 
 Arithmetic.  The inner loops run on int, over one denominator per node.
 Each lower volume enters as integer numerators over the least common
-denominator of its coefficients.  The A-term inputs (the connected term and
-each disconnected split, a product of two lower volumes) are rescaled by one
-integer each onto a common denominator, summed by s = a + b with
-(2a+1)!(2b+1)! folded into the numerator, and met with F_{2s+3}/(2s+3)! once
-per (s, pi power) instead of once per (a, b).  The moments are integer
-tables over the node denominator, built for each node from the module-level
-``moment_F`` and ``pair_moment``.  A Fraction is built only at the output:
-one per (a1, orbit), the numerator over the node denominator times a1 + 1.
+denominator of its coefficients, with (2a+1)! folded in for each
+transformed exponent 2a.  The A-term inputs (the connected term and each
+disconnected split, a product of two lower volumes) are rescaled by one
+integer each onto a common denominator, summed by s = a + b, and met with
+F_{2s+3}/(2s+3)! once per s instead of once per (a, b); the B-term inputs
+meet pair_moment(k)/(2k+1)!.  The moments are integer tables over the node
+denominator, built for each node from the module-level ``moment_F`` and
+``pair_moment``.  Every term is homogeneous, so the output accumulates by
+L1 exponent alone and the pi exponent follows.  The orbit-agreement check
+runs on the integer numerators c at each a1, comparing c / (a1 + 1) by
+cross-multiplication, and a Fraction is built only once it passes: one per
+orbit, over the node denominator times a1 + 1.
 """
 
 from __future__ import annotations
@@ -171,40 +180,27 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
     if cached is not None:
         return cached
 
-    def index(gg: int, nn: int, head: int, weigh) -> tuple[int, dict]:
-        # (LCD of V(gg, nn), sorted tail -> [(key, numerator)]): over the
-        # ways of taking `head` ordered values out of an orbit, the orbit's
-        # numerator over the LCD times weigh's factor, summed by weigh's key.
-        # The tail and the key fix the pi exponent, as V(gg, nn) is
-        # homogeneous.
-        out: dict = {}
+    def index(gg: int, nn: int) -> tuple[int, dict]:
+        # the one-head index, kept in the volume's __dict__ as ``poly`` is:
+        # it lives and dies with that object, and two stores holding
+        # different volumes for one (gg, nn) each read their own
         if nn < 1 or not is_stable(gg, nn):
-            return 1, out
-        orbits = mirzakhani_volume(gg, nn, store).orbits
-        den = math.lcm(*(c.denominator for c in orbits.values()))
-        for (pattern, _), c in orbits.items():
-            num = c.numerator * (den // c.denominator)
-            for heads, tail in _take(pattern, head):
-                key, w = weigh(heads)
-                terms = out.setdefault(tail, {})
-                terms[key] = terms.get(key, 0) + num * w
-        return den, {tail: list(terms.items()) for tail, terms in out.items()}
+            return 1, {}
+        vol = mirzakhani_volume(gg, nn, store)
+        if "_kernel_index" not in vol.__dict__:
+            vol.__dict__["_kernel_index"] = _build_index(vol.orbits, 1)
+        return vol.__dict__["_kernel_index"]
 
-    # A-term inputs carry (2a+1)!(2b+1)! and are keyed by s = a + b;
-    # B-term inputs are keyed by k = a
-    def by_sum(heads):
-        return sum(heads) // 2, math.prod(math.factorial(x + 1) for x in heads)
-
-    def by_index(heads):
-        return heads[0] // 2, 1
-
-    d_conn, connected = index(g - 1, n + 1, 2, by_sum)
+    # only this node reads V(g-1, n+1) with two heads, so that index is not kept
+    d_conn, connected = 1, {}
+    if is_stable(g - 1, n + 1):
+        d_conn, connected = _build_index(mirzakhani_volume(g - 1, n + 1, store).orbits, 2)
     # V(g, n-1) and V(g, n) have no stable partner in a split
     dens, lower = {}, {}
     for gg in range(g + 1):
         for nn in range(1, n - 1 if gg == g else n + 1):
-            dens[gg, nn], lower[gg, nn] = index(gg, nn, 1, by_sum)
-    d_pair, pair_lower = index(g, n - 1, 1, by_index)
+            dens[gg, nn], lower[gg, nn] = index(gg, nn)
+    d_pair, pair_lower = index(g, n - 1)
     # one denominator for the A-term inputs: each disconnected split, a
     # product of two lower volumes, is rescaled by one integer
     split_den = {
@@ -220,7 +216,7 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
     half = degree // 2
     d_node, a_table, b_table = _moment_tables(half, d_a, d_pair)
 
-    orbits: dict = {}  # (pattern, pi) -> {a1: coefficient}
+    orbits: dict = {}  # (pattern, pi) -> {a1: numerator over d_node / (a1 + 1)}
     for beta in _tails(n - 1, degree, degree):
         mult = Counter(beta)
         values = sorted(mult, reverse=True)
@@ -238,7 +234,16 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
                 (beta1 + (v,) * k, beta2 + (v,) * (m - k), subsets * math.comb(m, k))
                 for (beta1, beta2, subsets), k in product(splits, range(m + 1))
             ]
-        for g1, (beta1, beta2, subsets) in product(range(g + 1), splits):
+        # a split and its mirror (g - g1, beta2 | g1, beta1) convolve to the
+        # same terms, so each unordered pair is taken once, at g1 <= g - g1,
+        # and counted twice, or once on the diagonal
+        for g1, (beta1, beta2, subsets) in product(range(g // 2 + 1), splits):
+            fold = 2
+            if g1 == g - g1:
+                if beta1 < beta2:
+                    continue  # its mirror is taken
+                if beta1 == beta2:
+                    fold = 1
             n1 = len(beta1) + 1
             scale = rescale.get((g1, n1))
             if scale is None:
@@ -247,44 +252,46 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
             right = lower[g - g1, n + 1 - n1].get(beta2)
             if not left or not right:
                 continue
-            weight = scale * subsets
+            weight = scale * subsets * fold
             for a1, c1 in left:
                 c1 *= weight
                 for a2, c2 in right:
                     grouped[a1 + a2] += c1 * c2
-        reps: dict = {}  # (a1, pi) -> numerator of d(L1 V)/dL1 over d_node
+        # numerators of d(L1 V)/dL1 over d_node by L1 exponent a1; every
+        # term is homogeneous, so its pi exponent is rest - a1
+        reps: dict = {}
         for s, c in enumerate(grouped):
             if c:
-                p = rest - 4 - 2 * s
-                for t, q, mom in a_table[s]:
-                    key = (t, p + q)
-                    reps[key] = reps.get(key, 0) + c * mom
-        # B-term inputs (k, v) over d_pair, at pi exponent rest - 2 + v - 2k
+                for t, mom in a_table[s]:
+                    reps[t] = reps.get(t, 0) + c * mom
+        # B-term inputs (k, v) over d_pair, carrying (2k+1)! as the splits do
         for v in values:
             i = beta.index(v)
             for k, c in pair_lower.get(beta[:i] + beta[i + 1:], ()):
                 c *= mult[v]
-                p = rest - 2 + v - 2 * k
-                for t, q, mom in b_table[k].get(v, ()):
-                    key = (t, p + q)
-                    reps[key] = reps.get(key, 0) + c * mom
-        # integrate from 0 in L1 and divide by L1
-        for (a1, p), c in reps.items():
+                for t, mom in b_table[k].get(v, ()):
+                    reps[t] = reps.get(t, 0) + c * mom
+        # integrating from 0 in L1 and dividing by L1 divides by a1 + 1
+        for a1, c in reps.items():
             if c:
-                sig = (tuple(sorted((a1,) + beta, reverse=True)), p)
-                orbits.setdefault(sig, {})[a1] = Fraction(c, d_node * (a1 + 1))
+                sig = (tuple(sorted((a1,) + beta, reverse=True)), rest - a1)
+                orbits.setdefault(sig, {})[a1] = c
 
-    # check every orbit
+    # check every orbit: c / (a1 + 1) must agree over its reach, compared
+    # by cross-multiplication; one Fraction per orbit, over d_node
     result = {}
     for (pattern, p), reach in orbits.items():
-        coeffs = set(reach.values())
-        if set(reach) != set(pattern) or len(coeffs) != 1:
+        a0, c0 = next(iter(reach.items()))
+        if reach.keys() != set(pattern) or any(
+            c * (a0 + 1) != c0 * (a1 + 1) for a1, c in reach.items()
+        ):
+            coeffs = {a1: Fraction(c, d_node * (a1 + 1)) for a1, c in sorted(reach.items())}
             raise ConsistencyError(
                 f"recursion output for ({g},{n}) fails the orbit-agreement "
                 f"check at exponents {pattern}, pi^{p}: L1 exponent -> "
-                f"coefficient {dict(sorted(reach.items()))}"
+                f"coefficient {coeffs}"
             )
-        result[(pattern, p)] = coeffs.pop()
+        result[(pattern, p)] = Fraction(c0, d_node * (a0 + 1))
     vol = VolumePolynomial(g, n, result)
     store.put(vol, "mirzakhani")
     return vol
@@ -293,34 +300,57 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
 def _moment_tables(half: int, d_a: int, d_b: int) -> tuple[int, list, list]:
     """The moments of one node as integer tables over one denominator d.
 
-    Returns (d, A, B).  A[s], for s < half - 1, lists (t, q, numerator) of
+    Returns (d, A, B).  A[s], for s < half - 1, lists (t, numerator) of
     F_{2s+3}(t) / (2s+3)!; B[k], for k < half, maps the exponent of Lj in
-    pair_moment(k) to its (t, q, numerator).  The A-term inputs are over d_a
-    and the B-term inputs over d_b, so each product of an input and a table
-    entry is over d.  Built from the current module-level moments.
+    pair_moment(k) / (2k+1)! to its (t, numerator).  The pi exponent of an
+    entry follows from t, as the moments are homogeneous.  The A-term inputs
+    are over d_a and the B-term inputs over d_b, so each product of an input
+    and a table entry is over d.  Built from the current module-level moments.
     """
     a_terms = [
-        [(t, q, c.numerator, c.denominator * math.factorial(2 * s + 3))
-         for (t, q), c in moment_F(s + 1).terms.items()]
+        [(t, c.numerator, c.denominator * math.factorial(2 * s + 3))
+         for (t, _), c in moment_F(s + 1).terms.items()]
         for s in range(half - 1)
     ]
     b_terms = [
-        [(t, w, q, c.numerator, c.denominator)
-         for (t, w, q), c in pair_moment(k).terms.items()]
+        [(t, w, c.numerator, c.denominator * math.factorial(2 * k + 1))
+         for (t, w, _), c in pair_moment(k).terms.items()]
         for k in range(half)
     ]
     den_a = math.lcm(*(e[-1] for terms in a_terms for e in terms))
     den_b = math.lcm(*(e[-1] for terms in b_terms for e in terms))
     d = math.lcm(d_a * den_a, d_b * den_b)
     f_a, f_b = d // d_a, d // d_b
-    a_table = [[(t, q, num * (f_a // den)) for t, q, num, den in terms] for terms in a_terms]
+    a_table = [[(t, num * (f_a // den)) for t, num, den in terms] for terms in a_terms]
     b_table = []
     for terms in b_terms:
         by_w: dict = {}
-        for t, w, q, num, den in terms:
-            by_w.setdefault(w, []).append((t, q, num * (f_b // den)))
+        for t, w, num, den in terms:
+            by_w.setdefault(w, []).append((t, num * (f_b // den)))
         b_table.append(by_w)
     return d, a_table, b_table
+
+
+def _build_index(orbits: dict, head: int) -> tuple[int, dict]:
+    """(LCD of the orbits, sorted tail -> [(s, numerator)]): over the ways
+    of taking `head` ordered values 2a, 2b, .. out of an orbit, the orbit's
+    numerator over the LCD times (2a+1)!(2b+1)!.., summed by s = a + b + ..
+    The tail and s fix the pi exponent, as a volume is homogeneous."""
+    den = math.lcm(*(c.denominator for c in orbits.values()))
+    out: dict = {}
+    for (pattern, _), c in orbits.items():
+        num = c.numerator * (den // c.denominator)
+        for heads, tail in _take(pattern, head):
+            s, w = _weigh(heads)
+            terms = out.setdefault(tail, {})
+            terms[s] = terms.get(s, 0) + num * w
+    return den, {tail: list(terms.items()) for tail, terms in out.items()}
+
+
+@lru_cache(maxsize=None)
+def _weigh(heads: tuple) -> tuple[int, int]:
+    """(a + b + .., (2a+1)!(2b+1)!..) for head values 2a, 2b, .."""
+    return sum(heads) // 2, math.prod(math.factorial(x + 1) for x in heads)
 
 
 def _take(pattern: tuple, head: int):

@@ -253,6 +253,45 @@ class TestOrbitCheck:
         assert store.get(0, 5, provenance="mirzakhani") is None
 
 
+    def test_orbit_agreement_message_is_pinned(self, monkeypatch):
+        # the check compares integer numerators; the message still shows
+        # the reach map as Fractions, exactly as it did when it held them
+        original = mirzakhani.pair_moment
+
+        def perturbed(k):
+            terms = dict(original(k).terms)
+            terms[(2 * k + 2, 0, 0)] += Fraction(1, 7)
+            return Poly(2, terms)
+
+        monkeypatch.setattr(mirzakhani, "pair_moment", perturbed)
+        with pytest.raises(ConsistencyError) as caught:
+            mirzakhani_volume(0, 5, VolumeStore())
+        assert str(caught.value) == (
+            "recursion output for (0,4) fails the orbit-agreement check at "
+            "exponents (2, 0, 0, 0), pi^0: L1 exponent -> coefficient "
+            "{0: Fraction(1, 2), 2: Fraction(9, 14)}"
+        )
+
+class TestIndex:
+    def test_each_volume_is_indexed_at_most_twice(self, monkeypatch):
+        # a volume is indexed once with one head, kept on the volume for
+        # every node above it, and once with two heads, by the one node
+        # that reads it so; indexing afresh in every node that read a
+        # volume made 406 builds for the 44 volumes of closed V(8,0)
+        builds = []
+        original = mirzakhani._build_index
+
+        def counted(orbits, head):
+            builds.append(head)
+            return original(orbits, head)
+
+        monkeypatch.setattr(mirzakhani, "_build_index", counted)
+        store = VolumeStore()
+        ensure_volume(store, 8, 0)
+        assert len(store.keys()) == 44
+        assert len(builds) <= 2 * len(store.keys())
+
+
 class TestArithmetic:
     @pytest.mark.parametrize("g, n", [(3, 1), (1, 6)])
     def test_one_node_does_no_per_term_fraction_arithmetic(self, monkeypatch, g, n):

@@ -225,6 +225,40 @@ def test_kernel_in_reversed_split_order_matches_reference(
     assert_same_volume(reversed_order, reference(reference_store, g, n))
 
 
+# The kernel convolves each split once with its mirror, weight 2, and a
+# diagonal split (g1 = g - g1, beta1 == beta2) once, weight 1.  V(4,1)
+# (beta empty), V(2,3) and V(2,5) have diagonal splits; V(4,2) and V(2,4),
+# with an odd number of tail exponents, have g1 = g - g1 pairs that are all
+# off the diagonal, one of each taken.  The reference sums ordered splits.
+@pytest.mark.parametrize("g, n", [(4, 1), (4, 2), (2, 4), (2, 3), (2, 5)])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_mirror_fold_matches_reference(monkeypatch, reference_store, g, n, reverse):
+    if reverse:
+        monkeypatch.setattr(mirzakhani, "product", reversed_split_product)
+    folded = mirzakhani_volume(g, n, VolumeStore())
+    assert_same_volume(folded, reference(reference_store, g, n))
+
+
+def test_kept_index_serves_only_its_own_volume(rng):
+    # the index a volume keeps must not serve another volume of the same
+    # (g, n): warm the real V(0,5)'s index, then compute V(0,6) over a
+    # perturbed V(0,5) in another store, by the kernel and the reference
+    warm = VolumeStore()
+    real = mirzakhani_volume(0, 5, warm)
+    mirzakhani_volume(0, 6, warm)
+    fake = perturbed(rng, real)
+    assert fake.orbits != real.orbits
+    outcomes = []
+    for recursion in (mirzakhani_volume, dense.reference_volume):
+        store = VolumeStore()
+        store.put(fake, "mirzakhani")
+        try:
+            outcomes.append(recursion(0, 6, store).orbits)
+        except ConsistencyError:
+            outcomes.append(ConsistencyError)
+    assert outcomes[0] == outcomes[1]
+
+
 # ----------------------------------------------------------------------
 # rendering
 
