@@ -216,7 +216,7 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
     half = degree // 2
     d_node, a_table, b_table = _moment_tables(half, d_a, d_pair)
 
-    orbits: dict = {}  # (pattern, pi) -> {a1: numerator over d_node / (a1 + 1)}
+    orbits: dict = {}  # (pattern, pi) -> {a1: c}, coefficient c / (d_node * (a1 + 1))
     for beta in _tails(n - 1, degree, degree):
         mult = Counter(beta)
         values = sorted(mult, reverse=True)

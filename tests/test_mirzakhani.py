@@ -254,8 +254,8 @@ class TestOrbitCheck:
 
 
     def test_orbit_agreement_message_is_pinned(self, monkeypatch):
-        # the check compares integer numerators; the message still shows
-        # the reach map as Fractions, exactly as it did when it held them
+        # the check compares integer numerators, and the message shows the
+        # reach map as Fractions
         original = mirzakhani.pair_moment
 
         def perturbed(k):
@@ -271,6 +271,7 @@ class TestOrbitCheck:
             "exponents (2, 0, 0, 0), pi^0: L1 exponent -> coefficient "
             "{0: Fraction(1, 2), 2: Fraction(9, 14)}"
         )
+
 
 class TestIndex:
     def test_each_volume_is_indexed_at_most_twice(self, monkeypatch):
