@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .compute import ensure_volume
 from .store import VolumeStore
@@ -48,11 +47,21 @@ def psi_kappa(
     """The integral of psi_1^a1 .. psi_n^an kappa_1^kappa over the
     compactified moduli space; 0 when any exponent is negative or the
     dimension does not balance."""
-    return _reader(store)(g, n, tuple(alpha), kappa)
+    require_stable(g, n)
+    alpha = tuple(alpha)
+    if len(alpha) != n:
+        raise ValueError(f"alpha must have length n = {n}")
+    if not balanced(g, n, alpha, kappa):
+        return Fraction(0)
+    return volume_coefficient(ensure_volume(store, g, n), alpha, kappa)
 
 
 def volume_coefficient(vol: VolumePolynomial, alpha: tuple, kappa: int) -> Fraction:
-    """psi_kappa read off V(g, n) itself, for a balanced (alpha, kappa)."""
+    """psi_kappa read off V(g, n) itself; 0 unless (alpha, kappa) is balanced."""
+    if len(alpha) != vol.n:
+        raise ValueError(f"alpha must have length n = {vol.n}")
+    if not balanced(vol.g, vol.n, alpha, kappa):
+        return Fraction(0)
     weight = sum(alpha)
     pattern = tuple(sorted((2 * a for a in alpha), reverse=True))
     coeff = vol.orbits.get((pattern, 2 * kappa))
@@ -62,21 +71,6 @@ def volume_coefficient(vol: VolumePolynomial, alpha: tuple, kappa: int) -> Fract
     for a in alpha:
         numerator *= math.factorial(a)
     return Fraction(numerator, coeff.denominator << kappa)
-
-
-def _reader(store: VolumeStore):
-    """psi_kappa on one store, fetching each volume at most once."""
-    volume = lru_cache(maxsize=None)(lambda g, n: ensure_volume(store, g, n))
-
-    def read(g: int, n: int, alpha: tuple[int, ...], kappa: int) -> Fraction:
-        require_stable(g, n)
-        if len(alpha) != n:
-            raise ValueError(f"alpha must have length n = {n}")
-        if not balanced(g, n, alpha, kappa):
-            return Fraction(0)
-        return volume_coefficient(volume(g, n), alpha, kappa)
-
-    return read
 
 
 def genus0_psi(alpha: Sequence[int]) -> Fraction:
@@ -120,15 +114,15 @@ def string2_case(
     g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
 ) -> CheckCase:
     alpha = tuple(alpha)
-    read = _reader(store)
+    bigger, smaller = ensure_volume(store, g, n + 1), ensure_volume(store, g, n)
     lhs = Fraction(0)
     for j in range(m + 1):
         sign = -1 if j % 2 else 1
-        lhs += sign * math.comb(m, j) * read(g, n + 1, alpha + (j,), m - j)
+        lhs += sign * math.comb(m, j) * volume_coefficient(bigger, alpha + (j,), m - j)
     rhs = Fraction(0)
     for k in range(n):
         lowered = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
-        rhs += read(g, n, lowered, m)
+        rhs += volume_coefficient(smaller, lowered, m)
     vacuous = sum(alpha) + m != 3 * g - 2 + n
     return CheckCase(g, n, alpha, m, lhs, rhs, vacuous)
 
@@ -137,12 +131,12 @@ def dilaton2_case(
     g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
 ) -> CheckCase:
     alpha = tuple(alpha)
-    read = _reader(store)
+    bigger, smaller = ensure_volume(store, g, n + 1), ensure_volume(store, g, n)
     lhs = Fraction(0)
     for j in range(m + 1):
         sign = -1 if j % 2 else 1
-        lhs += sign * math.comb(m, j) * read(g, n + 1, alpha + (j + 1,), m - j)
-    rhs = (2 * g - 2 + n) * read(g, n, alpha, m)
+        lhs += sign * math.comb(m, j) * volume_coefficient(bigger, alpha + (j + 1,), m - j)
+    rhs = (2 * g - 2 + n) * volume_coefficient(smaller, alpha, m)
     vacuous = sum(alpha) + m != 3 * g - 3 + n
     return CheckCase(g, n, alpha, m, lhs, rhs, vacuous)
 

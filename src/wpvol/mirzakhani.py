@@ -34,14 +34,19 @@ V(0,4) and V(1,2) and is frozen (see the README).
 
 Representatives.  The output is symmetric in L2..Ln, so only coefficients
 at (a1; beta), beta the exponents of L2..Ln in descending order, are
-computed.  Each lower volume is indexed once per volume, from its orbits, by
-its sorted tail (the exponents after the transformed slots); a sub-multiset
-of a sorted beta is sorted, so each read is one lookup.  The one-head index,
-which the splits and the B-term of every node above a volume read, is kept
-on the volume object; the two-head index of V(g-1, n+1) is read by V(g, n)
-alone and is built there.  The disconnected term splits the multiset beta,
-weighting a split that takes nu_v of the mu_v copies of each value v by
-prod C(mu_v, nu_v), its number of label subsets.  A split
+computed.  Every lower volume is read through one index kind, built from
+its orbits: for each distinct value 2a of an orbit's pattern, the rest of
+the pattern (the tail) maps to a and the orbit's numerator, times (2a+1)!;
+a sub-multiset of a sorted beta is sorted, so each read is one lookup.  The
+splits and the B-term of every node above a volume read its index, so it is
+kept on the volume object.  The connected term takes a second head 2b out of
+V(g-1, n+1) by reading that volume's index at the tail beta + (2b,), sorted,
+weighted by (2b+1)!; V(g, n) is the only node that reads V(g-1, n+1) so,
+and it builds that index itself and does not keep it.  The disconnected
+term splits the multiset beta, weighting a split that takes nu_v of the
+mu_v copies of each value v by prod C(mu_v, nu_v), its number of label
+subsets; the node holds, for each stable split (g1, n1 | g - g1, n + 1 - n1)
+at g1 <= g - g1, its integer rescale and its two lower indexes.  A split
 (g1, beta1 | g - g1, beta2) and its mirror (g - g1, beta2 | g1, beta1) have
 the same product and weight, so each unordered pair is convolved once, with
 weight 2, or 1 on the diagonal g1 = g - g1, beta1 = beta2.  The B-term pairs
@@ -181,35 +186,36 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
         return cached
 
     def index(gg: int, nn: int) -> tuple[int, dict]:
-        # the one-head index, kept in the volume's __dict__ as ``poly`` is:
+        # the index, kept in the volume's __dict__ as ``poly`` is:
         # it lives and dies with that object, and two stores holding
         # different volumes for one (gg, nn) each read their own
         if nn < 1 or not is_stable(gg, nn):
             return 1, {}
         vol = mirzakhani_volume(gg, nn, store)
         if "_kernel_index" not in vol.__dict__:
-            vol.__dict__["_kernel_index"] = _build_index(vol.orbits, 1)
+            vol.__dict__["_kernel_index"] = _build_index(vol.orbits)
         return vol.__dict__["_kernel_index"]
 
-    # only this node reads V(g-1, n+1) with two heads, so that index is not kept
+    # only this node reads V(g-1, n+1) for its connected term, so that
+    # index is not kept
     d_conn, connected = 1, {}
     if is_stable(g - 1, n + 1):
-        d_conn, connected = _build_index(mirzakhani_volume(g - 1, n + 1, store).orbits, 2)
-    # V(g, n-1) and V(g, n) have no stable partner in a split
-    dens, lower = {}, {}
-    for gg in range(g + 1):
-        for nn in range(1, n - 1 if gg == g else n + 1):
-            dens[gg, nn], lower[gg, nn] = index(gg, nn)
+        d_conn, connected = _build_index(mirzakhani_volume(g - 1, n + 1, store).orbits)
+    # the two lower indexes of each stable split (g1, n1 | g - g1, n + 1 - n1)
+    # at g1 <= g - g1; V(g, n-1) and V(g, n) have no stable partner
+    halves = {
+        (g1, n1): (index(g1, n1), index(g - g1, n + 1 - n1))
+        for g1, n1 in product(range(g // 2 + 1), range(1, n + 1))
+        if is_stable(g1, n1) and is_stable(g - g1, n + 1 - n1)
+    }
     d_pair, pair_lower = index(g, n - 1)
     # one denominator for the A-term inputs: each disconnected split, a
     # product of two lower volumes, is rescaled by one integer
-    split_den = {
-        (g1, n1): dens[g1, n1] * dens[g - g1, n + 1 - n1]
-        for g1, n1 in lower
-        if is_stable(g1, n1) and is_stable(g - g1, n + 1 - n1)
+    d_a = math.lcm(d_conn, *(d1 * d2 for (d1, _), (d2, _) in halves.values()))
+    lower = {
+        key: (d_a // (d1 * d2), left, right)
+        for key, ((d1, left), (d2, right)) in halves.items()
     }
-    d_a = math.lcm(d_conn, *split_den.values())
-    rescale = {key: d_a // d for key, d in split_den.items()}
     r_conn = d_a // d_conn
 
     degree = 6 * g - 6 + 2 * n
@@ -223,8 +229,12 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
         rest = degree - sum(beta)  # L1 and pi degree of the output at beta
         # A-term inputs by s = a + b, over d_a, at pi exponent rest - 4 - 2s
         grouped = [0] * (half - 1)
-        for s, c in connected.get(beta, ()):
-            grouped[s] = c * r_conn
+        # the connected term: its second head 2b comes out of the tail
+        for b in range(rest // 2 - 1):
+            tail = tuple(sorted(beta + (2 * b,), reverse=True))
+            weight = math.factorial(2 * b + 1) * r_conn
+            for a, c in connected.get(tail, ()):
+                grouped[a + b] += c * weight
         # each split of the multiset beta, taking k of the m copies of each
         # value, with its number of label subsets of L2..Ln, prod C(m, k)
         splits = [((), (), 1)]
@@ -244,12 +254,11 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
                     continue  # its mirror is taken
                 if beta1 == beta2:
                     fold = 1
-            n1 = len(beta1) + 1
-            scale = rescale.get((g1, n1))
-            if scale is None:
+            split = lower.get((g1, len(beta1) + 1))
+            if split is None:
                 continue
-            left = lower[g1, n1].get(beta1)
-            right = lower[g - g1, n + 1 - n1].get(beta2)
+            scale, left, right = split
+            left, right = left.get(beta1), right.get(beta2)
             if not left or not right:
                 continue
             weight = scale * subsets * fold
@@ -276,6 +285,7 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
             if c:
                 sig = (tuple(sorted((a1,) + beta, reverse=True)), rest - a1)
                 orbits.setdefault(sig, {})[a1] = c
+    del connected  # not kept, so freed before the output is built
 
     # check every orbit: c / (a1 + 1) must agree over its reach, compared
     # by cross-multiplication; one Fraction per orbit, over d_node
@@ -331,35 +341,18 @@ def _moment_tables(half: int, d_a: int, d_b: int) -> tuple[int, list, list]:
     return d, a_table, b_table
 
 
-def _build_index(orbits: dict, head: int) -> tuple[int, dict]:
-    """(LCD of the orbits, sorted tail -> [(s, numerator)]): over the ways
-    of taking `head` ordered values 2a, 2b, .. out of an orbit, the orbit's
-    numerator over the LCD times (2a+1)!(2b+1)!.., summed by s = a + b + ..
-    The tail and s fix the pi exponent, as a volume is homogeneous."""
+def _build_index(orbits: dict) -> tuple[int, dict]:
+    """(LCD of the orbits, sorted tail -> [(a, numerator)]): for each
+    distinct value 2a of an orbit's pattern, the orbit's numerator over the
+    LCD times (2a+1)!, filed under the pattern with one 2a taken out.  The
+    tail and a fix the orbit, and with it the pi exponent."""
     den = math.lcm(*(c.denominator for c in orbits.values()))
     out: dict = {}
     for (pattern, _), c in orbits.items():
         num = c.numerator * (den // c.denominator)
-        for heads, tail in _take(pattern, head):
-            s, w = _weigh(heads)
-            terms = out.setdefault(tail, {})
-            terms[s] = terms.get(s, 0) + num * w
-    return den, {tail: list(terms.items()) for tail, terms in out.items()}
-
-
-@lru_cache(maxsize=None)
-def _weigh(heads: tuple) -> tuple[int, int]:
-    """(a + b + .., (2a+1)!(2b+1)!..) for head values 2a, 2b, .."""
-    return sum(heads) // 2, math.prod(math.factorial(x + 1) for x in heads)
-
-
-def _take(pattern: tuple, head: int):
-    """Yield (ordered head values, sorted rest) for each way of taking
-    `head` values one by one out of a descending pattern."""
-    if head == 0:
-        yield (), pattern
-        return
-    for v in set(pattern):
-        i = pattern.index(v)
-        for heads, tail in _take(pattern[:i] + pattern[i + 1:], head - 1):
-            yield (v,) + heads, tail
+        for v in set(pattern):
+            i = pattern.index(v)
+            out.setdefault(pattern[:i] + pattern[i + 1:], []).append(
+                (v // 2, num * math.factorial(v + 1))
+            )
+    return den, {tail: tuple(terms) for tail, terms in out.items()}

@@ -14,8 +14,10 @@ the dense calculus and inspection helpers the tests use to state
 properties of polynomials.  Variable indices are 1-based (L1..Ln).
 
 The kernel half is the recursion as it ran on ``Fraction`` coefficients,
-one double moment per (a, b) and one product per term; the package's
-integer recursion must give the same orbit maps.
+one double moment per (a, b) and one product per term, with the connected
+term read by taking two ordered heads out of each orbit; the package's
+integer recursion, which reads it through the one-head index, must give
+the same orbit maps.
 
 The rendering half is the straightforward printer: the canonical order by
 a key function, one term formatted at a time, and a recursive generator
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from wpvol.mirzakhani import _tails, _take, moment_F, pair_moment
+from wpvol.mirzakhani import _tails, moment_F, pair_moment
 from wpvol.poly import Poly
 from wpvol.store import SCHEMA_VERSION
 from wpvol.volume import (
@@ -304,6 +306,18 @@ def double_moment(a: int, b: int) -> Poly:
         math.factorial(2 * a + 2 * b + 3),
     )
     return Poly(1, {key: c * beta for key, c in moment_F(a + b + 1).terms.items()})
+
+
+def _take(pattern: tuple, head: int):
+    """Yield (ordered head values, sorted rest) for each way of taking
+    `head` values one by one out of a descending pattern."""
+    if head == 0:
+        yield (), pattern
+        return
+    for v in set(pattern):
+        i = pattern.index(v)
+        for heads, tail in _take(pattern[:i] + pattern[i + 1:], head - 1):
+            yield (v,) + heads, tail
 
 
 def reference_volume(g: int, n: int, store) -> VolumePolynomial:

@@ -147,6 +147,12 @@ class TestDilatonIdentity:
                 assert case.ok, (g, n, alpha, m, case.lhs, case.rhs)
 
 
+@pytest.mark.parametrize("case_fn", [string2_case, dilaton2_case])
+def test_identity_case_rejects_wrong_alpha_length(store, case_fn):
+    with pytest.raises(ValueError):
+        case_fn(0, 4, (1, 0, 0), 0, store)
+
+
 def test_compositions_cover_simplex():
     items = list(compositions(3, 2))
     assert items == [(0, 3), (1, 2), (2, 1), (3, 0)]

@@ -275,16 +275,16 @@ class TestOrbitCheck:
 
 class TestIndex:
     def test_each_volume_is_indexed_at_most_twice(self, monkeypatch):
-        # a volume is indexed once with one head, kept on the volume for
-        # every node above it, and once with two heads, by the one node
-        # that reads it so; indexing afresh in every node that read a
+        # a volume is indexed once, kept on the volume for every node above
+        # it, and once more, not kept, by the one node that reads it for
+        # the connected term; indexing afresh in every node that read a
         # volume made 406 builds for the 44 volumes of closed V(8,0)
         builds = []
         original = mirzakhani._build_index
 
-        def counted(orbits, head):
-            builds.append(head)
-            return original(orbits, head)
+        def counted(orbits):
+            builds.append(len(orbits))
+            return original(orbits)
 
         monkeypatch.setattr(mirzakhani, "_build_index", counted)
         store = VolumeStore()
