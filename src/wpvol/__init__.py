@@ -11,7 +11,6 @@ from .volume import (
 )
 from .symmetric import LiftError, stratified_lift, sym_lift_zero
 from .stringdilaton import (
-    boundary_cofactor,
     check_dilaton,
     check_second_derivative,
     check_string,
@@ -20,10 +19,10 @@ from .stringdilaton import (
     genus1_lift,
     string_rhs,
 )
-from .mirzakhani import kernel_H, mirzakhani_volume, moment_F
+from .mirzakhani import mirzakhani_volume, moment_F
 from .store import VolumeStore, resolve_cache_dir
 from .compute import ensure_volume, lift_volume
-from .intersections import genus0_psi, psi_kappa
+from .intersections import psi_kappa
 
 __version__ = "0.1.0"
 
@@ -35,17 +34,14 @@ __all__ = [
     "InvariantError",
     "LiftError",
     "UnstableSurfaceError",
-    "boundary_cofactor",
     "check_dilaton",
     "check_second_derivative",
     "check_string",
     "closed_volume",
     "ensure_volume",
     "genus0_lift",
-    "genus0_psi",
     "genus1_lift",
     "is_stable",
-    "kernel_H",
     "lift_volume",
     "mirzakhani_volume",
     "moment_F",

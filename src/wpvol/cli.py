@@ -26,7 +26,7 @@ from .intersections import (
 )
 from .store import CacheError, VolumeStore, resolve_cache_dir, serialize_entry
 from .stringdilaton import (
-    boundary_cofactor,
+    NONZERO_REMAINDER,
     dilaton_defect,
     second_derivative_defect,
     string_defect,
@@ -37,7 +37,7 @@ from .volume import (
     UnstableSurfaceError,
     is_stable,
 )
-from .symmetric import LiftError
+from .symmetric import LiftError, at_two_pi_i
 
 EXIT_OK = 0
 EXIT_RELATION = 1
@@ -202,13 +202,9 @@ def run_verification(
                 record(g, n, not defect, detail=str(defect) if defect else "")
     elif relation == "factor":
         for g in range(1, max_genus + 1):
-            vol = ensure_volume(store, g, 1)
-            try:
-                boundary_cofactor(vol)  # the remainder is V(g, 1) at L = 2*pi*i
-                ok, detail = True, ""
-            except ConsistencyError as exc:
-                ok, detail = False, str(exc)
-            record(g, 1, ok, detail=detail)
+            # the remainder of V(g, 1) / (L^2 + 4 pi^2) is V(g, 1) at L = 2*pi*i
+            ok = not at_two_pi_i(ensure_volume(store, g, 1).orbits)
+            record(g, 1, ok, detail="" if ok else NONZERO_REMAINDER)
     elif relation in ("string2", "dilaton2"):
         admissible, case_fn = {
             "string2": (admissible_string2, string2_case),
@@ -267,7 +263,7 @@ def _cmd_verify(args) -> int:
 def _cmd_intersect(args) -> int:
     try:
         # empty alpha means the closed surface (n = 0, pure kappa classes)
-        alpha = tuple(int(part) for part in args.alpha.split(",") if part != "")
+        alpha = tuple(int(part) for part in args.alpha.split(",")) if args.alpha else ()
     except ValueError:
         print(f"error: bad alpha list {args.alpha!r}", file=sys.stderr)
         return EXIT_USAGE

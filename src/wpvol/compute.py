@@ -51,8 +51,9 @@ def ensure_volume(
         raise ValueError(f"unknown method {method!r}")
     require_stable(g, n)
     if n == 0:
-        # closed surface (g >= 2 by stability): factor the one-boundary
-        # volume and evaluate at the root, the only route with no boundary
+        # closed surface (g >= 2 by stability): the string and dilaton
+        # relations at n = 0 read V(g, 0) off the one-boundary volume at
+        # L = 2*pi*i, the only route with no boundary
         cached = store.get(g, 0)
         if cached is not None:
             return cached

@@ -73,21 +73,6 @@ def volume_coefficient(vol: VolumePolynomial, alpha: tuple, kappa: int) -> Fract
     return Fraction(numerator, coeff.denominator << kappa)
 
 
-def genus0_psi(alpha: Sequence[int]) -> Fraction:
-    """Closed form for genus-0 pure psi numbers: the multinomial
-    (n-3)! / (a1! .. an!) when |alpha| = n - 3."""
-    alpha = tuple(alpha)
-    n = len(alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError("psi exponents must be nonnegative")
-    if sum(alpha) != n - 3:
-        raise ValueError(f"expected |alpha| = n - 3 = {n - 3}, got {sum(alpha)}")
-    value = math.factorial(n - 3)
-    for a in alpha:
-        value //= math.factorial(a)
-    return Fraction(value)
-
-
 class CheckCase(Frozen):
     """Outcome of one identity instance; vacuous means 0 = 0 by dimension."""
 

@@ -21,8 +21,8 @@ the Euler beta integral to
 
     (2a+1)! (2b+1)! / (2a+2b+3)!  *  F_{2a+2b+3}(t).
 
-Runtime arithmetic is entirely exact; ``kernel_H`` itself is float and
-exists only as the quadrature oracle for the moment polynomials.
+All arithmetic here is exact.  H itself is evaluated in floats only by the
+quadrature oracle for the moment polynomials, in ``tests/dense_oracle.py``.
 
 Normalization: with the one-half inside H, the transform terms enter the
 recursion with no further prefactor; the disconnected sum runs over ordered
@@ -88,19 +88,6 @@ from .volume import (
     is_stable,
     require_stable,
 )
-
-
-def kernel_H(x: float, y: float) -> float:
-    """Float kernel value, overflow-safe for large arguments (oracle only)."""
-    return 0.5 * (_logistic((x + y) / 2.0) + _logistic((x - y) / 2.0))
-
-
-def _logistic(u: float) -> float:
-    # 1 / (1 + e^u) without overflow for large positive u
-    if u > 0:
-        t = math.exp(-u)
-        return t / (1.0 + t)
-    return 1.0 / (1.0 + math.exp(u))
 
 
 @lru_cache(maxsize=None)

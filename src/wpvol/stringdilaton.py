@@ -10,7 +10,9 @@ where W = (dV(g, n+1)/dL_{n+1}) / L_{n+1}.  The dilaton relation is usually
 written dV/dL_{n+1} (L, 2*pi*i) = 2*pi*i * (2g - 2 + n) * V(g, n); dividing
 both sides by L_{n+1} = 2*pi*i gives the form above.  Because every volume
 is even in each L_k, W is even too, so both sides are real and every
-computation here stays over the rationals.
+computation here stays over the rationals.  At n = 0 they read
+V(g, 1)(2*pi*i) = 0 and W(2*pi*i) = (2g - 2) * V(g, 0), which is how
+``closed_volume`` gets the closed volume.
 
 Together with the stratified lift these generate all genus 0 and genus 1
 volumes from the two seeds.  The second derivative satisfies
@@ -33,6 +35,8 @@ from fractions import Fraction
 from .poly import Poly
 from .symmetric import add, at_two_pi_i, stratified_lift
 from .volume import ConsistencyError, VolumePolynomial
+
+NONZERO_REMAINDER = "nonzero remainder dividing by (L1^2 + 4*pi^2)"
 
 
 def string_rhs(vol: VolumePolynomial) -> dict:
@@ -147,43 +151,20 @@ def _boundary_product(m: int) -> dict:
     }
 
 
-def _cofactor(vol: VolumePolynomial) -> dict:
-    """V(g, 1) / (L^2 + 4 pi^2) by orbit; raises on a nonzero remainder.
-
-    The remainder is V(2*pi*i), and each L**e leaves the quotient
-    sum_{j < e/2} (-4 pi^2)**j * L**(e - 2 - 2j).
-    """
-    if vol.n != 1 or vol.g < 1:
-        raise ValueError("boundary cofactor needs a one-boundary volume of genus >= 1")
-    remainder = at_two_pi_i(vol.orbits)
-    if remainder:
-        raise ConsistencyError(
-            "nonzero remainder dividing by (L1^2 + 4*pi^2)",
-            defect=_dense(remainder, 1),
-        )
-    quotient: dict = {}
-    for ((e,), q), c in vol.orbits.items():
-        for j in range(e // 2):
-            key = ((e - 2 - 2 * j,), q + 2 * j)
-            quotient[key] = quotient.get(key, 0) + c * (-4) ** j
-    return {key: c for key, c in quotient.items() if c}
-
-
-def boundary_cofactor(vol: VolumePolynomial) -> Poly:
-    """The cofactor P with V(g, 1) = (L^2 + 4 pi^2) * P, by exact division."""
-    return Poly.from_orbits(1, _cofactor(vol))
-
-
 def closed_volume(vol: VolumePolynomial) -> VolumePolynomial:
     """The volume of the closed genus-g moduli space, from V(g, 1).
 
-    Evaluates the boundary cofactor at L = 2*pi*i and divides by g - 1;
-    the result is V(g, 0), a single positive rational multiple of
-    pi**(6g-6).  Needs g >= 2.
+    The string relation at n = 0 says V(g, 1) vanishes at L = 2*pi*i, so it
+    is divisible by L^2 + 4 pi^2; the dilaton relation at n = 0 gives
+    W(2*pi*i) = (2g - 2) * V(g, 0).  The result is a single positive
+    rational multiple of pi**(6g-6).  Needs n = 1 and g >= 2.
     """
-    if vol.g < 2:
-        raise ValueError("closed volume via the cofactor needs genus >= 2")
-    value = at_two_pi_i(_cofactor(vol))
+    if vol.n != 1 or vol.g < 2:
+        raise ValueError("closed volume needs a one-boundary volume of genus >= 2")
+    remainder = at_two_pi_i(vol.orbits)
+    if remainder:
+        raise ConsistencyError(NONZERO_REMAINDER, defect=_dense(remainder, 1))
+    value = at_two_pi_i(vol.orbits, 1)
     if len(value) != 1:
         raise ConsistencyError("closed volume is not a single rational pi power")
-    return VolumePolynomial(vol.g, 0, {key: c / (vol.g - 1) for key, c in value.items()})
+    return VolumePolynomial(vol.g, 0, {key: c / (2 * vol.g - 2) for key, c in value.items()})

@@ -19,6 +19,14 @@ term read by taking two ordered heads out of each orbit; the package's
 integer recursion, which reads it through the one-head index, must give
 the same orbit maps.
 
+The closed volume here divides V(g, 1) by (L^2 + 4 pi^2) densely and
+evaluates the cofactor at 2*pi*i; the package reads it off the dilaton
+relation at n = 0 instead, so the two are different methods.  ``kernel_H``
+is the float kernel for the quadrature oracle of the moments, and
+``genus0_psi`` the multinomial closed form of genus-0 psi numbers; the
+package does no float arithmetic and computes no intersection number in
+closed form.
+
 The rendering half is the straightforward printer: the canonical order by
 a key function, one term formatted at a time, and a recursive generator
 of arrangements.  The package's table-driven renderer must match it byte
@@ -30,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -284,12 +292,47 @@ def second_derivative_defect(bigger: VolumePolynomial, smaller: VolumePolynomial
 
 
 def boundary_cofactor(vol: VolumePolynomial) -> Poly:
+    """The cofactor P with V(g, 1) = (L^2 + 4 pi^2) * P, by dense division."""
     return divide_boundary_quadratic(vol.poly, 1)
 
 
 def closed_volume(vol: VolumePolynomial) -> Poly:
+    """V(g, 0) as the cofactor at L = 2*pi*i over g - 1: the division route
+    the package's ``closed_volume`` (dilaton at n = 0) must agree with."""
     cofactor = boundary_cofactor(vol)
     return scale(drop_var(eval_two_pi_i(cofactor, 1), 1), Fraction(1, vol.g - 1))
+
+
+# ----------------------------------------------------------------------
+# float and closed-form references
+
+
+def kernel_H(x: float, y: float) -> float:
+    """Float kernel value, overflow-safe for large arguments (quadrature oracle)."""
+    return 0.5 * (_logistic((x + y) / 2.0) + _logistic((x - y) / 2.0))
+
+
+def _logistic(u: float) -> float:
+    # 1 / (1 + e^u) without overflow for large positive u
+    if u > 0:
+        t = math.exp(-u)
+        return t / (1.0 + t)
+    return 1.0 / (1.0 + math.exp(u))
+
+
+def genus0_psi(alpha: Sequence[int]) -> Fraction:
+    """Closed form for genus-0 pure psi numbers: the multinomial
+    (n-3)! / (a1! .. an!) when |alpha| = n - 3."""
+    alpha = tuple(alpha)
+    n = len(alpha)
+    if any(a < 0 for a in alpha):
+        raise ValueError("psi exponents must be nonnegative")
+    if sum(alpha) != n - 3:
+        raise ValueError(f"expected |alpha| = n - 3 = {n - 3}, got {sum(alpha)}")
+    value = math.factorial(n - 3)
+    for a in alpha:
+        value //= math.factorial(a)
+    return Fraction(value)
 
 
 # ----------------------------------------------------------------------

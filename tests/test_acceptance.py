@@ -20,22 +20,24 @@ from wpvol.intersections import (
     admissible_string2,
     compositions,
     dilaton2_case,
-    genus0_psi,
     psi_kappa,
     string2_case,
 )
-from wpvol.mirzakhani import kernel_H, mirzakhani_volume, moment_F
+from wpvol.mirzakhani import mirzakhani_volume, moment_F
 from wpvol.store import VolumeStore, parse_entry, serialize_entry
-from wpvol.stringdilaton import boundary_cofactor, closed_volume
+from wpvol.stringdilaton import closed_volume
 from wpvol.symmetric import stratified_lift
 from wpvol.volume import seed_volume
 from conftest import random_symmetric_even, reversed_split_product
 from dense_oracle import (
+    boundary_cofactor,
     coeff_monomial,
     const,
     drop_var,
     eval_two_pi_i,
+    genus0_psi,
     is_homogeneous,
+    kernel_H,
     l_degree,
 )
 

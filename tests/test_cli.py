@@ -10,8 +10,10 @@ import wpvol.cli
 import wpvol.compute
 import wpvol.intersections
 from wpvol.cli import MAX_DENSE_TERMS, main
+from wpvol.compute import ensure_volume
+from wpvol.store import VolumeStore
 from wpvol.symmetric import LiftError
-from wpvol.volume import seed_volume
+from wpvol.volume import VolumePolynomial, seed_volume
 
 
 def run(capsys, *argv):
@@ -106,6 +108,22 @@ class TestIntersect:
         code, _, err = run(capsys, "--cache-dir", cache, "intersect",
                            "--genus", "0", "--n", "4", "--alpha", "1,0")
         assert code == 2
+
+    @pytest.mark.parametrize("genus, n, alpha", [
+        ("1", "2", "1,,1"), ("1", "2", "1,1,"), ("1", "2", ",1,1"), ("2", "0", ","),
+    ])
+    def test_empty_alpha_entry_rejected(self, capsys, cache, genus, n, alpha):
+        code, out, err = run(capsys, "--cache-dir", cache, "intersect", "--genus",
+                             genus, "--n", n, f"--alpha={alpha}", "--kappa", "3")
+        assert code == 2
+        assert not out
+        assert err == f"error: bad alpha list {alpha!r}\n"
+
+    def test_empty_alpha_is_the_closed_surface(self, capsys, cache):
+        code, out, _ = run(capsys, "--cache-dir", cache, "intersect",
+                           "--genus", "2", "--n", "0", "--alpha=", "--kappa", "3")
+        assert code == 0
+        assert out == "43/2880\n"
 
 
 class TestExport:
@@ -212,6 +230,25 @@ class TestVerify:
         report = json.loads(out)
         assert report["failed"] == 0
         assert report["checked"] == 2
+
+    def test_factor_failure_on_perturbed_volume(self, capsys, cache):
+        # V(2,1) plus L^2 pi^6 / 7: still homogeneous, no longer divisible
+        orbits = dict(ensure_volume(VolumeStore(), 2, 1).orbits)
+        orbits[((2,), 6)] = orbits.get(((2,), 6), 0) + Fraction(1, 7)
+        VolumeStore(cache).put(VolumePolynomial(2, 1, orbits), "mirzakhani")
+        code, out, err = run(capsys, "--cache-dir", cache, "verify",
+                             "--relation", "factor", "--max-genus", "2")
+        assert code == 1
+        assert out == (
+            '{"relation":"factor","max_genus":2,"max_boundaries":4,"checked":2,'
+            '"failed":1,"vacuous":0,"cases":[{"g":1,"n":1,"ok":true},'
+            '{"g":2,"n":1,"ok":false,'
+            '"detail":"nonzero remainder dividing by (L1^2 + 4*pi^2)"}]}\n'
+        )
+        assert err == (
+            "first failure: factor at (g=2, n=1): "
+            "nonzero remainder dividing by (L1^2 + 4*pi^2)\n"
+        )
 
     def test_identities_small_range(self, capsys, cache):
         code, out, _ = run(capsys, "--cache-dir", cache, "verify",

@@ -11,12 +11,12 @@ from wpvol.intersections import (
     admissible_string2,
     compositions,
     dilaton2_case,
-    genus0_psi,
     psi_kappa,
     string2_case,
 )
 from wpvol.store import VolumeStore
 from wpvol.volume import UnstableSurfaceError, is_stable
+from dense_oracle import genus0_psi
 
 
 @pytest.fixture(scope="module")

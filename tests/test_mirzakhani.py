@@ -6,7 +6,6 @@ from scipy.integrate import dblquad, quad
 
 from wpvol.mirzakhani import (
     bernoulli_number,
-    kernel_H,
     mirzakhani_volume,
     moment_F,
     pair_moment,
@@ -26,6 +25,7 @@ from dense_oracle import (
     has_even_l_exponents,
     is_homogeneous,
     is_symmetric,
+    kernel_H,
     scale,
 )
 

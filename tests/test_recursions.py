@@ -4,7 +4,6 @@ import pytest
 
 from wpvol.poly import Poly
 from wpvol.stringdilaton import (
-    boundary_cofactor,
     check_dilaton,
     check_second_derivative,
     check_string,
@@ -20,6 +19,7 @@ from wpvol.volume import ConsistencyError, VolumePolynomial
 from conftest import monomial_symmetric
 from dense_oracle import (
     add,
+    boundary_cofactor,
     coeff_monomial,
     const,
     ddx,
@@ -215,15 +215,19 @@ class TestFactorization:
             product = mul(q, boundary_factor(n, k))
             assert divide_boundary_quadratic(product, k) == q
 
-    def test_needs_one_boundary(self, v03):
-        with pytest.raises(ValueError):
-            boundary_cofactor(v03)
-
 
 class TestClosedVolume:
     def test_genus_one_rejected(self, v11):
         with pytest.raises(ValueError):
             closed_volume(v11)
+
+    def test_needs_one_boundary_and_genus_two(self, v03, v11):
+        from wpvol.mirzakhani import mirzakhani_volume
+        from wpvol.store import VolumeStore
+
+        for vol in (v03, v11, mirzakhani_volume(2, 2, VolumeStore())):
+            with pytest.raises(ValueError):
+                closed_volume(vol)
 
     def test_genus_two_value(self):
         from wpvol.mirzakhani import mirzakhani_volume

@@ -1,7 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wpvol
 from wpvol.poly import Poly
 from wpvol.volume import (
     InvariantError,
@@ -115,3 +118,13 @@ def test_volume_is_an_unhashable_read_only_value(v11):
     with pytest.raises(AttributeError):
         del vol.n
     assert vol.poly is vol.poly
+
+
+def test_package_has_no_float_constants():
+    # exactness: floats live only in the test oracles, never in the package
+    found = []
+    for path in sorted(Path(wpvol.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []
