@@ -10,15 +10,7 @@ from .volume import (
     seed_volume,
 )
 from .symmetric import LiftError, stratified_lift, sym_lift_zero
-from .stringdilaton import (
-    check_dilaton,
-    check_second_derivative,
-    check_string,
-    closed_volume,
-    genus0_lift,
-    genus1_lift,
-    string_rhs,
-)
+from .stringdilaton import closed_volume, lift, relation_defect, string_rhs
 from .mirzakhani import mirzakhani_volume, moment_F
 from .store import VolumeStore, resolve_cache_dir
 from .compute import ensure_volume, lift_volume
@@ -34,18 +26,15 @@ __all__ = [
     "InvariantError",
     "LiftError",
     "UnstableSurfaceError",
-    "check_dilaton",
-    "check_second_derivative",
-    "check_string",
     "closed_volume",
     "ensure_volume",
-    "genus0_lift",
-    "genus1_lift",
     "is_stable",
+    "lift",
     "lift_volume",
     "mirzakhani_volume",
     "moment_F",
     "psi_kappa",
+    "relation_defect",
     "resolve_cache_dir",
     "seed_volume",
     "stratified_lift",

@@ -16,21 +16,10 @@ import sys
 from pathlib import Path
 
 from .compute import ensure_volume
-from .intersections import (
-    admissible_dilaton2,
-    admissible_string2,
-    balanced,
-    dilaton2_case,
-    psi_kappa,
-    string2_case,
-)
+from .intersections import admissible, balanced, dilaton2_case, psi_kappa, string2_case
+from .poly import Poly
 from .store import CacheError, VolumeStore, resolve_cache_dir, serialize_entry
-from .stringdilaton import (
-    NONZERO_REMAINDER,
-    dilaton_defect,
-    second_derivative_defect,
-    string_defect,
-)
+from .stringdilaton import NONZERO_REMAINDER, relation_defect
 from .volume import (
     ConsistencyError,
     InvariantError,
@@ -188,33 +177,29 @@ def run_verification(
         cases.append(entry)
 
     if relation in ("string", "dilaton", "second"):
-        relation_defect = {
-            "string": string_defect,
-            "dilaton": dilaton_defect,
-            "second": second_derivative_defect,
-        }[relation]
+        # RELATIONS lists these three by derivatives in L_{n+1}: 0, 1, 2
+        order = RELATIONS.index(relation)
         for g in range(max_genus + 1):
             for n in range(max_boundaries):
                 if not (is_stable(g, n) and is_stable(g, n + 1)):
                     continue
                 smaller = ensure_volume(store, g, n)
-                defect = relation_defect(ensure_volume(store, g, n + 1), smaller)
-                record(g, n, not defect, detail=str(defect) if defect else "")
+                defect = relation_defect(ensure_volume(store, g, n + 1), smaller, order)
+                detail = str(Poly.from_orbits(n, defect)) if defect else ""
+                record(g, n, not defect, detail=detail)
     elif relation == "factor":
         for g in range(1, max_genus + 1):
             # the remainder of V(g, 1) / (L^2 + 4 pi^2) is V(g, 1) at L = 2*pi*i
             ok = not at_two_pi_i(ensure_volume(store, g, 1).orbits)
             record(g, 1, ok, detail="" if ok else NONZERO_REMAINDER)
     elif relation in ("string2", "dilaton2"):
-        admissible, case_fn = {
-            "string2": (admissible_string2, string2_case),
-            "dilaton2": (admissible_dilaton2, dilaton2_case),
-        }[relation]
+        # |alpha| + m is the dimension of M(g, n+1) for string, of M(g, n) for dilaton
+        case_fn, extra = {"string2": (string2_case, 1), "dilaton2": (dilaton2_case, 0)}[relation]
         for g in range(max_genus + 1):
             for n in range(1, max_boundaries):
                 if not (is_stable(g, n) and is_stable(g, n + 1)):
                     continue
-                for alpha, m in admissible(g, n):
+                for alpha, m in admissible(3 * g - 3 + n + extra, n):
                     case = case_fn(g, n, alpha, m, store)
                     record(
                         g,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .mirzakhani import mirzakhani_volume
 from .poly import Poly
 from .store import VolumeStore
-from .stringdilaton import closed_volume, genus0_lift, genus1_lift
+from .stringdilaton import closed_volume, lift
 from .symmetric import add
 from .volume import ConsistencyError, VolumePolynomial, is_seed, require_stable
 
@@ -25,15 +25,11 @@ def lift_volume(store: VolumeStore, g: int, n: int) -> VolumePolynomial:
         raise ValueError("the lift chain only generates genus 0 and 1 volumes")
     if is_seed(g, n):
         return store.seed(g, n)
-    provenance = "genus0_lift" if g == 0 else "genus1_lift"
+    provenance = f"genus{g}_lift"
     cached = store.get(g, n, provenance=provenance)
     if cached is not None:
         return cached
-    smaller = lift_volume(store, g, n - 1)
-    if g == 0:
-        vol = genus0_lift(smaller)
-    else:
-        vol, _ = genus1_lift(smaller)
+    vol = lift(lift_volume(store, g, n - 1))
     store.put(vol, provenance)
     return vol
 

@@ -140,16 +140,9 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def admissible_string2(g: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every (alpha, m) at (g, n) for which the string identity is nontrivial."""
-    budget = 3 * g - 2 + n
-    for m in range(budget + 1):
-        for alpha in compositions(budget - m, n):
-            yield alpha, m
-
-
-def admissible_dilaton2(g: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    budget = 3 * g - 3 + n
+def admissible(budget: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every (alpha, m) with n entries in alpha and |alpha| + m = budget: the
+    nontrivial cases of an identity whose classes fill that dimension."""
     for m in range(budget + 1):
         for alpha in compositions(budget - m, n):
             yield alpha, m

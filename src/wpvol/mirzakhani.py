@@ -164,7 +164,8 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
     if n < 1:
         raise ValueError(
             "the kernel recursion needs a distinguished boundary; closed "
-            "volumes come from the one-boundary factorization"
+            "volumes come from V(g, 1) by the dilaton relation at n = 0, "
+            "through ensure_volume"
         )
     if is_seed(g, n):
         return store.seed(g, n)

@@ -244,7 +244,7 @@ class VolumeStore:
         Re-reads disk-backed entries from their files so corruption is
         caught.  Returns a report dict with one record per check.
         """
-        from .stringdilaton import check_dilaton, check_string
+        from .stringdilaton import relation_defect
 
         report = {"entries": 0, "checks": [], "failures": 0}
         volumes: dict[tuple[int, int], VolumePolynomial] = {}
@@ -275,8 +275,8 @@ class VolumeStore:
             bigger = volumes.get((g, n + 1))
             if bigger is None:
                 continue
-            for name, check in (("string", check_string), ("dilaton", check_dilaton)):
-                ok = check(bigger, vol)
+            for order, name in enumerate(("string", "dilaton")):
+                ok = not relation_defect(bigger, vol, order)
                 report["checks"].append(
                     {"kind": name, "g": g, "n": n, "ok": ok, "detail": ""}
                 )

@@ -15,17 +15,18 @@ V(g, 1)(2*pi*i) = 0 and W(2*pi*i) = (2g - 2) * V(g, 0), which is how
 ``closed_volume`` gets the closed volume.
 
 Together with the stratified lift these generate all genus 0 and genus 1
-volumes from the two seeds.  The second derivative satisfies
+volumes from the two seeds, one step of ``lift`` at a time.  The second
+derivative satisfies
 
   d2 V(g, n+1)/dL_{n+1}^2 (L, 2*pi*i) = E.V(g, n) - (4g - 4 + n) V(g, n)
 
 with E the Euler vector field sum L_j d/dL_j, which scales an orbit by the
 sum of its pattern.  Everything here works by symmetry orbit through
-``symmetric.at_two_pi_i``.  A check holds only on an empty orbit
-difference; the *_defect variants render that difference densely, L_{n+1}
-absent, for diagnostics.  The lifts need no re-check: ``stratified_lift``
-returns only on a zero residual, which is the string relation, and
-``genus1_lift`` raises unless its correction cancels its dilaton defect.
+``symmetric.at_two_pi_i``.  ``relation_defect`` returns the orbit
+difference of any of the three relations, empty iff it holds.  ``lift``
+needs no re-check: ``stratified_lift`` returns only on a zero residual,
+which is the string relation, and the dilaton step, run at both genera,
+raises unless its correction cancels the dilaton defect.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 from .poly import Poly
 from .symmetric import add, at_two_pi_i, stratified_lift
-from .volume import ConsistencyError, VolumePolynomial
+from .volume import ConsistencyError, VolumePolynomial, is_stable
 
 NONZERO_REMAINDER = "nonzero remainder dividing by (L1^2 + 4*pi^2)"
 
@@ -57,14 +58,10 @@ def string_rhs(vol: VolumePolynomial) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _dense(defect: dict, m: int) -> Poly:
-    """An orbit difference in m - 1 variables, as a polynomial in m."""
-    return Poly.from_orbits(m - 1, defect).embed(m)
-
-
-def _relation(bigger: VolumePolynomial, smaller: VolumePolynomial, order: int) -> dict:
-    """LHS minus RHS, by orbit, of the relation with ``order`` derivatives in
-    L_{n+1}: 0 string, 1 dilaton (real form), 2 second derivative."""
+def relation_defect(bigger: VolumePolynomial, smaller: VolumePolynomial, order: int) -> dict:
+    """LHS minus RHS, by orbit in n variables, of the relation with ``order``
+    derivatives in L_{n+1}: 0 string, 1 dilaton (real form), 2 second
+    derivative.  Empty iff the relation holds."""
     g, n = smaller.g, smaller.n
     if bigger.g != g or bigger.n != n + 1:
         raise ValueError(
@@ -80,67 +77,30 @@ def _relation(bigger: VolumePolynomial, smaller: VolumePolynomial, order: int) -
     return add(at_two_pi_i(bigger.orbits, order), rhs, -1)
 
 
-def string_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
-    """LHS minus RHS of the string relation; zero iff the relation holds."""
-    return _dense(_relation(bigger, smaller, 0), bigger.n)
+def lift(vol: VolumePolynomial) -> VolumePolynomial:
+    """The next volume of genus 0 or 1: V(g, n) -> V(g, n+1).
 
-
-def check_string(bigger: VolumePolynomial, smaller: VolumePolynomial) -> bool:
-    return not _relation(bigger, smaller, 0)
-
-
-def dilaton_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
-    """LHS minus RHS of the dilaton relation in its real form W(2*pi*i)."""
-    return _dense(_relation(bigger, smaller, 1), bigger.n)
-
-
-def check_dilaton(bigger: VolumePolynomial, smaller: VolumePolynomial) -> bool:
-    return not _relation(bigger, smaller, 1)
-
-
-def second_derivative_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
-    return _dense(_relation(bigger, smaller, 2), bigger.n)
-
-
-def check_second_derivative(bigger: VolumePolynomial, smaller: VolumePolynomial) -> bool:
-    return not _relation(bigger, smaller, 2)
-
-
-def genus0_lift(vol: VolumePolynomial) -> VolumePolynomial:
-    """The unique next genus-0 volume: V(0, n) -> V(0, n+1).
-
-    V(0, n+1) has squared degree n - 2 < n + 1, so the evaluation at 2*pi*i
-    determines it outright and the stratified lift is the whole story.
+    The string relation gives V(g, n+1) at L_{n+1} = 2*pi*i, and the
+    stratified lift rebuilds it from there up to a symmetric polynomial
+    vanishing at that point: P_{n+1} = prod_{j<=n+1} (L_j^2 + 4 pi^2) times
+    one of squared degree 3g - 3, so c * P_{n+1} with c constant at genus 1
+    and nothing at genus 0.  The correction adds 2c * P_n to W(L, 2*pi*i),
+    so the dilaton relation holds only if the candidate's dilaton defect is
+    exactly -2c * P_n; c is read off its all-variable orbit.  At genus 0,
+    where c is 0, this step only checks the relation.
     """
-    if vol.g != 0 or vol.n < 3:
-        raise ValueError("genus0_lift needs a genus-0 volume with n >= 3")
-    _, candidate = stratified_lift(string_rhs(vol), vol.n - 2)
-    return VolumePolynomial(0, vol.n + 1, candidate)
-
-
-def genus1_lift(vol: VolumePolynomial) -> tuple[VolumePolynomial, Fraction]:
-    """The next genus-1 volume and the correction constant: V(1, n) -> V(1, n+1).
-
-    Here the squared degree equals the variable count, so the lift only pins
-    the volume up to c * prod_j (L_j^2 + 4 pi^2) over all n+1 variables.
-    That correction vanishes at L_{n+1} = 2*pi*i, keeping the string
-    relation, and adds 2c * prod_{j<=n} (L_j^2 + 4 pi^2) to W(L, 2*pi*i),
-    so the candidate's dilaton defect must be -2c times that product.
-    """
-    if vol.g != 1 or vol.n < 1:
-        raise ValueError("genus1_lift needs a genus-1 volume with n >= 1")
-    n = vol.n
-    _, candidate = stratified_lift(string_rhs(vol), n + 1)
-    defect = _relation(VolumePolynomial(1, n + 1, candidate), vol, 1)
-    lead = defect.get(((2,) * n, 0), 0)
-    rest = add(defect, _boundary_product(n), -lead)
+    g, n = vol.g, vol.n
+    if g > 1 or not is_stable(g, n):
+        raise ValueError("lift needs a stable volume of genus 0 or 1")
+    _, candidate = stratified_lift(string_rhs(vol), 3 * g - 2 + n)
+    defect = relation_defect(VolumePolynomial(g, n + 1, candidate), vol, 1)
+    constant = Fraction(-defect.get(((2,) * n, 0), 0), 2)
+    rest = add(defect, _boundary_product(n), 2 * constant)
     if rest:
         raise ConsistencyError(
             "dilaton correction is not a constant", defect=Poly.from_orbits(n, rest)
         )
-    constant = Fraction(-lead, 2)
-    lifted = add(candidate, _boundary_product(n + 1), constant)
-    return VolumePolynomial(1, n + 1, lifted), constant
+    return VolumePolynomial(g, n + 1, add(candidate, _boundary_product(n + 1), constant))
 
 
 def _boundary_product(m: int) -> dict:
@@ -163,7 +123,7 @@ def closed_volume(vol: VolumePolynomial) -> VolumePolynomial:
         raise ValueError("closed volume needs a one-boundary volume of genus >= 2")
     remainder = at_two_pi_i(vol.orbits)
     if remainder:
-        raise ConsistencyError(NONZERO_REMAINDER, defect=_dense(remainder, 1))
+        raise ConsistencyError(NONZERO_REMAINDER, defect=Poly.from_orbits(0, remainder).embed(1))
     value = at_two_pi_i(vol.orbits, 1)
     if len(value) != 1:
         raise ConsistencyError("closed volume is not a single rational pi power")

@@ -16,8 +16,7 @@ import wpvol.mirzakhani
 from wpvol.cli import main, run_verification
 from wpvol.compute import lift_volume
 from wpvol.intersections import (
-    admissible_dilaton2,
-    admissible_string2,
+    admissible,
     compositions,
     dilaton2_case,
     psi_kappa,
@@ -118,12 +117,12 @@ def test_criterion_05_generalized_identities_exhaustive(shared_store, capsys):
     spots = [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1)]
     total = vacuous = 0
     for g, n in spots:
-        for alpha, m in admissible_string2(g, n):
+        for alpha, m in admissible(3 * g - 2 + n, n):
             case = string2_case(g, n, alpha, m, shared_store)
             assert case.ok, ("string2", g, n, alpha, m, case.lhs, case.rhs)
             total += 1
             vacuous += case.vacuous
-        for alpha, m in admissible_dilaton2(g, n):
+        for alpha, m in admissible(3 * g - 3 + n, n):
             case = dilaton2_case(g, n, alpha, m, shared_store)
             assert case.ok, ("dilaton2", g, n, alpha, m, case.lhs, case.rhs)
             total += 1

@@ -257,6 +257,18 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["failed"] == 0
 
+    @pytest.mark.parametrize("relation, extra, checked", [("string2", 1, 13), ("dilaton2", 0, 8)])
+    def test_identity_sweep_cases(self, capsys, cache, relation, extra, checked):
+        # each (alpha, m) whose classes fill the dimension of M(g, n + extra), once
+        code, out, _ = run(capsys, "--cache-dir", cache, "verify", "--relation", relation,
+                           "--max-genus", "1", "--max-boundaries", "3")
+        assert code == 0
+        report = json.loads(out)
+        cases = [(c["g"], c["n"], tuple(c["alpha"]), c["m"]) for c in report["cases"]]
+        assert report["checked"] == len(set(cases)) == checked
+        assert report["vacuous"] == 0
+        assert all(sum(alpha) + m == 3 * g - 3 + n + extra for g, n, alpha, m in cases)
+
     def test_corrupted_cache_fails(self, capsys, cache):
         from pathlib import Path
 
@@ -267,6 +279,53 @@ class TestVerify:
                            "--relation", "string", "--max-genus", "0",
                            "--max-boundaries", "5")
         assert code == 1
+
+    @pytest.fixture()
+    def perturbed_cache(self, capsys, cache):
+        """V(1,1..3) cached, with the L1^2 L2^2 coefficient of V(1,2) 1/96 -> 1/95."""
+        code, _, _ = run(capsys, "--cache-dir", cache, "verify", "--relation", "all",
+                         "--max-genus", "1", "--max-boundaries", "3")
+        assert code == 0
+        path = Path(cache) / "g1_n2.json"
+        document = json.loads(path.read_text())
+        for term in document["terms"]:
+            if term["l"] == [2, 2]:
+                term["re"] = "1/95"
+        path.write_text(json.dumps(document, separators=(",", ":")))
+        return cache
+
+    @pytest.mark.parametrize("relation, details", [
+        ("string", ["-(1/2280)*L1^2*pi^2", "-(1/36480)*L1^4*L2^2 - (1/36480)*L1^2*L2^4"]),
+        ("dilaton", ["(1/4560)*L1^2", "-(1/4560)*L1^2*L2^2"]),
+        ("second", ["(1/4560)*L1^2", "-(1/4560)*L1^2*L2^2"]),
+    ])
+    def test_relation_failure_on_perturbed_volume(
+        self, capsys, perturbed_cache, relation, details
+    ):
+        code, out, err = run(capsys, "--cache-dir", perturbed_cache, "verify",
+                             "--relation", relation, "--max-genus", "1",
+                             "--max-boundaries", "3")
+        assert code == 1
+        cases = ",".join(
+            f'{{"g":1,"n":{n},"ok":false,"detail":"{detail}"}}'
+            for n, detail in enumerate(details, 1)
+        )
+        assert out == (
+            f'{{"relation":"{relation}","max_genus":1,"max_boundaries":3,"checked":2,'
+            f'"failed":2,"vacuous":0,"cases":[{cases}]}}\n'
+        )
+        assert err == f"first failure: {relation} at (g=1, n=1): {details[0]}\n"
+
+    def test_cache_verify_on_perturbed_volume(self, capsys, perturbed_cache):
+        code, out, err = run(capsys, "--cache-dir", perturbed_cache, "cache", "verify")
+        assert code == 1
+        assert out == "3 entries, 4 failures\n"
+        assert err.splitlines() == [
+            "FAIL string (1,1): ",
+            "FAIL dilaton (1,1): ",
+            "FAIL string (1,2): ",
+            "FAIL dilaton (1,2): ",
+        ]
 
     def test_all_relations_tiny_range(self, capsys, cache):
         code, out, _ = run(capsys, "--cache-dir", cache, "verify",
@@ -331,7 +390,7 @@ def test_lift_residual_printed_as_polynomial(capsys, cache, monkeypatch):
     def fail(vol):
         raise LiftError("nonzero residual", residual={((2, 0), 0): Fraction(1, 3)})
 
-    monkeypatch.setattr(wpvol.compute, "genus0_lift", fail)
+    monkeypatch.setattr(wpvol.compute, "lift", fail)
     code, out, err = run(capsys, "--cache-dir", cache, "compute",
                          "--genus", "0", "--boundaries", "5")
     assert code == 3
@@ -339,6 +398,27 @@ def test_lift_residual_printed_as_polynomial(capsys, cache, monkeypatch):
     assert err.splitlines() == [
         "internal inconsistency: nonzero residual",
         "difference polynomial: (1/3)*L1^2 + (1/3)*L2^2",
+    ]
+
+
+def test_lift_from_volume_breaking_dilaton_is_inconsistent(capsys, cache):
+    # every pi-free coefficient of the cached V(0,4) raised by 1: the entry
+    # is well-formed, so it loads; the string step lifts it to some V(0,5),
+    # and only the dilaton step sees that V(0,4) is wrong
+    run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")
+    path = Path(cache) / "g0_n4.json"
+    document = json.loads(path.read_text())
+    for term in document["terms"]:
+        if term["pi"] == 0:
+            term["re"] = str(Fraction(term["re"]) + 1)
+    path.write_text(json.dumps(document, separators=(",", ":")))
+    code, out, err = run(capsys, "--cache-dir", cache, "compute",
+                         "--genus", "0", "--boundaries", "5")
+    assert code == 3
+    assert not out
+    assert err.splitlines() == [
+        "internal inconsistency: dilaton correction is not a constant",
+        "difference polynomial: 4*pi^2",
     ]
 
 

@@ -7,8 +7,7 @@ import pytest
 from wpvol.compute import ensure_volume
 from wpvol.intersections import (
     CheckCase,
-    admissible_dilaton2,
-    admissible_string2,
+    admissible,
     compositions,
     dilaton2_case,
     psi_kappa,
@@ -119,7 +118,7 @@ class TestStringIdentity:
 
     def test_small_exhaustive(self, store):
         for g, n in [(0, 3), (0, 4), (1, 1)]:
-            for alpha, m in admissible_string2(g, n):
+            for alpha, m in admissible(3 * g - 2 + n, n):
                 case = string2_case(g, n, alpha, m, store)
                 assert case.ok, (g, n, alpha, m, case.lhs, case.rhs)
 
@@ -142,7 +141,7 @@ class TestDilatonIdentity:
 
     def test_small_exhaustive(self, store):
         for g, n in [(0, 3), (0, 4), (1, 1)]:
-            for alpha, m in admissible_dilaton2(g, n):
+            for alpha, m in admissible(3 * g - 3 + n, n):
                 case = dilaton2_case(g, n, alpha, m, store)
                 assert case.ok, (g, n, alpha, m, case.lhs, case.rhs)
 
@@ -163,7 +162,7 @@ def test_compositions_cover_simplex():
 def test_nonnegativity_observed(store):
     # reported, not asserted as an invariant: print a summary only
     negatives = []
-    for alpha, m in admissible_dilaton2(1, 2):
+    for alpha, m in admissible(2, 2):
         value = psi_kappa(1, 2, alpha, m, store)
         if value < 0:
             negatives.append((alpha, m, value))

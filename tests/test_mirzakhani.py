@@ -13,7 +13,7 @@ from wpvol.mirzakhani import (
 )
 from wpvol.poly import Poly
 from wpvol.store import VolumeStore
-from wpvol.stringdilaton import genus0_lift, genus1_lift
+from wpvol.stringdilaton import lift
 from wpvol import mirzakhani
 from wpvol.compute import ensure_volume
 from wpvol.volume import ConsistencyError, UnstableSurfaceError, is_stable
@@ -186,17 +186,17 @@ class TestVolumes:
             mirzakhani_volume(2, 0, VolumeStore())
 
     def test_four_holed_sphere(self, v03):
-        lifted = genus0_lift(v03)
+        lifted = lift(v03)
         recursed = mirzakhani_volume(0, 4, VolumeStore())
         assert recursed.poly == lifted.poly
 
     def test_two_holed_torus(self, v11):
-        lifted, _ = genus1_lift(v11)
+        lifted = lift(v11)
         recursed = mirzakhani_volume(1, 2, VolumeStore())
         assert recursed.poly == lifted.poly
 
     def test_five_holed_sphere(self, v03):
-        lifted = genus0_lift(genus0_lift(v03))
+        lifted = lift(lift(v03))
         recursed = mirzakhani_volume(0, 5, VolumeStore())
         assert recursed.poly == lifted.poly
 

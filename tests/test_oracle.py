@@ -31,23 +31,12 @@ from wpvol.compute import ensure_volume, lift_volume
 from wpvol.mirzakhani import mirzakhani_volume
 from wpvol.poly import Poly, _arrangement_count, arrangements
 from wpvol.store import VolumeStore, parse_entry, serialize_entry
-from wpvol.stringdilaton import (
-    check_dilaton,
-    check_second_derivative,
-    check_string,
-    closed_volume,
-    dilaton_defect,
-    second_derivative_defect,
-    string_defect,
-)
+from wpvol.stringdilaton import closed_volume, relation_defect
 from wpvol.symmetric import at_two_pi_i
 from wpvol.volume import ConsistencyError, VolumePolynomial, is_stable
 
-RELATIONS = (
-    (string_defect, check_string, dense.string_defect),
-    (dilaton_defect, check_dilaton, dense.dilaton_defect),
-    (second_derivative_defect, check_second_derivative, dense.second_derivative_defect),
-)
+# the dense reference of ``relation_defect`` at each order
+RELATIONS = (dense.string_defect, dense.dilaton_defect, dense.second_derivative_defect)
 
 PAIRS = [
     (g, n)
@@ -85,11 +74,12 @@ def perturbed(rng, vol):
 @pytest.mark.parametrize("g, n", PAIRS)
 def test_relations_match_dense_on_volumes(store, g, n):
     smaller, bigger = volume(store, g, n), volume(store, g, n + 1)
-    for orbit_defect, check, dense_defect in RELATIONS:
+    for order, dense_defect in enumerate(RELATIONS):
         expected = dense_defect(bigger, smaller)
-        assert not expected, (orbit_defect.__name__, g, n)
-        assert orbit_defect(bigger, smaller) == expected
-        assert check(bigger, smaller)
+        assert not expected, (order, g, n)
+        defect = relation_defect(bigger, smaller, order)
+        assert Poly.from_orbits(n, defect).embed(n + 1) == expected
+        assert not defect
 
 
 @pytest.mark.parametrize("g, n", PAIRS)
@@ -97,13 +87,14 @@ def test_relations_match_dense_on_perturbations(store, rng, g, n):
     smaller, bigger = volume(store, g, n), volume(store, g, n + 1)
     for _ in range(3):
         bad = perturbed(rng, bigger)
-        for orbit_defect, check, dense_defect in RELATIONS:
+        for order, dense_defect in enumerate(RELATIONS):
             expected = dense_defect(bad, smaller)
-            got = orbit_defect(bad, smaller)
+            defect = relation_defect(bad, smaller, order)
+            got = Poly.from_orbits(n, defect).embed(n + 1)
             assert got.n_vars == expected.n_vars == n + 1
-            assert got == expected, (orbit_defect.__name__, g, n)
+            assert got == expected, (order, g, n)
             assert str(got) == str(expected)
-            assert check(bad, smaller) == (not expected)
+            assert (not defect) == (not expected)
 
 
 def test_at_two_pi_i_matches_dense(rng):
@@ -326,7 +317,7 @@ def test_render_matches_dense_on_random_polys(rng):
 
 def test_render_matches_dense_on_string_defect(store, rng):
     smaller, bigger = volume(store, 1, 3), volume(store, 1, 4)
-    defect = string_defect(perturbed(rng, bigger), smaller)
+    defect = Poly.from_orbits(3, relation_defect(perturbed(rng, bigger), smaller, 0)).embed(4)
     assert defect
     assert_renders_like_dense(defect)
 

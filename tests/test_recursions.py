@@ -3,18 +3,8 @@ from fractions import Fraction
 import pytest
 
 from wpvol.poly import Poly
-from wpvol.stringdilaton import (
-    check_dilaton,
-    check_second_derivative,
-    check_string,
-    closed_volume,
-    dilaton_defect,
-    genus0_lift,
-    genus1_lift,
-    second_derivative_defect,
-    string_defect,
-    string_rhs,
-)
+from wpvol.stringdilaton import closed_volume, lift, relation_defect, string_rhs
+from wpvol.symmetric import add as add_orbits
 from wpvol.volume import ConsistencyError, VolumePolynomial
 from conftest import monomial_symmetric
 from dense_oracle import (
@@ -37,13 +27,15 @@ from dense_oracle import (
 
 @pytest.fixture(scope="module")
 def v04(v03):
-    return genus0_lift(v03)
+    return lift(v03)
 
 
 @pytest.fixture(scope="module")
 def v12(v11):
-    vol, constant = genus1_lift(v11)
-    assert constant == Fraction(1, 96)
+    vol = lift(v11)
+    # the stratified lift leaves no all-variable orbit, so the L1^2 L2^2
+    # coefficient is the correction constant c
+    assert vol.orbits[((2, 2), 0)] == Fraction(1, 96)
     return vol
 
 
@@ -73,21 +65,21 @@ class TestGenus0Lift:
         assert v04.poly == expected
 
     def test_output_invariants(self, v04):
-        v05 = genus0_lift(v04)
+        v05 = lift(v04)
         v05.validate()
         assert is_homogeneous(v05.poly, v05.degree)
         assert v05.degree == 4
         assert is_symmetric(v05.poly)
 
     def test_string_consistency_through_chain(self, v03, v04):
-        v05 = genus0_lift(v04)
-        assert check_string(v04, v03)
-        assert check_string(v05, v04)
+        v05 = lift(v04)
+        assert not relation_defect(v04, v03, 0)
+        assert not relation_defect(v05, v04, 0)
 
     def test_top_coefficients_are_scaled_multinomials(self, v04):
         # pi-free coefficient of L^{2 alpha} with |alpha| = n - 3 equals
         # multinomial(n-3; alpha) / (2^|alpha| * alpha!)
-        v06 = genus0_lift(genus0_lift(v04))
+        v06 = lift(lift(v04))
         cases = {
             (3, 0, 0, 0, 0, 0): Fraction(1, 48),
             (1, 1, 1, 0, 0, 0): Fraction(3, 4),
@@ -97,9 +89,18 @@ class TestGenus0Lift:
             key = tuple(2 * a for a in alpha)
             assert coeff_monomial(v06.poly, key, 0) == expected
 
-    def test_requires_genus_zero(self, v11):
-        with pytest.raises(ValueError):
-            genus0_lift(v11)
+    @pytest.mark.parametrize("n, bump, defect", [
+        (4, {((2, 0, 0, 0), 0): 1}, "4*pi^2"),  # plus m_(2)
+        (5, {((0, 0, 0, 0, 0), 4): 1}, "-2*pi^4"),  # plus pi^4
+    ])
+    def test_dilaton_failure_raises(self, v04, n, bump, defect):
+        # V(0, n) breaking the dilaton relation: the string step alone
+        # would lift it to a wrong V(0, n+1)
+        vol = v04 if n == 4 else lift(v04)
+        bad = VolumePolynomial(0, n, add_orbits(vol.orbits, bump))
+        with pytest.raises(ConsistencyError, match="dilaton correction") as info:
+            lift(bad)
+        assert str(info.value.defect) == defect
 
 
 class TestGenus1Lift:
@@ -123,43 +124,52 @@ class TestGenus1Lift:
         assert not eval_two_pi_i(product, n)
 
     def test_relations_enforced_by_construction(self, v11, v12):
-        assert check_string(v12, v11)
-        assert check_dilaton(v12, v11)
+        assert not relation_defect(v12, v11, 0)
+        assert not relation_defect(v12, v11, 1)
 
     def test_chain_continues(self, v12):
-        v13, _ = genus1_lift(v12)
+        v13 = lift(v12)
         v13.validate()
-        assert check_string(v13, v12)
-        assert check_dilaton(v13, v12)
+        assert not relation_defect(v13, v12, 0)
+        assert not relation_defect(v13, v12, 1)
 
-    def test_requires_genus_one(self, v03):
+    def test_dilaton_failure_raises(self, v12):
+        bad = VolumePolynomial(1, 2, add_orbits(v12.orbits, {((0, 0), 4): 1}))
+        with pytest.raises(ConsistencyError, match="dilaton correction") as info:
+            lift(bad)
+        assert str(info.value.defect) == "-pi^4"
+
+
+def test_lift_needs_stable_genus_at_most_one():
+    from wpvol.mirzakhani import mirzakhani_volume
+    from wpvol.store import VolumeStore
+
+    for vol in (mirzakhani_volume(2, 1, VolumeStore()), VolumePolynomial(0, 2, {})):
         with pytest.raises(ValueError):
-            genus1_lift(v03)
+            lift(vol)
 
 
 class TestCheckers:
     def test_string_pair(self, v03, v04):
-        assert check_string(v04, v03)
+        assert not relation_defect(v04, v03, 0)
 
     def test_string_rejects_perturbation(self, v11, v12):
         bad = VolumePolynomial(1, 2, {**v12.orbits, ((0, 0), 0): Fraction(1)})
-        assert not check_string(bad, v11)
-        assert string_defect(bad, v11) == const(2, 1)
+        assert relation_defect(bad, v11, 0) == {((0,), 0): 1}
 
     def test_dilaton_pair(self, v03, v04, v11, v12):
-        assert check_dilaton(v04, v03)
-        assert check_dilaton(v12, v11)
+        assert not relation_defect(v04, v03, 1)
+        assert not relation_defect(v12, v11, 1)
 
     def test_dilaton_rejects_perturbation(self, v03, v04):
         # symmetric: L1^2 + L2^2 + L3^2 + L4^2 - pi^2 added to V(0,4)
         bump = {((2, 0, 0, 0), 0): Fraction(1), ((0, 0, 0, 0), 2): Fraction(-1)}
         bad = VolumePolynomial(0, 4, {k: c + bump[k] for k, c in v04.orbits.items()})
-        assert not check_dilaton(bad, v03)
-        assert dilaton_defect(bad, v03)
+        assert relation_defect(bad, v03, 1) == {((0, 0, 0), 0): 2}
 
     def test_mismatched_indices_rejected(self, v03, v12):
         with pytest.raises(ValueError):
-            check_string(v12, v03)
+            relation_defect(v12, v03, 0)
 
 
 class TestEulerField:
@@ -179,17 +189,16 @@ class TestSecondDerivative:
         # LHS is the constant 1 (from L4^2/2); RHS = 0 - (4g-4+n) * 1 = 1
         lhs = eval_two_pi_i(ddx(ddx(v04.poly, 4), 4), 4)
         assert lhs == const(4, 1)
-        assert check_second_derivative(v04, v03)
+        assert not relation_defect(v04, v03, 2)
 
     def test_torus_pair(self, v11, v12):
-        assert check_second_derivative(v12, v11)
+        assert not relation_defect(v12, v11, 2)
 
     def test_rejects_perturbation(self, v11, v12):
         # the perturbation must survive two derivatives in L2
         bump = {((2, 2), 0): v12.orbits[((2, 2), 0)] + 1}  # plus L1^2 L2^2
         bad = VolumePolynomial(1, 2, {**v12.orbits, **bump})
-        assert not check_second_derivative(bad, v11)
-        assert second_derivative_defect(bad, v11)
+        assert relation_defect(bad, v11, 2) == {((2,), 0): 2}
 
 
 class TestFactorization:

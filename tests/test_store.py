@@ -13,7 +13,7 @@ from wpvol.store import (
     resolve_cache_dir,
     serialize_entry,
 )
-from wpvol.stringdilaton import genus0_lift
+from wpvol.stringdilaton import lift
 from wpvol.volume import UnstableSurfaceError, VolumePolynomial
 
 
@@ -40,7 +40,7 @@ def test_document_shape(v11):
 
 def test_disk_round_trip(tmp_path, v03):
     store = VolumeStore(tmp_path)
-    v04 = genus0_lift(v03)
+    v04 = lift(v03)
     store.put(v04, "genus0_lift")
     fresh = VolumeStore(tmp_path)
     assert fresh.get(0, 4).poly == v04.poly
@@ -63,7 +63,7 @@ def test_invalid_entry_rejected(v11):
 
 def test_cross_provenance_agreement(v03):
     store = VolumeStore()
-    lifted = genus0_lift(v03)
+    lifted = lift(v03)
     store.put(lifted, "genus0_lift")
     recursed = mirzakhani_volume(0, 4, VolumeStore())
     store.put(recursed, "mirzakhani")  # equal, accepted
@@ -72,7 +72,7 @@ def test_cross_provenance_agreement(v03):
 
 def test_cross_provenance_conflict_is_fatal(v03, v11):
     store = VolumeStore()
-    lifted = genus0_lift(v03)
+    lifted = lift(v03)
     store.put(lifted, "genus0_lift")
     tampered = VolumePolynomial(0, 4, {k: 2 * c for k, c in lifted.orbits.items()})
     with pytest.raises(ProvenanceConflictError):
@@ -98,7 +98,7 @@ def test_unreadable_document():
 
 def test_corrupted_coefficient_detected(tmp_path, v03):
     store = VolumeStore(tmp_path)
-    store.put(genus0_lift(v03), "genus0_lift")
+    store.put(lift(v03), "genus0_lift")
     path = tmp_path / "g0_n4.json"
     path.write_text(path.read_text().replace('"re":"1/2"', '"re":"1/3"', 1))
     fresh = VolumeStore(tmp_path)
@@ -110,7 +110,7 @@ def test_verify_all_clean(tmp_path, v03, v11):
     store = VolumeStore(tmp_path)
     store.put(v03, "seed")
     store.put(v11, "seed")
-    store.put(genus0_lift(v03), "genus0_lift")
+    store.put(lift(v03), "genus0_lift")
     report = store.verify_all()
     assert report["entries"] == 3
     assert report["failures"] == 0
@@ -121,7 +121,7 @@ def test_verify_all_clean(tmp_path, v03, v11):
 def test_verify_all_flags_corruption(tmp_path, v03):
     store = VolumeStore(tmp_path)
     store.put(v03, "seed")
-    store.put(genus0_lift(v03), "genus0_lift")
+    store.put(lift(v03), "genus0_lift")
     path = tmp_path / "g0_n4.json"
     path.write_text(path.read_text().replace('"re":"1/2"', '"re":"1/3"', 1))
     fresh = VolumeStore(tmp_path)

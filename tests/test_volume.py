@@ -128,3 +128,8 @@ def test_package_has_no_float_constants():
             if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in wpvol.__all__ if not hasattr(wpvol, name)] == []
+    assert len(set(wpvol.__all__)) == len(wpvol.__all__)
