@@ -102,6 +102,11 @@ class TestGenus0Lift:
             lift(bad)
         assert str(info.value.defect) == defect
 
+    def test_requires_genus_zero(self):
+        # the genus-0 chain starts at the stable V(0, 3)
+        with pytest.raises(ValueError):
+            lift(VolumePolynomial(0, 2, {}))
+
 
 class TestGenus1Lift:
     def test_two_holed_torus_value(self, v12):
@@ -139,14 +144,14 @@ class TestGenus1Lift:
             lift(bad)
         assert str(info.value.defect) == "-pi^4"
 
+    def test_requires_genus_one(self):
+        # the genus-1 chain starts at the stable V(1, 1), and lift stops there
+        from wpvol.mirzakhani import mirzakhani_volume
+        from wpvol.store import VolumeStore
 
-def test_lift_needs_stable_genus_at_most_one():
-    from wpvol.mirzakhani import mirzakhani_volume
-    from wpvol.store import VolumeStore
-
-    for vol in (mirzakhani_volume(2, 1, VolumeStore()), VolumePolynomial(0, 2, {})):
-        with pytest.raises(ValueError):
-            lift(vol)
+        for vol in (VolumePolynomial(1, 0, {}), mirzakhani_volume(2, 1, VolumeStore())):
+            with pytest.raises(ValueError):
+                lift(vol)
 
 
 class TestCheckers:
