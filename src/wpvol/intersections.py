@@ -7,8 +7,9 @@ The coefficient of L^(2 alpha) in V(g, n) equals
 with m = 3g - 3 + n - |alpha|, so each intersection number is an exact
 rational multiple of one stored coefficient.  The numbers are always
 extracted this way, never from a separate intersection engine; the
-generalized string and dilaton identities checked here are therefore honest
-cross-checks of the volume pipeline:
+generalized string and dilaton identities that ``identity_cases`` reads off
+V(g, n+1) and V(g, n) are therefore honest cross-checks of the volume
+pipeline:
 
   string:   sum_j (-1)^j C(m,j) <psi^a psi_*^j k^(m-j)>_(n+1)
                 = sum_k <psi_1^a1 .. psi_k^(ak-1) .. psi_n^an k^m>_n
@@ -16,7 +17,8 @@ cross-checks of the volume pipeline:
                 = (2g - 2 + n) <psi^a k^m>_n
 
 where terms with a negative exponent are dropped and * marks the extra
-point.  Cases whose dimensions cannot balance are vacuous (both sides 0).
+point.  The cases are the (alpha, m) whose classes fill the dimension of
+M(g, n+1) for string and of M(g, n) for dilaton.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from .compute import ensure_volume
 from .store import VolumeStore
-from .volume import Frozen, VolumePolynomial, require_stable
+from .volume import VolumePolynomial, require_stable
 
 
 def balanced(g: int, n: int, alpha: Sequence[int], kappa: int) -> bool:
@@ -73,57 +75,32 @@ def volume_coefficient(vol: VolumePolynomial, alpha: tuple, kappa: int) -> Fract
     return Fraction(numerator, coeff.denominator << kappa)
 
 
-class CheckCase(Frozen):
-    """Outcome of one identity instance; vacuous means 0 = 0 by dimension."""
-
-    _fields = ("g", "n", "alpha", "m", "lhs", "rhs", "vacuous")
-
-    def __init__(
-        self,
-        g: int,
-        n: int,
-        alpha: tuple[int, ...],
-        m: int,
-        lhs: Fraction,
-        rhs: Fraction,
-        vacuous: bool,
-    ) -> None:
-        super().__init__(g, n, alpha, m, lhs, rhs, vacuous)
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def string2_case(
-    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
-) -> CheckCase:
-    alpha = tuple(alpha)
-    bigger, smaller = ensure_volume(store, g, n + 1), ensure_volume(store, g, n)
-    lhs = Fraction(0)
-    for j in range(m + 1):
-        sign = -1 if j % 2 else 1
-        lhs += sign * math.comb(m, j) * volume_coefficient(bigger, alpha + (j,), m - j)
-    rhs = Fraction(0)
-    for k in range(n):
-        lowered = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
-        rhs += volume_coefficient(smaller, lowered, m)
-    vacuous = sum(alpha) + m != 3 * g - 2 + n
-    return CheckCase(g, n, alpha, m, lhs, rhs, vacuous)
-
-
-def dilaton2_case(
-    g: int, n: int, alpha: Sequence[int], m: int, store: VolumeStore
-) -> CheckCase:
-    alpha = tuple(alpha)
-    bigger, smaller = ensure_volume(store, g, n + 1), ensure_volume(store, g, n)
-    lhs = Fraction(0)
-    for j in range(m + 1):
-        sign = -1 if j % 2 else 1
-        lhs += sign * math.comb(m, j) * volume_coefficient(bigger, alpha + (j + 1,), m - j)
-    rhs = (2 * g - 2 + n) * volume_coefficient(smaller, alpha, m)
-    vacuous = sum(alpha) + m != 3 * g - 3 + n
-    return CheckCase(g, n, alpha, m, lhs, rhs, vacuous)
+def identity_cases(
+    bigger: VolumePolynomial, smaller: VolumePolynomial, order: int
+) -> Iterator[tuple[tuple[int, ...], int, Fraction, Fraction]]:
+    """(alpha, m, lhs, rhs) of the string (order 0) or dilaton (order 1)
+    identity of V(g, n+1) against V(g, n) in ``admissible`` order, read one
+    coefficient at a time: a check independent of ``relation_defect``."""
+    g, n = smaller.g, smaller.n
+    if bigger.g != g or bigger.n != n + 1 or order not in (0, 1):
+        raise ValueError(
+            f"expected (g, n+1) against (g, n) at order 0 or 1, got "
+            f"({bigger.g},{bigger.n}) and ({g},{n}) at order {order}"
+        )
+    for alpha, m in admissible(3 * g - 2 + n - order, n):
+        lhs = Fraction(0)
+        for j in range(m + 1):
+            sign = -1 if j % 2 else 1
+            term = volume_coefficient(bigger, alpha + (j + order,), m - j)
+            lhs += sign * math.comb(m, j) * term
+        if order:
+            rhs = (2 * g - 2 + n) * volume_coefficient(smaller, alpha, m)
+        else:
+            rhs = Fraction(0)
+            for k in range(n):
+                lowered = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
+                rhs += volume_coefficient(smaller, lowered, m)
+        yield alpha, m, lhs, rhs
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -61,49 +61,33 @@ def require_stable(g: int, n: int) -> None:
         raise UnstableSurfaceError(f"(g, n) = ({g}, {n}) is not stable")
 
 
-class Frozen:
-    """Read-only fields named in ``_fields``, with ``==`` and ``hash`` on them.
+class VolumePolynomial:
+    """A volume polynomial by symmetry orbit, tagged with (g, n).
 
-    The value semantics of a frozen dataclass, without importing
-    ``dataclasses``: assigning or deleting an attribute raises
-    AttributeError, and a dict field makes ``hash`` raise TypeError.
+    A read-only value: assigning or deleting an attribute raises
+    AttributeError, ``==`` compares (g, n, orbits), and the dict of orbits
+    makes it unhashable.  Written by hand, not as a frozen dataclass, so
+    that the CLI does not pay for importing ``dataclasses`` at every start.
     """
 
-    _fields: tuple[str, ...] = ()
+    __hash__ = None
 
-    def __init__(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, g: int, n: int, orbits: dict) -> None:
+        self.__dict__.update(g=g, n=n, orbits=orbits)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+        raise AttributeError(f"cannot assign to VolumePolynomial.{name}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        raise AttributeError(f"cannot delete VolumePolynomial.{name}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
+        return (self.g, self.n, self.orbits) == (other.g, other.n, other.orbits)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class VolumePolynomial(Frozen):
-    """A volume polynomial by symmetry orbit, tagged with (g, n)."""
-
-    _fields = ("g", "n", "orbits")
-
-    def __init__(self, g: int, n: int, orbits: dict) -> None:
-        super().__init__(g, n, orbits)
+        return f"VolumePolynomial(g={self.g!r}, n={self.n!r}, orbits={self.orbits!r})"
 
     @cached_property
     def poly(self) -> Poly:
@@ -132,6 +116,9 @@ class VolumePolynomial(Frozen):
             (all(sum(p) + q == self.degree for p, q in keys),
              f"not homogeneous of degree {self.degree}"),
             (all(self.orbits.values()), "zero coefficient stored"),
+            # V(g, n)(0) is the Weil-Petersson volume of M(g, n)
+            (self.orbits.get(((0,) * self.n, self.degree), 0) > 0,
+             "constant term is not positive"),
         )
         problems = [message for ok, message in checks if not ok]
         if problems:

@@ -14,14 +14,8 @@ from scipy.integrate import quad
 
 import wpvol.mirzakhani
 from wpvol.cli import main, run_verification
-from wpvol.compute import lift_volume
-from wpvol.intersections import (
-    admissible,
-    compositions,
-    dilaton2_case,
-    psi_kappa,
-    string2_case,
-)
+from wpvol.compute import ensure_volume, lift_volume
+from wpvol.intersections import compositions, identity_cases, psi_kappa
 from wpvol.mirzakhani import mirzakhani_volume, moment_F
 from wpvol.store import VolumeStore, parse_entry, serialize_entry
 from wpvol.stringdilaton import closed_volume
@@ -115,21 +109,17 @@ def test_criterion_04_string_and_dilaton_exhaustive(shared_store, capsys):
 
 def test_criterion_05_generalized_identities_exhaustive(shared_store, capsys):
     spots = [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1)]
-    total = vacuous = 0
+    total = 0
     for g, n in spots:
-        for alpha, m in admissible(3 * g - 2 + n, n):
-            case = string2_case(g, n, alpha, m, shared_store)
-            assert case.ok, ("string2", g, n, alpha, m, case.lhs, case.rhs)
-            total += 1
-            vacuous += case.vacuous
-        for alpha, m in admissible(3 * g - 3 + n, n):
-            case = dilaton2_case(g, n, alpha, m, shared_store)
-            assert case.ok, ("dilaton2", g, n, alpha, m, case.lhs, case.rhs)
-            total += 1
-            vacuous += case.vacuous
-    assert total > vacuous
+        bigger, smaller = ensure_volume(shared_store, g, n + 1), ensure_volume(shared_store, g, n)
+        for order, name in enumerate(("string2", "dilaton2")):
+            for alpha, m, lhs, rhs in identity_cases(bigger, smaller, order):
+                assert lhs == rhs, (name, g, n, alpha, m, lhs, rhs)
+                total += 1
+    # every case fills the dimension, so all of them are nontrivial
+    assert total == 189
     with capsys.disabled():
-        report(5, f"{total} identity instances hold ({total - vacuous} nontrivial)")
+        report(5, f"{total} identity instances hold ({total} nontrivial)")
 
 
 def test_criterion_06_factorization_and_closed_volume(shared_store, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -72,6 +73,20 @@ class TestCompute:
                            "--genus", "2", "--boundaries", "0")
         assert code == 0
         assert out == "(43/2160)*pi^6\n"
+
+    def test_emptied_cache_entry_is_a_cache_error(self, capsys, cache):
+        # a document whose term list is empty must not load as the zero volume
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "1", "--boundaries", "2")
+        path = Path(cache) / "g1_n2.json"
+        document = json.loads(path.read_text())
+        document["terms"] = []
+        path.write_text(json.dumps(document, separators=(",", ":")))
+        for argv in (("compute", "--genus", "1", "--boundaries", "2"),
+                     ("compute", "--genus", "1", "--boundaries", "3"),
+                     ("intersect", "--genus", "1", "--n", "2", "--alpha", "1,1")):
+            code, out, err = run(capsys, "--cache-dir", cache, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("cache error: stored entry fails validation: ")
 
     def test_closed_surface_needs_genus_two(self, capsys, cache):
         code, _, err = run(capsys, "--cache-dir", cache, "compute",
@@ -316,6 +331,48 @@ class TestVerify:
         )
         assert err == f"first failure: {relation} at (g=1, n=1): {details[0]}\n"
 
+    @pytest.mark.parametrize("relation, cases, first", [
+        ("string2", [
+            '{"g":1,"n":1,"ok":true,"alpha":[2],"m":0}',
+            '{"g":1,"n":1,"ok":false,"detail":"47/1140 != 1/24","alpha":[1],"m":1}',
+            '{"g":1,"n":1,"ok":true,"alpha":[0],"m":2}',
+            '{"g":1,"n":2,"ok":true,"alpha":[0,3],"m":0}',
+            '{"g":1,"n":2,"ok":false,"detail":"1/12 != 191/2280","alpha":[1,2],"m":0}',
+            '{"g":1,"n":2,"ok":false,"detail":"1/12 != 191/2280","alpha":[2,1],"m":0}',
+            '{"g":1,"n":2,"ok":true,"alpha":[3,0],"m":0}',
+            '{"g":1,"n":2,"ok":true,"alpha":[0,2],"m":1}',
+            '{"g":1,"n":2,"ok":true,"alpha":[1,1],"m":1}',
+            '{"g":1,"n":2,"ok":true,"alpha":[2,0],"m":1}',
+            '{"g":1,"n":2,"ok":true,"alpha":[0,1],"m":2}',
+            '{"g":1,"n":2,"ok":true,"alpha":[1,0],"m":2}',
+            '{"g":1,"n":2,"ok":true,"alpha":[0,0],"m":3}',
+        ], "47/1140 != 1/24"),
+        ("dilaton2", [
+            '{"g":1,"n":1,"ok":false,"detail":"4/95 != 1/24","alpha":[1],"m":0}',
+            '{"g":1,"n":1,"ok":true,"alpha":[0],"m":1}',
+            '{"g":1,"n":2,"ok":true,"alpha":[0,2],"m":0}',
+            '{"g":1,"n":2,"ok":false,"detail":"1/12 != 8/95","alpha":[1,1],"m":0}',
+            '{"g":1,"n":2,"ok":true,"alpha":[2,0],"m":0}',
+            '{"g":1,"n":2,"ok":true,"alpha":[0,1],"m":1}',
+            '{"g":1,"n":2,"ok":true,"alpha":[1,0],"m":1}',
+            '{"g":1,"n":2,"ok":true,"alpha":[0,0],"m":2}',
+        ], "4/95 != 1/24"),
+    ], ids=["string2", "dilaton2"])
+    def test_identity_failure_on_perturbed_volume(
+        self, capsys, perturbed_cache, relation, cases, first
+    ):
+        code, out, err = run(capsys, "--cache-dir", perturbed_cache, "verify",
+                             "--relation", relation, "--max-genus", "1",
+                             "--max-boundaries", "3")
+        assert code == 1
+        failed = sum('"ok":false' in case for case in cases)
+        assert out == (
+            f'{{"relation":"{relation}","max_genus":1,"max_boundaries":3,'
+            f'"checked":{len(cases)},"failed":{failed},"vacuous":0,'
+            f'"cases":[{",".join(cases)}]}}\n'
+        )
+        assert err == f"first failure: {relation} at (g=1, n=1): {first}\n"
+
     def test_cache_verify_on_perturbed_volume(self, capsys, perturbed_cache):
         code, out, err = run(capsys, "--cache-dir", perturbed_cache, "cache", "verify")
         assert code == 1
@@ -326,6 +383,16 @@ class TestVerify:
             "FAIL string (1,2): ",
             "FAIL dilaton (1,2): ",
         ]
+
+    def test_all_relations_match_the_benchmark_reference(self, capsys, cache):
+        # the digest the benchmark checks, read here so a change of output
+        # fails the tests and not only the benchmark
+        reference = Path(__file__).parents[1] / "benchmark" / "reference.json"
+        argv = ("verify", "--relation", "all", "--max-genus", "2", "--max-boundaries", "5")
+        expected = json.loads(reference.read_text())["cli"][" ".join(argv)]
+        code, out, _ = run(capsys, "--cache-dir", cache, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
 
     def test_all_relations_tiny_range(self, capsys, cache):
         code, out, _ = run(capsys, "--cache-dir", cache, "verify",

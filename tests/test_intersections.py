@@ -6,12 +6,11 @@ import pytest
 
 from wpvol.compute import ensure_volume
 from wpvol.intersections import (
-    CheckCase,
     admissible,
     compositions,
-    dilaton2_case,
+    identity_cases,
     psi_kappa,
-    string2_case,
+    volume_coefficient,
 )
 from wpvol.store import VolumeStore
 from wpvol.volume import UnstableSurfaceError, is_stable
@@ -101,55 +100,73 @@ class TestGenus0Psi:
                 assert psi_kappa(0, n, alpha, 0, store) == genus0_psi(alpha)
 
 
+def cases(store, g, n, order):
+    """identity_cases of V(g, n+1) against V(g, n), by (alpha, m)."""
+    bigger, smaller = ensure_volume(store, g, n + 1), ensure_volume(store, g, n)
+    return {
+        (alpha, m): (lhs, rhs)
+        for alpha, m, lhs, rhs in identity_cases(bigger, smaller, order)
+    }
+
+
 class TestStringIdentity:
     def test_classical_case(self, store):
         # m = 0 at (0,3): <psi_1> over 4 points = <1> over 3 points
-        case = string2_case(0, 3, (1, 0, 0), 0, store)
-        assert case.ok and not case.vacuous
-        assert case.lhs == case.rhs == 1
+        assert cases(store, 0, 3, 0)[(1, 0, 0), 0] == (1, 1)
 
     def test_torus_with_kappa(self, store):
-        assert string2_case(1, 1, (0,), 1, store).ok
+        # <psi_1 kappa_1> - <psi_1 psi_2> over (1,2) = <kappa_1> over (1,1)
+        assert cases(store, 1, 1, 0)[(1,), 1] == (Fraction(1, 24), Fraction(1, 24))
+        assert ((0,), 1) not in cases(store, 1, 1, 0)
 
     def test_dimension_violation_is_vacuous(self, store):
-        case = string2_case(0, 3, (0, 0, 0), 0, store)
-        assert case.ok and case.vacuous
-        assert case.lhs == case.rhs == 0
+        # |alpha| + m = 0 misses dim M(0,4) = 1: not a case, and both sides read 0
+        found = cases(store, 0, 3, 0)
+        assert list(found) == list(admissible(1, 3))
+        assert ((0, 0, 0), 0) not in found
+        assert volume_coefficient(ensure_volume(store, 0, 4), (0, 0, 0, 0), 0) == 0
+        assert volume_coefficient(ensure_volume(store, 0, 3), (-1, 0, 0), 0) == 0
 
     def test_small_exhaustive(self, store):
         for g, n in [(0, 3), (0, 4), (1, 1)]:
-            for alpha, m in admissible(3 * g - 2 + n, n):
-                case = string2_case(g, n, alpha, m, store)
-                assert case.ok, (g, n, alpha, m, case.lhs, case.rhs)
+            found = cases(store, g, n, 0)
+            assert list(found) == list(admissible(3 * g - 2 + n, n))
+            for (alpha, m), (lhs, rhs) in found.items():
+                assert lhs == rhs, (g, n, alpha, m, lhs, rhs)
 
 
 class TestDilatonIdentity:
     def test_classical_case(self, store):
         # m = 0 at (1,1): <psi_1 psi_2> over (1,2) = 1 * <psi_1> over (1,1)
-        case = dilaton2_case(1, 1, (1,), 0, store)
-        assert case.ok and not case.vacuous
-        assert case.lhs == case.rhs == Fraction(1, 24)
+        assert cases(store, 1, 1, 1)[(1,), 0] == (Fraction(1, 24), Fraction(1, 24))
 
     def test_four_points(self, store):
-        assert dilaton2_case(0, 4, (1, 0, 0, 0), 0, store).ok
-        case = dilaton2_case(0, 4, (1, 0, 0, 0), 0, store)
-        assert case.lhs == case.rhs == 2
+        assert cases(store, 0, 4, 1)[(1, 0, 0, 0), 0] == (2, 2)
 
     def test_vacuous(self, store):
-        case = dilaton2_case(1, 1, (0,), 0, store)
-        assert case.ok and case.vacuous
+        # |alpha| + m = 0 misses dim M(1,1) = 1: not a case, and both sides read 0
+        found = cases(store, 1, 1, 1)
+        assert list(found) == list(admissible(1, 1))
+        assert ((0,), 0) not in found
+        assert volume_coefficient(ensure_volume(store, 1, 2), (0, 1), 0) == 0
+        assert volume_coefficient(ensure_volume(store, 1, 1), (0,), 0) == 0
 
     def test_small_exhaustive(self, store):
         for g, n in [(0, 3), (0, 4), (1, 1)]:
-            for alpha, m in admissible(3 * g - 3 + n, n):
-                case = dilaton2_case(g, n, alpha, m, store)
-                assert case.ok, (g, n, alpha, m, case.lhs, case.rhs)
+            found = cases(store, g, n, 1)
+            assert list(found) == list(admissible(3 * g - 3 + n, n))
+            for (alpha, m), (lhs, rhs) in found.items():
+                assert lhs == rhs, (g, n, alpha, m, lhs, rhs)
 
 
-@pytest.mark.parametrize("case_fn", [string2_case, dilaton2_case])
-def test_identity_case_rejects_wrong_alpha_length(store, case_fn):
-    with pytest.raises(ValueError):
-        case_fn(0, 4, (1, 0, 0), 0, store)
+@pytest.mark.parametrize("order", [0, 1], ids=["string2_case", "dilaton2_case"])
+def test_identity_case_rejects_wrong_alpha_length(store, order):
+    # a bigger volume with the wrong n, so alpha + (j,) has the wrong length,
+    # the wrong genus, or an order past dilaton is refused before any read
+    v03, v04, v14 = (ensure_volume(store, g, n) for g, n in [(0, 3), (0, 4), (1, 4)])
+    for args in [(v04, v04, order), (v14, v03, order), (v04, v03, order + 2)]:
+        with pytest.raises(ValueError, match=r"expected \(g, n\+1\)"):
+            next(identity_cases(*args))
 
 
 def test_compositions_cover_simplex():
@@ -195,15 +212,3 @@ def test_psi_kappa_matches_chained_formula(store):
                 assert value == chained_psi_kappa(g, n, alpha, kappa, store)
                 checked += 1
     assert checked == 2105  # sum of C(3g - 3 + 2n, n) over the stable (g, n)
-
-
-def test_check_case_is_a_value():
-    fields = [1, 1, (1,), 0, Fraction(1, 24), Fraction(1, 24), False]
-    case = CheckCase(*fields)
-    assert case == CheckCase(*fields)
-    assert hash(case) == hash(CheckCase(*fields))
-    for i in range(len(fields)):
-        assert case != CheckCase(*fields[:i], "other", *fields[i + 1:])
-    with pytest.raises(AttributeError):
-        case.lhs = Fraction(0)
-    assert case.ok

@@ -98,6 +98,18 @@ def test_zero_coefficient_rejected():
         vol.validate()
 
 
+@pytest.mark.parametrize("orbits", [
+    {},
+    {((2,), 0): Fraction(1, 48)},
+    {((2,), 0): Fraction(1, 48), ((0,), 2): Fraction(-1, 12)},
+], ids=["empty", "missing", "negative"])
+def test_nonpositive_constant_term_rejected(orbits):
+    # V(g, n)(0) is the volume of M(g, n), so a volume without a positive
+    # constant orbit is rejected even when every other invariant holds
+    with pytest.raises(InvariantError, match="constant term is not positive"):
+        VolumePolynomial(1, 1, orbits).validate()
+
+
 def test_checked_keeps_the_dense_input_as_its_view(v11):
     vol = VolumePolynomial.checked(1, 1, v11.poly)
     assert vol.orbits == v11.orbits
@@ -118,6 +130,10 @@ def test_volume_is_an_unhashable_read_only_value(v11):
     with pytest.raises(AttributeError):
         del vol.n
     assert vol.poly is vol.poly
+    assert repr(vol) == (
+        "VolumePolynomial(g=1, n=1, orbits={((2,), 0): Fraction(1, 48), "
+        "((0,), 2): Fraction(1, 12)})"
+    )
 
 
 def test_package_has_no_float_constants():
