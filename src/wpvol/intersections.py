@@ -64,15 +64,8 @@ def volume_coefficient(vol: VolumePolynomial, alpha: tuple, kappa: int) -> Fract
         raise ValueError(f"alpha must have length n = {vol.n}")
     if not balanced(vol.g, vol.n, alpha, kappa):
         return Fraction(0)
-    weight = sum(alpha)
-    pattern = tuple(sorted((2 * a for a in alpha), reverse=True))
-    coeff = vol.orbits.get((pattern, 2 * kappa))
-    if coeff is None:
-        return Fraction(0)
-    numerator = coeff.numerator * math.factorial(kappa) << weight
-    for a in alpha:
-        numerator *= math.factorial(a)
-    return Fraction(numerator, coeff.denominator << kappa)
+    den, numerators = _numerators(vol)
+    return Fraction(_read(numerators, alpha, kappa), den)
 
 
 def identity_cases(
@@ -87,20 +80,43 @@ def identity_cases(
             f"expected (g, n+1) against (g, n) at order 0 or 1, got "
             f"({bigger.g},{bigger.n}) and ({g},{n}) at order {order}"
         )
+    d_bigger, bigger_at = _numerators(bigger)
+    d_smaller, smaller_at = _numerators(smaller)
     for alpha, m in admissible(3 * g - 2 + n - order, n):
-        lhs = Fraction(0)
-        for j in range(m + 1):
-            sign = -1 if j % 2 else 1
-            term = volume_coefficient(bigger, alpha + (j + order,), m - j)
-            lhs += sign * math.comb(m, j) * term
+        lhs = sum(
+            (-1) ** j * math.comb(m, j) * _read(bigger_at, alpha + (j + order,), m - j)
+            for j in range(m + 1)
+        )
         if order:
-            rhs = (2 * g - 2 + n) * volume_coefficient(smaller, alpha, m)
+            rhs = (2 * g - 2 + n) * _read(smaller_at, alpha, m)
         else:
-            rhs = Fraction(0)
-            for k in range(n):
-                lowered = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
-                rhs += volume_coefficient(smaller, lowered, m)
-        yield alpha, m, lhs, rhs
+            rhs = sum(
+                _read(smaller_at, alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:], m)
+                for k in range(n) if alpha[k]
+            )
+        yield alpha, m, Fraction(lhs, d_bigger), Fraction(rhs, d_smaller)
+
+
+def _numerators(vol: VolumePolynomial) -> tuple[int, dict]:
+    """(D, {(alpha sorted descending, kappa): N}): each psi/kappa_1 number of
+    vol as an integer N over one denominator D, the LCD times 2^dimension,
+    since 2^(|alpha| - kappa) = 4^|alpha| / 2^dimension.  Built once per
+    volume and kept in its ``__dict__``, as the kernel recursion's index is."""
+    if "_psi_numerators" not in vol.__dict__:
+        lcd = math.lcm(*(c.denominator for c in vol.orbits.values()))
+        numerators = {}
+        for (pattern, pi_exp), c in vol.orbits.items():
+            alpha, kappa = tuple(e // 2 for e in pattern), pi_exp // 2
+            num = c.numerator * (lcd // c.denominator) * math.factorial(kappa)
+            for a in alpha:
+                num *= math.factorial(a)
+            numerators[alpha, kappa] = num << 2 * sum(alpha)
+        vol.__dict__["_psi_numerators"] = (lcd << vol.dimension, numerators)
+    return vol.__dict__["_psi_numerators"]
+
+
+def _read(numerators: dict, alpha: tuple, kappa: int) -> int:
+    return numerators.get((tuple(sorted(alpha, reverse=True)), kappa), 0)
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

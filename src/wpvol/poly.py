@@ -20,20 +20,25 @@ polynomials that diagnostics print.  It has no ring operations.  Symmetric
 polynomials, volumes among them, are stored and computed by symmetry orbit,
 ``{(L exponents sorted descending, pi exponent): coefficient}``;
 ``orbit_coefficients`` and ``from_orbits`` convert between the two forms,
-and the evaluation at L = 2*pi*i lives on orbits in ``symmetric``.
-``from_orbits`` gives all the monomials of an orbit one shared coefficient.
-The tests keep a dense ring (sum, product, scaling, the monomials) on term
-maps as a reference, in ``tests/dense_oracle.py``.
+and the evaluation at L = 2*pi*i lives on orbits in ``symmetric``.  A
+``Poly`` from ``from_orbits`` keeps the orbits, which ``len``, ``bool`` and
+``orbit_coefficients`` read; its term map is built only when read (equality,
+``embed``, ``sorted_terms``).  The tests keep a dense ring (sum, product,
+scaling, the monomials) on term maps as a reference, in
+``tests/dense_oracle.py``.
 
 Rendering.  The canonical order is ascending pi exponent, then descending
-lexicographic L exponents: keys are bucketed by pi exponent and each bucket
-sorted in native tuple order, reversed.  ``str`` and ``to_latex`` share one
-renderer.  A term is one join over per-variable fragment tables (``*L3^4``,
-`` L_{3}^{4}``), filled on first use and kept across calls, and each
-coefficient object is formatted once per call: once per orbit for a volume.
+lexicographic L exponents.  ``str`` and ``to_latex`` share one renderer: a
+term is its coefficient's form, each distinct one formatted once per call,
+in front of factors from per-variable tables (``*L3^4``, `` L_{3}^{4}``)
+filled on first use and kept.  A term map is bucketed by pi exponent and
+each bucket sorted in native tuple order, reversed.  Orbits are rendered by
+a walk over prefix multisets from L_n back to L_1 (``_build_plan``) that
+builds no term map; its plan is built on the first render and kept.
 
 A polynomial is never changed after construction, so values can be shared
-freely between threads.
+freely between threads; the term map and plan filled in on first use come
+out the same whichever thread builds them.
 """
 
 from __future__ import annotations
@@ -56,11 +61,23 @@ class Poly:
     ``from_orbits`` construct values safely.
     """
 
-    __slots__ = ("n_vars", "terms")
+    __slots__ = ("n_vars", "_terms", "_orbits", "_plan")
 
     def __init__(self, n_vars: int, terms: dict):
         self.n_vars = n_vars
-        self.terms = terms
+        self._terms = terms
+        self._orbits = self._plan = None
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            memo: dict = {}  # one ``arrangements`` memo for all the orbits
+            self._terms = {
+                head + (pi_exp,): c
+                for (pattern, pi_exp), c in self._orbits.items()
+                for head in arrangements(pattern, memo)
+            }
+        return self._terms
 
     # ------------------------------------------------------------------
     # construction
@@ -82,26 +99,24 @@ class Poly:
 
     @classmethod
     def from_orbits(cls, n_vars: int, orbits: dict) -> "Poly":
-        """Expand ``{(pattern, pi_exp): coefficient}`` over symmetry orbits.
-
-        Each pattern holds the ``n_vars`` L exponents of the orbit; every
-        distinct rearrangement becomes one monomial with the orbit's
-        coefficient object.  The orbits share one ``arrangements`` memo.
-        Inverse of ``orbit_coefficients``.
+        """The polynomial of ``{(pattern, pi_exp): coefficient}``, kept by
+        orbit.  Each pattern holds the ``n_vars`` L exponents of the orbit,
+        sorted descending; every distinct rearrangement is one monomial with
+        the orbit's coefficient object.  Inverse of ``orbit_coefficients``.
         """
-        terms = {}
-        memo: dict = {}
-        for (pattern, pi_exp), c in orbits.items():
-            tail = (pi_exp,)
-            for head in arrangements(pattern, memo):
-                terms[head + tail] = c
-        return cls(n_vars, terms)
+        if len(orbits) == 1:
+            ((pattern, pi_exp), c), = orbits.items()
+            if len(set(pattern)) < 2:  # one monomial, the closed volumes among them
+                return cls(n_vars, {pattern + (pi_exp,): c})
+        p = cls(n_vars, None)
+        p._orbits = dict(orbits)
+        return p
 
     # ------------------------------------------------------------------
     # predicates and inspection
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms if self._orbits is None else self._orbits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -109,7 +124,9 @@ class Poly:
         return self.n_vars == other.n_vars and self.terms == other.terms
 
     def __len__(self) -> int:
-        return len(self.terms)
+        if self._orbits is None:
+            return len(self._terms)
+        return sum(_arrangement_count(pattern, self.n_vars) for pattern, _ in self._orbits)
 
     def orbit_coefficients(self) -> dict:
         """Coefficients by symmetry orbit, or raise ValueError if asymmetric.
@@ -119,6 +136,8 @@ class Poly:
         symmetric polynomial every orbit is fully present with one shared
         coefficient; returns {(pattern, pi_exp): coefficient}.
         """
+        if self._orbits is not None:
+            return dict(self._orbits)
         n = self.n_vars
         groups: dict = {}
         for key, c in self.terms.items():
@@ -255,17 +274,70 @@ def _coefficient(c: Fraction, latex: bool) -> tuple[str, int, str]:
     return sign + digits, int(latex), sign + digits
 
 
+def _build_plan(orbits: dict, n: int) -> tuple:
+    """The walk that renders an orbit map: (pi exponents, levels,
+    coefficients, order).
+
+    A node at depth k stands for the term prefixes of k L exponents with one
+    pi exponent and one multiset, which alone fixes the suffixes that follow.
+    The leaves, at depth n, are the orbits, taken by ascending pi exponent so
+    that the roots come in that order.  ``levels`` lists the nodes of depth
+    n - 1 up to 0, each as its children (value of L_{k+1}, index one level
+    down) by descending value.  ``order`` holds, for every term in canonical
+    order, the index of its coefficient among the distinct values.
+    """
+    items = sorted(orbits.items(), key=lambda item: item[0][1])
+    slots: dict = {}  # coefficient -> index among the distinct values
+    order = [[slots.setdefault(c, len(slots))] for _, c in items]
+    level = {(pi_exp, pattern): i for i, ((pattern, pi_exp), _) in enumerate(items)}
+    levels = []
+    for _ in range(n):
+        parents: dict = {}
+        for (pi_exp, ms), i in level.items():
+            for k, v in enumerate(ms):
+                if not k or v != ms[k - 1]:
+                    parents.setdefault((pi_exp, ms[:k] + ms[k + 1:]), []).append((v, i))
+        for children in parents.values():
+            children.sort(reverse=True)
+        levels.append(list(parents.values()))
+        level = {key: i for i, key in enumerate(parents)}
+    for nodes in levels:
+        order = [[j for _, i in node for j in order[i]] for node in nodes]
+    pis = [pi_exp for (_, pi_exp), _ in items]
+    return pis, levels, list(slots), [j for root in order for j in root]
+
+
+def _walk(plan: tuple, tables: list) -> list:
+    """The factor text of every term in canonical order: bottom-up from L_n
+    to L_1, each node puts the fragment of its value in front of its
+    children's suffixes."""
+    pis, levels = plan[:2]
+    suffixes = [[tables[len(levels)][pi_exp]] for pi_exp in pis]
+    for table, nodes in zip(reversed(tables[:len(levels)]), levels):
+        suffixes = [
+            [f + s for v, i in node for f in [table[v]] for s in suffixes[i]]
+            for node in nodes
+        ]
+    return [s for root in suffixes for s in root]
+
+
 def _render(p: Poly, latex: bool) -> str:
-    if not p.terms:
-        return "0"
     tables = _TABLES.get((p.n_vars, latex)) or _tables(p.n_vars, latex)
-    done: dict = {}  # id(coefficient) -> form; p.terms keeps every id alive
-    pieces = []
-    for key, c in p.sorted_terms():
-        form = done.get(id(c))
-        if form is None:
-            form = done[id(c)] = _coefficient(c, latex)
-        factors = "".join(map(getitem, tables, key))
-        pieces.append(form[0] + factors[form[1]:] if factors else form[2])
-    text = "".join(pieces)
+    if p._orbits is not None:
+        plan = p._plan = p._plan or _build_plan(p._orbits, p.n_vars)
+        forms = [_coefficient(c, latex) for c in plan[2]]
+        pieces = zip(_walk(plan, tables), map(forms.__getitem__, plan[3]))
+    elif len(p._terms) == 1:  # one monomial, the closed volumes among them
+        ((key, c),) = p._terms.items()
+        pieces = [("".join(map(getitem, tables, key)), _coefficient(c, latex))]
+    else:
+        done: dict = {}  # id(coefficient) -> form; p keeps every id alive
+        pieces = [
+            ("".join(map(getitem, tables, key)),
+             done.get(id(c)) or done.setdefault(id(c), _coefficient(c, latex)))
+            for key, c in p.sorted_terms()
+        ]
+    text = "".join([f[0] + s[f[1]:] if s else f[2] for s, f in pieces])
+    if not text:
+        return "0"
     return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -15,7 +15,9 @@ check: the coefficient type guarantees it.
 by symmetry orbit: ``{(L exponents sorted descending, pi exponent): c}``.
 Symmetry holds by construction, and ``validate`` checks the rest on the
 orbit keys alone.  ``poly``, the dense view, is built on first use, for
-rendering and export only.  Every produced volume is validated once, by ``VolumeStore.put`` before anyone can read it; dense
+rendering and export only: a ``Poly`` that keeps the orbits, renders from
+them and expands its term map only for export.  Every produced volume is
+validated once, by ``VolumeStore.put`` before anyone can read it; dense
 input (a cache document, a test polynomial) enters through ``checked``,
 which also rejects an asymmetric polynomial.  A convention or arithmetic
 slip anywhere in a recursion therefore surfaces as an ``InvariantError``.
@@ -91,7 +93,7 @@ class VolumePolynomial:
 
     @cached_property
     def poly(self) -> Poly:
-        """The dense view: every monomial of every orbit."""
+        """The dense view, built on first use: every monomial of every orbit."""
         return Poly.from_orbits(self.n, self.orbits)
 
     @property

@@ -177,14 +177,19 @@ def test_compositions_cover_simplex():
 
 
 def test_nonnegativity_observed(store):
-    # reported, not asserted as an invariant: print a summary only
-    negatives = []
-    for alpha, m in admissible(2, 2):
-        value = psi_kappa(1, 2, alpha, m, store)
-        if value < 0:
-            negatives.append((alpha, m, value))
-    print(f"nonnegativity check at (1,2): {len(negatives)} negative values")
-    assert negatives == [] or True
+    # every balanced psi/kappa_1 number of a stable V(g, n), g <= 2, n <= 5,
+    # is nonnegative: the volumes' orbit coefficients are all positive there
+    negatives, checked = [], 0
+    for g, n in product(range(3), range(6)):
+        if not is_stable(g, n):
+            continue
+        for alpha, m in admissible(3 * g - 3 + n, n):
+            value = psi_kappa(g, n, alpha, m, store)
+            checked += 1
+            if value < 0:
+                negatives.append((g, n, alpha, m, value))
+    assert negatives == []
+    assert checked == 2105
 
 
 def chained_psi_kappa(g, n, alpha, kappa, store):

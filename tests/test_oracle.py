@@ -25,6 +25,7 @@ from conftest import (
     random_symmetric_even,
     reversed_split_product,
 )
+import wpvol.poly
 from wpvol import mirzakhani
 from wpvol.cli import run_verification
 from wpvol.compute import ensure_volume, lift_volume
@@ -320,6 +321,89 @@ def test_render_matches_dense_on_string_defect(store, rng):
     defect = Poly.from_orbits(3, relation_defect(perturbed(rng, bigger), smaller, 0)).embed(4)
     assert defect
     assert_renders_like_dense(defect)
+
+
+def random_orbit_map(rng, n: int, shared: list) -> dict:
+    """Orbits with any exponents and several pi exponents, so not homogeneous;
+    fractional, integer and unit coefficients of both signs, some of them
+    objects from ``shared`` that other orbits hold too."""
+    orbits = {}
+    for _ in range(rng.randint(0, 8)):
+        pattern = tuple(sorted((rng.randint(0, 4) for _ in range(n)), reverse=True))
+        if rng.random() < 0.4:
+            c = rng.choice(shared)
+        else:
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 3, 8]))
+        orbits[pattern, rng.randint(0, 3)] = c
+    return orbits
+
+
+def orbit_backed(n: int, orbits: dict) -> Poly:
+    """The orbit walk's Poly even for one monomial, which ``from_orbits``
+    hands to the direct path."""
+    p = Poly(n, None)
+    p._orbits = dict(orbits)
+    return p
+
+
+def test_orbit_walk_renders_like_dense(rng):
+    shared = [Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 12)]
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        orbits = random_orbit_map(rng, n, shared)
+        p = Poly.from_orbits(n, orbits)
+        for q in (p, orbit_backed(n, orbits)):
+            assert str(q) == dense.render(q)
+            assert q.to_latex() == dense.render_latex(q)
+            assert str(q) == str(Poly(n, dict(q.terms)))
+        seen.add(n)
+        if p._orbits is not None:
+            seen.add("walk")
+        if len({pi_exp for _, pi_exp in orbits}) > 1:
+            seen.add("several pi")
+        if len({sum(pattern) + pi_exp for pattern, pi_exp in orbits}) > 1:
+            seen.add("inhomogeneous")
+        values = list(orbits.values())
+        if len({id(c) for c in values}) < len(values):
+            seen.add("shared")
+        for c in values:
+            seen.add("negative" if c < 0 else "positive")
+            if abs(c) == 1:
+                seen.add("unit")
+            elif c.denominator == 1:
+                seen.add("integer")
+    assert seen >= set(range(7)) | {
+        "walk", "several pi", "inhomogeneous", "shared",
+        "negative", "positive", "unit", "integer",
+    }
+
+
+def test_render_keeps_the_walk_and_builds_no_term_map(monkeypatch):
+    plans = []
+    build_plan = wpvol.poly._build_plan
+    monkeypatch.setattr(
+        wpvol.poly, "_build_plan", lambda *a: plans.append(a) or build_plan(*a)
+    )
+    vol = lift_volume(VolumeStore(), 0, 10)
+    p = vol.poly
+    text, latex = str(p), p.to_latex()
+    assert str(p) == text and p.to_latex() == latex
+    assert (len(p), bool(p), p.orbit_coefficients()) == (19448, True, vol.orbits)
+    assert len(plans) == 1 and p._terms is None
+    # the reference reads the term map, which is then built and kept
+    assert text == dense.render(p) and latex == dense.render_latex(p)
+    assert p._terms is not None
+
+
+@pytest.mark.parametrize("g, n", [(0, 3), (2, 0), (3, 0)])
+def test_one_monomial_renders_alike_on_both_paths(store, g, n):
+    vol = volume(store, g, n)
+    assert len(vol.orbits) == len(vol.poly) == 1
+    walked = orbit_backed(n, vol.orbits)
+    assert str(vol.poly) == str(walked) == dense.render(vol.poly)
+    assert vol.poly.to_latex() == walked.to_latex() == dense.render_latex(vol.poly)
+    assert walked._plan is not None
 
 
 def test_arrangements_match_dense(rng):
