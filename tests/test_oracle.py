@@ -6,9 +6,9 @@ These tests render each orbit result densely and require it to equal the
 dense reference, monomial for monomial, on the real volumes, on random
 symmetric perturbations of them, and on random symmetric polynomials.
 A further test checks that computing and verifying build no dense view.
-The rendering tests require the table-driven renderer, the bucketed
-canonical order and the cache serializer to match the term-at-a-time
-reference byte for byte.  The kernel tests require the integer recursion
+The rendering tests require the table-driven renderer, the orbit walk,
+the bucketed canonical order and the cache serializer to match the
+term-at-a-time reference byte for byte, and the walk to build no term map.  The kernel tests require the integer recursion
 to give the orbit maps, and so the text, of the Fraction recursion.
 """
 
@@ -318,9 +318,11 @@ def test_render_matches_dense_on_random_polys(rng):
 
 def test_render_matches_dense_on_string_defect(store, rng):
     smaller, bigger = volume(store, 1, 3), volume(store, 1, 4)
-    defect = Poly.from_orbits(3, relation_defect(perturbed(rng, bigger), smaller, 0)).embed(4)
-    assert defect
-    assert_renders_like_dense(defect)
+    orbits = relation_defect(perturbed(rng, bigger), smaller, 0)
+    # as the verify detail prints it, by the orbit walk, and embedded
+    for defect in (Poly.from_orbits(3, orbits), Poly.from_orbits(3, orbits).embed(4)):
+        assert defect
+        assert_renders_like_dense(defect)
 
 
 def random_orbit_map(rng, n: int, shared: list) -> dict:
