@@ -21,11 +21,12 @@ polynomials, volumes among them, are stored and computed by symmetry orbit,
 ``{(L exponents sorted descending, pi exponent): coefficient}``;
 ``orbit_coefficients`` and ``from_orbits`` convert between the two forms,
 and the evaluation at L = 2*pi*i lives on orbits in ``symmetric``.  A
-``Poly`` from ``from_orbits`` keeps the orbits, which ``len``, ``bool`` and
-``orbit_coefficients`` read; its term map is built only when read (equality,
-``embed``, ``sorted_terms``).  The tests keep a dense ring (sum, product,
-scaling, the monomials) on term maps as a reference, in
-``tests/dense_oracle.py``.
+``Poly`` from ``from_orbits`` keeps the orbits, which ``len`` and ``bool``
+read; its term map is built only when read (equality, ``embed``,
+``sorted_terms``, ``orbit_coefficients``).  A single monomial, such as a
+closed volume, is kept as a term map, which renders it faster.  The tests
+keep a dense ring (sum, product, scaling, the monomials) on term maps as a
+reference, in ``tests/dense_oracle.py``.
 
 Rendering.  The canonical order is ascending pi exponent, then descending
 lexicographic L exponents.  ``str`` and ``to_latex`` share one renderer: a
@@ -106,7 +107,7 @@ class Poly:
         """
         if len(orbits) == 1:
             ((pattern, pi_exp), c), = orbits.items()
-            if len(set(pattern)) < 2:  # one monomial, the closed volumes among them
+            if len(set(pattern)) < 2:  # one monomial (see the module docstring)
                 return cls(n_vars, {pattern + (pi_exp,): c})
         p = cls(n_vars, None)
         p._orbits = dict(orbits)
@@ -136,8 +137,6 @@ class Poly:
         symmetric polynomial every orbit is fully present with one shared
         coefficient; returns {(pattern, pi_exp): coefficient}.
         """
-        if self._orbits is not None:
-            return dict(self._orbits)
         n = self.n_vars
         groups: dict = {}
         for key, c in self.terms.items():
@@ -323,21 +322,22 @@ def _walk(plan: tuple, tables: list) -> list:
 
 def _render(p: Poly, latex: bool) -> str:
     tables = _TABLES.get((p.n_vars, latex)) or _tables(p.n_vars, latex)
-    if p._orbits is not None:
+    if p._orbits is None:
+        done: dict = {}  # id(coefficient) -> form; p.terms keeps every id alive
+        pieces = []
+        for key, c in p.sorted_terms():
+            form = done.get(id(c))
+            if form is None:
+                form = done[id(c)] = _coefficient(c, latex)
+            factors = "".join(map(getitem, tables, key))
+            pieces.append(form[0] + factors[form[1]:] if factors else form[2])
+    else:
         plan = p._plan = p._plan or _build_plan(p._orbits, p.n_vars)
         forms = [_coefficient(c, latex) for c in plan[2]]
-        pieces = zip(_walk(plan, tables), map(forms.__getitem__, plan[3]))
-    elif len(p._terms) == 1:  # one monomial, the closed volumes among them
-        ((key, c),) = p._terms.items()
-        pieces = [("".join(map(getitem, tables, key)), _coefficient(c, latex))]
-    else:
-        done: dict = {}  # id(coefficient) -> form; p keeps every id alive
-        pieces = [
-            ("".join(map(getitem, tables, key)),
-             done.get(id(c)) or done.setdefault(id(c), _coefficient(c, latex)))
-            for key, c in p.sorted_terms()
-        ]
-    text = "".join([f[0] + s[f[1]:] if s else f[2] for s, f in pieces])
+        # a generator, so neither the walk's text nor the pieces outlive the join
+        pieces = (f[0] + s[f[1]:] if s else f[2]
+                  for s, f in zip(_walk(plan, tables), map(forms.__getitem__, plan[3])))
+    text = "".join(pieces)
     if not text:
         return "0"
     return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -241,7 +241,7 @@ def test_from_orbits_inverts_orbit_coefficients(rng):
 def test_orbit_backed_counts_without_expanding():
     orbits = {((2, 0, 0), 0): Fraction(1, 2), ((2, 2, 2), 2): Fraction(3)}
     p = Poly.from_orbits(3, orbits)
-    assert (len(p), bool(p), p.orbit_coefficients()) == (4, True, orbits)
+    assert (len(p), bool(p)) == (4, True)
     assert str(p) == "(1/2)*L1^2 + (1/2)*L2^2 + (1/2)*L3^2 + 3*L1^2*L2^2*L3^2*pi^2"
     assert p._terms is None
     empty = Poly.from_orbits(2, {})
