@@ -13,14 +13,14 @@ check: the coefficient type guarantees it.
 
 ``VolumePolynomial`` holds the canonical form of a volume, its coefficients
 by symmetry orbit: ``{(L exponents sorted descending, pi exponent): c}``.
-Symmetry holds by construction, and ``validate`` checks the rest on the
-orbit keys alone.  ``poly``, the dense view, is built on first use, for
-rendering and export only: a ``Poly`` that keeps the orbits, renders from
-them and expands its term map only for export.  Every produced volume is
-validated once, by ``VolumeStore.put`` before anyone can read it; dense
-input (a cache document, a test polynomial) enters through ``checked``,
-which also rejects an asymmetric polynomial.  A convention or arithmetic
-slip anywhere in a recursion therefore surfaces as an ``InvariantError``.
+Symmetry holds by construction, and ``validate`` checks the rest on the orbit
+keys alone.  ``poly``, the dense view, is built on first use for rendering and
+export: a ``Poly`` that keeps the orbits (one monomial as its term), renders
+from them and expands its term map only for export.  Every produced volume is
+validated once, by ``VolumeStore.put`` before anyone can read it; dense input
+(a cache document, a test polynomial) enters through ``checked``, which also
+rejects an asymmetric polynomial.  A convention or arithmetic slip anywhere in
+a recursion therefore surfaces as an ``InvariantError``.
 """
 
 from __future__ import annotations
