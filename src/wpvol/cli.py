@@ -182,7 +182,7 @@ def run_verification(
                     continue
                 smaller = ensure_volume(store, g, n)
                 defect = relation_defect(ensure_volume(store, g, n + 1), smaller, order)
-                detail = str(Poly.from_orbits(n, defect)) if defect else ""
+                detail = str(Poly(n, defect)) if defect else ""
                 record(g, n, not defect, detail=detail)
     elif relation == "factor":
         for g in range(1, max_genus + 1):

@@ -67,6 +67,6 @@ def ensure_volume(
     if lifted.orbits != recursed.orbits:
         raise ConsistencyError(
             f"lift and kernel recursion disagree for V({g},{n})",
-            defect=Poly.from_orbits(n, add(lifted.orbits, recursed.orbits, -1)),
+            defect=Poly(n, add(lifted.orbits, recursed.orbits, -1)),
         )
     return lifted

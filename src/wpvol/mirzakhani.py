@@ -80,7 +80,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .poly import Poly
 from .volume import (
     ConsistencyError,
     VolumePolynomial,
@@ -113,9 +112,10 @@ def zeta_even_coeff(i: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def moment_F(k: int) -> Poly:
-    """Exact F_{2k+1}(t): even in t, homogeneous of degree 2k+2, leading
-    term t^(2k+2)/(4k+4)."""
+def moment_F(k: int) -> dict:
+    """Exact F_{2k+1}(t) as ``{(t exponent, pi exponent): coefficient}``:
+    even in t, homogeneous of degree 2k+2, leading term t^(2k+2)/(4k+4).
+    The map is shared by every caller and must not be changed."""
     if k < 0:
         raise ValueError("moment index must be nonnegative")
     fac = math.factorial(2 * k + 1)
@@ -124,24 +124,25 @@ def moment_F(k: int) -> Poly:
         c = fac * zeta_even_coeff(i) * (2 ** (2 * i) - 2)
         c /= math.factorial(2 * k + 2 - 2 * i)
         terms[(2 * k + 2 - 2 * i, 2 * i)] = c
-    return Poly.from_terms(1, terms)
+    return terms
 
 
 @lru_cache(maxsize=None)
-def pair_moment(k: int) -> Poly:
-    """F_{2k+1}(u + v) + F_{2k+1}(u - v) as a two-variable polynomial.
+def pair_moment(k: int) -> dict:
+    """F_{2k+1}(u + v) + F_{2k+1}(u - v) as ``{(u exponent, v exponent,
+    pi exponent): coefficient}``, shared like ``moment_F``.
 
     Odd powers of v cancel, so the result is even in both variables; this is
     the x^(2k+1) transform of the kernel H(x, u+v) + H(x, u-v).
     """
     out = {}
-    for key, c in moment_F(k).terms.items():
+    for key, c in moment_F(k).items():
         s, pi_exp = key
         for r in range(0, s + 1, 2):
             coeff = c * (2 * math.comb(s, r))
             nkey = (s - r, r, pi_exp)
             out[nkey] = out.get(nkey, 0) + coeff
-    return Poly(2, out)
+    return out
 
 
 def _tails(length: int, budget: int, top: int):
@@ -307,12 +308,12 @@ def _moment_tables(half: int, d_a: int, d_b: int) -> tuple[int, list, list]:
     """
     a_terms = [
         [(t, c.numerator, c.denominator * math.factorial(2 * s + 3))
-         for (t, _), c in moment_F(s + 1).terms.items()]
+         for (t, _), c in moment_F(s + 1).items()]
         for s in range(half - 1)
     ]
     b_terms = [
         [(t, w, c.numerator, c.denominator * math.factorial(2 * k + 1))
-         for (t, w, _), c in pair_moment(k).terms.items()]
+         for (t, w, _), c in pair_moment(k).items()]
         for k in range(half)
     ]
     den_a = math.lcm(*(e[-1] for terms in a_terms for e in terms))

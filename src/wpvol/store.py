@@ -12,9 +12,10 @@ deterministic and round-trips byte for byte.  Coefficients are rational, so
 is rejected.  Entries are validated against the volume invariants both when
 written and when read back, which turns any on-disk corruption into an
 immediate error instead of a wrong number: ``put`` is the one gate every
-produced volume passes, and a document is read through
-``VolumePolynomial.checked``, which also converts its dense terms to the
-orbit form the store holds.
+produced volume passes, and a document's terms are read through
+``VolumePolynomial.checked``, which groups them into the orbit form the
+store holds.  The writer lists the terms by the orbit walk that prints a
+volume (``Poly.walk``), run over exponent tables instead of text tables.
 
 Exponents must be JSON integers and coefficients strings; anything else (a
 float exponent, a numeric ``"re"``) is rejected rather than coerced.
@@ -34,7 +35,6 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .poly import Poly
 from .volume import InvariantError, UnstableSurfaceError, VolumePolynomial, seed_volume
 
 SCHEMA_VERSION = 1
@@ -61,22 +61,32 @@ def resolve_cache_dir(flag_value: str | None = None) -> Path:
     return Path(DEFAULT_CACHE_DIR)
 
 
+class _Exponents(dict):
+    """Exponent -> the one-tuple (e,): over these tables the orbit walk
+    builds each monomial's exponent tuple, pi last, in canonical order."""
+
+    def __missing__(self, e: int) -> tuple:
+        key = self[e] = (e,)
+        return key
+
+
+_EXPONENTS = _Exponents()
+
+
 def volume_to_document(vol: VolumePolynomial, provenance: str) -> dict:
     if provenance not in PROVENANCES:
         raise ValueError(f"unknown provenance {provenance!r}")
-    texts: dict = {}  # id(coefficient) -> str; an orbit shares one object
-    terms = []
-    for key, coeff in vol.poly.sorted_terms():
-        text = texts.get(id(coeff))
-        if text is None:
-            text = texts[id(coeff)] = str(coeff)
-        terms.append({"l": list(key[:-1]), "pi": key[-1], "re": text, "im": "0"})
+    coefficients, order, keys = vol.poly.walk([_EXPONENTS] * (vol.n + 1))
+    texts = [str(c) for c in coefficients]
     return {
         "schema": SCHEMA_VERSION,
         "g": vol.g,
         "n": vol.n,
         "provenance": provenance,
-        "terms": terms,
+        "terms": [
+            {"l": list(key[:-1]), "pi": key[-1], "re": texts[j], "im": "0"}
+            for key, j in zip(keys, order)
+        ],
     }
 
 
@@ -122,7 +132,7 @@ def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CacheError(f"malformed term list: {exc}") from exc
     try:
-        vol = VolumePolynomial.checked(g, n, Poly(n, terms))
+        vol = VolumePolynomial.checked(g, n, terms)
     except (InvariantError, UnstableSurfaceError) as exc:
         raise CacheError(f"stored entry fails validation: {exc}") from exc
     return vol, provenance

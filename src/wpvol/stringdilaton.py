@@ -98,7 +98,7 @@ def lift(vol: VolumePolynomial) -> VolumePolynomial:
     rest = add(defect, _boundary_product(n), 2 * constant)
     if rest:
         raise ConsistencyError(
-            "dilaton correction is not a constant", defect=Poly.from_orbits(n, rest)
+            "dilaton correction is not a constant", defect=Poly(n, rest)
         )
     return VolumePolynomial(g, n + 1, add(candidate, _boundary_product(n + 1), constant))
 
@@ -123,7 +123,9 @@ def closed_volume(vol: VolumePolynomial) -> VolumePolynomial:
         raise ValueError("closed volume needs a one-boundary volume of genus >= 2")
     remainder = at_two_pi_i(vol.orbits)
     if remainder:
-        raise ConsistencyError(NONZERO_REMAINDER, defect=Poly.from_orbits(0, remainder).embed(1))
+        # the remainder holds no L; it is printed as a polynomial in L1
+        defect = Poly(1, {((0,), p): c for (_, p), c in remainder.items()})
+        raise ConsistencyError(NONZERO_REMAINDER, defect=defect)
     value = at_two_pi_i(vol.orbits, 1)
     if len(value) != 1:
         raise ConsistencyError("closed volume is not a single rational pi power")

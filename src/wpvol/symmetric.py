@@ -43,7 +43,7 @@ class LiftError(Exception):
     def defect(self) -> Poly | None:
         """The residual as a polynomial in the variable count of its patterns."""
         if self.residual:
-            return Poly.from_orbits(len(next(iter(self.residual))[0]), self.residual)
+            return Poly(len(next(iter(self.residual))[0]), self.residual)
 
 
 def at_two_pi_i(orbits: dict, derivatives: int = 0) -> dict:

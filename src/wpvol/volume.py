@@ -14,13 +14,13 @@ check: the coefficient type guarantees it.
 ``VolumePolynomial`` holds the canonical form of a volume, its coefficients
 by symmetry orbit: ``{(L exponents sorted descending, pi exponent): c}``.
 Symmetry holds by construction, and ``validate`` checks the rest on the orbit
-keys alone.  ``poly``, the dense view, is built on first use for rendering and
-export: a ``Poly`` that keeps the orbits (one monomial as its term), renders
-from them and expands its term map only for export.  Every produced volume is
-validated once, by ``VolumeStore.put`` before anyone can read it; dense input
-(a cache document, a test polynomial) enters through ``checked``, which also
-rejects an asymmetric polynomial.  A convention or arithmetic slip anywhere in
-a recursion therefore surfaces as an ``InvariantError``.
+keys alone.  ``poly``, the text form, is a ``Poly`` on the same orbits, built
+on first use for printing; it renders by the orbit walk and never lists the
+monomials.  Every produced volume is validated once, by ``VolumeStore.put``
+before anyone can read it; dense input (a cache document's terms) enters
+through ``checked``, which groups it by orbit and also rejects an asymmetric
+polynomial.  A convention or arithmetic slip anywhere in a recursion
+therefore surfaces as an ``InvariantError``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .poly import Poly
+from .poly import Poly, _arrangement_count
 
 
 class VolumeError(Exception):
@@ -93,8 +93,8 @@ class VolumePolynomial:
 
     @cached_property
     def poly(self) -> Poly:
-        """The dense view, built on first use: every monomial of every orbit."""
-        return Poly.from_orbits(self.n, self.orbits)
+        """The text form, built on first use: it prints by the orbit walk."""
+        return Poly(self.n, self.orbits)
 
     @property
     def dimension(self) -> int:
@@ -129,20 +129,33 @@ class VolumePolynomial:
             )
 
     @classmethod
-    def checked(cls, g: int, n: int, poly: Poly) -> "VolumePolynomial":
-        """Validate dense input and keep it as the dense view."""
-        if poly.n_vars != n:
-            raise InvariantError(
-                f"V({g},{n}) invariant failure: polynomial has {poly.n_vars} "
-                f"variables, expected {n}"
-            )
-        try:
-            orbits = poly.orbit_coefficients()
-        except ValueError as exc:
-            raise InvariantError(f"V({g},{n}) invariant failure: {exc}") from exc
-        vol = cls(g, n, orbits)
+    def checked(cls, g: int, n: int, terms: dict) -> "VolumePolynomial":
+        """Validate a dense ``{monomial: coefficient}`` map, each monomial
+        its n L exponents and then its pi exponent, and group it by orbit.
+        Every orbit must be present in full with one coefficient."""
+
+        def failure(problem: str) -> InvariantError:
+            return InvariantError(f"V({g},{n}) invariant failure: {problem}")
+
+        groups: dict = {}  # orbit -> [monomials seen, coefficient]
+        for key, c in terms.items():
+            if len(key) != n + 1:
+                raise failure(f"polynomial has {len(key) - 1} variables, expected {n}")
+            sig = (tuple(sorted(key[:-1], reverse=True)), key[-1])
+            entry = groups.get(sig)
+            if entry is None:
+                groups[sig] = [1, c]
+                continue
+            entry[0] += 1
+            # a parsed document shares one object per coefficient string
+            if entry[1] is not c and entry[1] != c:
+                raise failure(f"not symmetric: orbit {sig} carries distinct coefficients")
+        for sig, (count, _) in groups.items():
+            expected = _arrangement_count(sig[0], n)
+            if count != expected:
+                raise failure(f"not symmetric: orbit {sig} has {count} of {expected} monomials")
+        vol = cls(g, n, {sig: c for sig, (_, c) in groups.items()})
         vol.validate()
-        vol.__dict__["poly"] = poly
         return vol
 
 

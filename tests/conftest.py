@@ -15,9 +15,8 @@ from itertools import permutations, product
 
 import pytest
 
-from wpvol.poly import Poly
 from wpvol.volume import seed_volume
-from dense_oracle import add, coeff_pi, drop_var, eval_zero, mul, pi, scale
+from dense_oracle import Dense, add, coeff_pi, drop_var, eval_zero, mul, pi, scale
 
 
 @pytest.fixture(scope="session")
@@ -53,14 +52,14 @@ def random_rational(rng, allow_zero=True) -> Fraction:
     return Fraction(num, rng.randint(1, 9))
 
 
-def random_poly(rng, n_vars, max_terms=4, max_exp=3, max_pi=2) -> Poly:
+def random_poly(rng, n_vars, max_terms=4, max_exp=3, max_pi=2) -> Dense:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         key = tuple(rng.randint(0, max_exp) for _ in range(n_vars)) + (
             rng.randint(0, max_pi),
         )
         terms[key] = random_rational(rng)
-    return Poly.from_terms(n_vars, terms)
+    return Dense.from_terms(n_vars, terms)
 
 
 def partitions(total, max_parts):
@@ -84,17 +83,17 @@ def partitions(total, max_parts):
     yield from rec(total, total, max_parts)
 
 
-def monomial_symmetric(n_vars, pattern, pi_exp=0) -> Poly:
+def monomial_symmetric(n_vars, pattern, pi_exp=0) -> Dense:
     """m_lambda over n_vars variables, built by brute-force permutation."""
     padded = tuple(pattern) + (0,) * (n_vars - len(pattern))
     keys = {p + (pi_exp,) for p in permutations(padded)}
-    return Poly.from_terms(n_vars, {key: 1 for key in keys})
+    return Dense.from_terms(n_vars, {key: 1 for key in keys})
 
 
-def random_symmetric_even(rng, n_vars, half_degree) -> Poly:
+def random_symmetric_even(rng, n_vars, half_degree) -> Dense:
     """Random symmetric polynomial, even L exponents, homogeneous of total
     degree 2*half_degree (pi included), squared degree <= half_degree."""
-    total = Poly(n_vars, {})
+    total = Dense(n_vars, {})
     for k in range(half_degree + 1):
         for pattern in partitions(half_degree - k, n_vars):
             if rng.random() < 0.5:
@@ -134,7 +133,7 @@ def solve_linear(rows, rhs):
     return [aug[i][-1] for i in range(n_unknowns)]
 
 
-def brute_force_lift(f: Poly) -> Poly:
+def brute_force_lift(f: Dense) -> Dense:
     """Solve for the symmetric extension by linear algebra, layer by layer.
 
     Unknowns are coefficients of monomial symmetric polynomials over n+1
@@ -143,7 +142,7 @@ def brute_force_lift(f: Poly) -> Poly:
     L_{n+1} = 0 against f.
     """
     n = f.n_vars
-    total = Poly(n + 1, {})
+    total = Dense(n + 1, {})
     pi_levels = sorted({key[-1] for key in f.terms})
     for pi_exp in pi_levels:
         layer = coeff_pi(f, pi_exp)
@@ -168,7 +167,7 @@ def brute_force_lift(f: Poly) -> Poly:
     return total
 
 
-def _substitute_var(p: Poly, source: int, target: int) -> Poly:
+def _substitute_var(p: Dense, source: int, target: int) -> Dense:
     """L_source -> L_target (exponents merge onto the target)."""
     out = {}
     for key, c in p.terms.items():
@@ -179,10 +178,10 @@ def _substitute_var(p: Poly, source: int, target: int) -> Poly:
             key[target - 1] += e
             key = tuple(key)
         out[key] = out.get(key, 0) + c
-    return Poly.from_terms(p.n_vars, out)
+    return Dense.from_terms(p.n_vars, out)
 
 
-def epsilon_lift(f: Poly) -> Poly:
+def epsilon_lift(f: Dense) -> Dense:
     """Literal subset inclusion-exclusion enumeration of the lift (slow).
 
     For every epsilon in {0,1}^n: zero the marked variables, then for each i
@@ -196,7 +195,7 @@ def epsilon_lift(f: Poly) -> Poly:
             if bit:
                 zeroed = eval_zero(zeroed, j)
         zeroed = zeroed.embed(n + 1)
-        inner = Poly(n + 1, {})
+        inner = Dense(n + 1, {})
         for i in range(1, n + 1):
             if all(bits[j - 1] == 0 for j in range(i + 1, n + 1)):
                 inner = add(inner, _substitute_var(zeroed, i, n + 1))

@@ -1,17 +1,21 @@
 """Dense reference implementations of the polynomial ring, of the relations
 at L = 2*pi*i, and of rendering.
 
-``Poly`` has no arithmetic; the ring here (``const``, ``var``, ``pi``,
-``add``, ``scale``, ``mul``) builds and combines term maps through
-``Poly.from_terms``, which sums repeated keys and drops zeros.  The tests
-state expected polynomials with it and use it as the reference arithmetic.
+The package keeps every polynomial by symmetry orbit.  ``Dense`` is the
+other form, the term map ``{exponents: coefficient}`` with the L1..Ln
+exponents and then the pi exponent, and ``expand`` lists the monomials of
+an orbit map (a ``Poly`` or a volume) into it.  The ring here (``const``,
+``var``, ``pi``, ``add``, ``scale``, ``mul``) builds and combines term maps
+through ``Dense.from_terms``, which sums repeated keys and drops zeros.  The
+tests state expected polynomials with it and use it as the reference
+arithmetic.
 
 The package evaluates at 2*pi*i only by symmetry orbit
 (``symmetric.at_two_pi_i``).  The functions here do the same work on the
-dense term map of ``Poly``, one monomial at a time, with no orbit code at
-all, so the tests can hold the orbit code against them.  They also carry
-the dense calculus and inspection helpers the tests use to state
-properties of polynomials.  Variable indices are 1-based (L1..Ln).
+term map, one monomial at a time, with no orbit code at all, so the tests
+can hold the orbit code against them.  They also carry the dense calculus
+and inspection helpers the tests use to state properties of polynomials.
+Variable indices are 1-based (L1..Ln).
 
 The kernel half is the recursion as it ran on ``Fraction`` coefficients,
 one double moment per (a, b) and one product per term, with the connected
@@ -29,8 +33,8 @@ closed form.
 
 The rendering half is the straightforward printer: the canonical order by
 a key function, one term formatted at a time, and a recursive generator
-of arrangements.  The package's table-driven renderer must match it byte
-for byte.
+of arrangements.  The package's orbit walk, which prints volumes and lists
+the terms of their cache documents, must match it byte for byte.
 """
 
 from __future__ import annotations
@@ -64,35 +68,134 @@ def _check_index(n: int, k: int) -> int:
 
 
 # ----------------------------------------------------------------------
+# the term map
+
+
+class Dense:
+    """Sparse exact polynomial in L1..Ln and pi as its term map.
+
+    ``terms`` maps exponent tuples (length ``n_vars + 1``, pi last) to
+    nonzero Fraction coefficients, so two polynomials are equal iff their
+    term maps are.  The constructor takes ownership of the dict and trusts
+    it to be canonical; ``from_terms`` and ``from_orbits`` build values
+    safely.
+    """
+
+    __slots__ = ("n_vars", "terms")
+    __hash__ = None
+
+    def __init__(self, n_vars: int, terms: dict):
+        self.n_vars = n_vars
+        self.terms = terms
+
+    @classmethod
+    def from_terms(cls, n_vars: int, items: dict | Iterable) -> "Dense":
+        """Build from ``{exponent tuple: coefficient}``; drops zeros, copies."""
+        pairs = items.items() if isinstance(items, dict) else items
+        terms = {}
+        for key, value in pairs:
+            key = tuple(key)
+            if len(key) != n_vars + 1 or any(e < 0 for e in key):
+                raise ValueError(f"bad exponent tuple {key} for n_vars={n_vars}")
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"cannot use {value!r} as a polynomial coefficient")
+            if value:
+                terms[key] = terms.get(key, _F0) + value
+        return cls(n_vars, {k: v for k, v in terms.items() if v})
+
+    @classmethod
+    def from_orbits(cls, n_vars: int, orbits: dict) -> "Dense":
+        """Every monomial of ``{(pattern, pi_exp): coefficient}``: each
+        distinct rearrangement of a pattern carries its orbit's coefficient.
+        Inverse of ``orbit_coefficients``."""
+        return cls(n_vars, {
+            head + (pi_exp,): c
+            for (pattern, pi_exp), c in orbits.items()
+            for head in arrangements(pattern)
+        })
+
+    def orbit_coefficients(self) -> dict:
+        """Coefficients by symmetry orbit, or raise ValueError if asymmetric.
+
+        The orbit of a monomial under permutations of L1..Ln is identified by
+        its sorted exponent pattern together with the pi exponent.  For a
+        symmetric polynomial every orbit is fully present with one shared
+        coefficient; returns {(pattern, pi_exp): coefficient}.
+        """
+        groups: dict = {}
+        for key, c in self.terms.items():
+            sig = (tuple(sorted(key[:-1], reverse=True)), key[-1])
+            groups.setdefault(sig, []).append(c)
+        out = {}
+        for (pattern, pi_exp), coeffs in groups.items():
+            if len(set(coeffs)) > 1:
+                raise ValueError(f"not symmetric: orbit {(pattern, pi_exp)} carries distinct coefficients")
+            expected = len(set(arrangements(pattern)))
+            if len(coeffs) != expected:
+                raise ValueError(
+                    f"not symmetric: orbit {(pattern, pi_exp)} has {len(coeffs)} of "
+                    f"{expected} monomials"
+                )
+            out[(pattern, pi_exp)] = coeffs[0]
+        return out
+
+    def embed(self, new_n_vars: int) -> "Dense":
+        """Reinterpret in new_n_vars >= n_vars variables (new ones absent)."""
+        if new_n_vars < self.n_vars:
+            raise ValueError("embed can only extend the variable count")
+        pad = (0,) * (new_n_vars - self.n_vars)
+        return Dense(
+            new_n_vars,
+            {key[:-1] + pad + (key[-1],): c for key, c in self.terms.items()},
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dense):
+            return NotImplemented
+        return self.n_vars == other.n_vars and self.terms == other.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __repr__(self) -> str:
+        return f"Dense({self.n_vars}, {render(self)})"
+
+
+def expand(p: Poly | VolumePolynomial) -> Dense:
+    """The term map of an orbit map: a ``Poly`` or a volume."""
+    return Dense.from_orbits(p.n_vars if isinstance(p, Poly) else p.n, p.orbits)
+
+
+# ----------------------------------------------------------------------
 # the ring: monomials, sums, products and scaling of term maps; adding or
 # multiplying polynomials in different variable counts raises ValueError
 
 
-def const(n: int, value) -> Poly:
-    return Poly.from_terms(n, {(0,) * (n + 1): value})
+def const(n: int, value) -> Dense:
+    return Dense.from_terms(n, {(0,) * (n + 1): value})
 
 
-def var(n: int, k: int, power: int = 1) -> Poly:
+def var(n: int, k: int, power: int = 1) -> Dense:
     """The monomial L_k**power in n variables."""
     key = [0] * (n + 1)
     key[_check_index(n, k)] = power
-    return Poly.from_terms(n, {tuple(key): 1})
+    return Dense.from_terms(n, {tuple(key): 1})
 
 
-def pi(n: int, power: int = 1) -> Poly:
-    return Poly.from_terms(n, {(0,) * n + (power,): 1})
+def pi(n: int, power: int = 1) -> Dense:
+    return Dense.from_terms(n, {(0,) * n + (power,): 1})
 
 
-def add(*ps: Poly) -> Poly:
-    return Poly.from_terms(ps[0].n_vars, [item for p in ps for item in p.terms.items()])
+def add(*ps: Dense) -> Dense:
+    return Dense.from_terms(ps[0].n_vars, [item for p in ps for item in p.terms.items()])
 
 
-def scale(p: Poly, c) -> Poly:
-    return Poly.from_terms(p.n_vars, {key: c * v for key, v in p.terms.items()})
+def scale(p: Dense, c) -> Dense:
+    return Dense.from_terms(p.n_vars, {key: c * v for key, v in p.terms.items()})
 
 
-def mul(p: Poly, q: Poly) -> Poly:
-    return Poly.from_terms(
+def mul(p: Dense, q: Dense) -> Dense:
+    return Dense.from_terms(
         p.n_vars,
         [
             (tuple(a + b for a, b in zip(ka, kb, strict=True)), ca * cb)
@@ -106,27 +209,27 @@ def mul(p: Poly, q: Poly) -> Poly:
 # inspection
 
 
-def coeff_monomial(p: Poly, l_exps: Iterable[int], pi_exp: int = 0) -> Fraction:
+def coeff_monomial(p: Dense, l_exps: Iterable[int], pi_exp: int = 0) -> Fraction:
     return p.terms.get(tuple(l_exps) + (pi_exp,), _F0)
 
 
-def l_degree(p: Poly) -> int:
+def l_degree(p: Dense) -> int:
     """Max over terms of the sum of L exponents alone; -1 if zero."""
     if not p.terms:
         return -1
     return max(sum(key[:-1]) for key in p.terms)
 
 
-def is_homogeneous(p: Poly, degree: int) -> bool:
+def is_homogeneous(p: Dense, degree: int) -> bool:
     """True iff every term has total degree (L exponents plus pi) equal."""
     return all(sum(key) == degree for key in p.terms)
 
 
-def has_even_l_exponents(p: Poly) -> bool:
+def has_even_l_exponents(p: Dense) -> bool:
     return all(all(e % 2 == 0 for e in key[:-1]) for key in p.terms)
 
 
-def is_symmetric(p: Poly) -> bool:
+def is_symmetric(p: Dense) -> bool:
     """True iff invariant under every permutation of L1..Ln."""
     if p.n_vars <= 1:
         return True
@@ -141,7 +244,7 @@ def is_symmetric(p: Poly) -> bool:
 # calculus and substitution
 
 
-def ddx(p: Poly, k: int) -> Poly:
+def ddx(p: Dense, k: int) -> Dense:
     """Exact partial derivative with respect to L_k."""
     i = _check_index(p.n_vars, k)
     out: dict = {}
@@ -150,10 +253,10 @@ def ddx(p: Poly, k: int) -> Poly:
         if e == 0:
             continue
         out[key[:i] + (e - 1,) + key[i + 1:]] = c * e
-    return Poly(p.n_vars, out)
+    return Dense(p.n_vars, out)
 
 
-def eval_two_pi_i(p: Poly, k: int) -> Poly:
+def eval_two_pi_i(p: Dense, k: int) -> Dense:
     """Substitute L_k = 2*pi*i exactly.
 
     Each L_k**j, j even, becomes (-4)**(j/2) * pi**j folded into the
@@ -175,26 +278,26 @@ def eval_two_pi_i(p: Poly, k: int) -> Poly:
             out[key] = s
         else:
             out.pop(key, None)
-    return Poly(p.n_vars, out)
+    return Dense(p.n_vars, out)
 
 
-def eval_zero(p: Poly, k: int) -> Poly:
+def eval_zero(p: Dense, k: int) -> Dense:
     """Substitute L_k = 0 (keeps the variable count)."""
     i = _check_index(p.n_vars, k)
-    return Poly(p.n_vars, {key: c for key, c in p.terms.items() if not key[i]})
+    return Dense(p.n_vars, {key: c for key, c in p.terms.items() if not key[i]})
 
 
-def coeff_pi(p: Poly, pi_exp: int) -> Poly:
+def coeff_pi(p: Dense, pi_exp: int) -> Dense:
     """The pi-free coefficient polynomial of pi**pi_exp."""
     if pi_exp < 0:
         raise IndexError("pi exponent must be nonnegative")
-    return Poly(
+    return Dense(
         p.n_vars,
         {key[:-1] + (0,): c for key, c in p.terms.items() if key[-1] == pi_exp},
     )
 
 
-def drop_var(p: Poly, k: int) -> Poly:
+def drop_var(p: Dense, k: int) -> Dense:
     """Remove variable k, which must be absent from every monomial."""
     i = _check_index(p.n_vars, k)
     out = {}
@@ -202,10 +305,10 @@ def drop_var(p: Poly, k: int) -> Poly:
         if key[i]:
             raise ValueError(f"variable {k} still occurs in {key}")
         out[key[:i] + key[i + 1:]] = c
-    return Poly(p.n_vars - 1, out)
+    return Dense(p.n_vars - 1, out)
 
 
-def divide_by_var(p: Poly, k: int) -> Poly:
+def divide_by_var(p: Dense, k: int) -> Dense:
     """Exact division by L_k; every monomial must contain L_k."""
     i = _check_index(p.n_vars, k)
     out = {}
@@ -213,16 +316,16 @@ def divide_by_var(p: Poly, k: int) -> Poly:
         if not key[i]:
             raise ValueError(f"term {key} is not divisible by L{k}")
         out[key[:i] + (key[i] - 1,) + key[i + 1:]] = c
-    return Poly(p.n_vars, out)
+    return Dense(p.n_vars, out)
 
 
-def euler_poly(p: Poly) -> Poly:
+def euler_poly(p: Dense) -> Dense:
     """sum_j L_j * dp/dL_j; scales a term of L-degree 2d by 2d."""
     n = p.n_vars
-    return add(Poly(n, {}), *(mul(var(n, k), ddx(p, k)) for k in range(1, n + 1)))
+    return add(Dense(n, {}), *(mul(var(n, k), ddx(p, k)) for k in range(1, n + 1)))
 
 
-def divide_boundary_quadratic(p: Poly, k: int) -> Poly:
+def divide_boundary_quadratic(p: Dense, k: int) -> Dense:
     """Exact division by (L_k^2 + 4 pi^2); raises on a nonzero remainder."""
     i = _check_index(p.n_vars, k)
     work = dict(p.terms)
@@ -246,28 +349,28 @@ def divide_boundary_quadratic(p: Poly, k: int) -> Poly:
     if work:
         raise ConsistencyError(
             f"nonzero remainder dividing by (L{k}^2 + 4*pi^2)",
-            defect=Poly(p.n_vars, work),
+            defect=Dense(p.n_vars, work),
         )
-    return Poly(p.n_vars, quotient)
+    return Dense(p.n_vars, quotient)
 
 
 # ----------------------------------------------------------------------
 # the relations, on the dense view of each volume
 
 
-def string_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
+def string_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Dense:
     """V(g, n+1)(L, 2*pi*i) minus sum_k integral_0^{L_k} L_k V(g, n) dL_k."""
     m = bigger.n
     n = smaller.n
-    parts = (_integrate_times_var(smaller.poly, k) for k in range(1, n + 1))
-    rhs = add(Poly(n, {}), *parts)
-    return add(eval_two_pi_i(bigger.poly, m), scale(rhs.embed(m), -1))
+    parts = (_integrate_times_var(expand(smaller), k) for k in range(1, n + 1))
+    rhs = add(Dense(n, {}), *parts)
+    return add(eval_two_pi_i(expand(bigger), m), scale(rhs.embed(m), -1))
 
 
-def _integrate_times_var(p: Poly, k: int) -> Poly:
+def _integrate_times_var(p: Dense, k: int) -> Dense:
     """integral_0^{L_k} L_k p dL_k: L_k**e becomes L_k**(e+2) / (e+2)."""
     i = k - 1
-    return Poly(
+    return Dense(
         p.n_vars,
         {
             key[:i] + (key[i] + 2,) + key[i + 1:]: c / (key[i] + 2)
@@ -276,27 +379,27 @@ def _integrate_times_var(p: Poly, k: int) -> Poly:
     )
 
 
-def dilaton_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
+def dilaton_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Dense:
     m = bigger.n
-    lhs = eval_two_pi_i(divide_by_var(ddx(bigger.poly, m), m), m)
+    lhs = eval_two_pi_i(divide_by_var(ddx(expand(bigger), m), m), m)
     factor = 2 * smaller.g - 2 + smaller.n
-    return add(lhs, scale(smaller.poly, -factor).embed(m))
+    return add(lhs, scale(expand(smaller), -factor).embed(m))
 
 
-def second_derivative_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Poly:
+def second_derivative_defect(bigger: VolumePolynomial, smaller: VolumePolynomial) -> Dense:
     m = bigger.n
-    lhs = eval_two_pi_i(ddx(ddx(bigger.poly, m), m), m)
+    lhs = eval_two_pi_i(ddx(ddx(expand(bigger), m), m), m)
     factor = 4 * smaller.g - 4 + smaller.n
-    rhs = add(euler_poly(smaller.poly), scale(smaller.poly, -factor))
+    rhs = add(euler_poly(expand(smaller)), scale(expand(smaller), -factor))
     return add(lhs, scale(rhs.embed(m), -1))
 
 
-def boundary_cofactor(vol: VolumePolynomial) -> Poly:
+def boundary_cofactor(vol: VolumePolynomial) -> Dense:
     """The cofactor P with V(g, 1) = (L^2 + 4 pi^2) * P, by dense division."""
-    return divide_boundary_quadratic(vol.poly, 1)
+    return divide_boundary_quadratic(expand(vol), 1)
 
 
-def closed_volume(vol: VolumePolynomial) -> Poly:
+def closed_volume(vol: VolumePolynomial) -> Dense:
     """V(g, 0) as the cofactor at L = 2*pi*i over g - 1: the division route
     the package's ``closed_volume`` (dilaton at n = 0) must agree with."""
     cofactor = boundary_cofactor(vol)
@@ -340,7 +443,7 @@ def genus0_psi(alpha: Sequence[int]) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def double_moment(a: int, b: int) -> Poly:
+def double_moment(a: int, b: int) -> Dense:
     """integral over x, y > 0 of x^(2a+1) y^(2b+1) H(x+y, t) dx dy, in t."""
     if a < 0 or b < 0:
         raise ValueError("moment indices must be nonnegative")
@@ -348,7 +451,7 @@ def double_moment(a: int, b: int) -> Poly:
         math.factorial(2 * a + 1) * math.factorial(2 * b + 1),
         math.factorial(2 * a + 2 * b + 3),
     )
-    return Poly(1, {key: c * beta for key, c in moment_F(a + b + 1).terms.items()})
+    return Dense(1, {key: c * beta for key, c in moment_F(a + b + 1).items()})
 
 
 def _take(pattern: tuple, head: int):
@@ -422,7 +525,7 @@ def reference_volume(g: int, n: int, store) -> VolumePolynomial:
                 key = (t, beta, p + q)
                 reps[key] = reps.get(key, 0) + c * mc
         for (k, v, p), c in pairs.items():
-            for (t, w, q), mc in pair_moment(k).terms.items():
+            for (t, w, q), mc in pair_moment(k).items():
                 if w == v:
                     key = (t, beta, p + q)
                     reps[key] = reps.get(key, 0) + c * mc
@@ -447,31 +550,30 @@ def reference_volume(g: int, n: int, store) -> VolumePolynomial:
 # rendering, one term at a time
 
 
-def sorted_terms(p: Poly) -> list:
-    """Ascending pi exponent, then descending lexicographic L exponents."""
+def sorted_terms(p: Dense | Poly) -> list:
+    """Ascending pi exponent, then descending lexicographic L exponents; a
+    ``Poly`` is expanded first."""
+    if isinstance(p, Poly):
+        p = expand(p)
     return sorted(
         p.terms.items(),
         key=lambda kv: (kv[0][-1],) + tuple(-e for e in kv[0][:-1]),
     )
 
 
-def render(p: Poly) -> str:
-    if not p.terms:
-        return "0"
-    return _join_terms(_term_plain(key, c) for key, c in sorted_terms(p))
+def render(p: Dense | Poly) -> str:
+    return _join_terms(_term_plain(key, c) for key, c in sorted_terms(p)) or "0"
 
 
-def render_latex(p: Poly) -> str:
-    if not p.terms:
-        return "0"
-    return _join_terms(_term_latex(key, c) for key, c in sorted_terms(p))
+def render_latex(p: Dense | Poly) -> str:
+    return _join_terms(_term_latex(key, c) for key, c in sorted_terms(p)) or "0"
 
 
 def serialize_entry(vol: VolumePolynomial, provenance: str) -> str:
     """The cache document of vol, one ``str`` per term."""
     terms = [
         {"l": list(key[:-1]), "pi": key[-1], "re": str(c), "im": "0"}
-        for key, c in sorted_terms(vol.poly)
+        for key, c in sorted_terms(expand(vol))
     ]
     doc = {
         "schema": SCHEMA_VERSION,

@@ -489,6 +489,26 @@ def test_lift_from_volume_breaking_dilaton_is_inconsistent(capsys, cache):
     ]
 
 
+def test_closed_volume_from_indivisible_cached_volume_is_inconsistent(capsys, cache):
+    # the L1^8 coefficient of the cached V(2,1) set to 1/7: the entry is
+    # well-formed, so it loads, but V(2,1) no longer vanishes at 2*pi*i; the
+    # remainder, a constant in L, is printed as a polynomial in L1
+    run(capsys, "--cache-dir", cache, "compute", "--genus", "2", "--boundaries", "1")
+    path = Path(cache) / "g2_n1.json"
+    document = json.loads(path.read_text())
+    changed = [term for term in document["terms"] if term["l"] == [8]]
+    assert len(changed) == 1
+    changed[0]["re"] = "1/7"
+    path.write_text(json.dumps(document, separators=(",", ":")))
+    code, out, err = run(capsys, "--cache-dir", cache, "compute",
+                         "--genus", "2", "--boundaries", "0")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "internal inconsistency: nonzero remainder dividing by (L1^2 + 4*pi^2)",
+        "difference polynomial: (442361/12096)*pi^8",
+    ]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["compute"]) == 2
     capsys.readouterr()

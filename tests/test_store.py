@@ -20,14 +20,14 @@ from wpvol.volume import UnstableSurfaceError, VolumePolynomial
 def test_round_trip_in_memory(v11):
     store = VolumeStore()
     store.put(v11, "seed")
-    assert store.get(1, 1).poly == v11.poly
+    assert store.get(1, 1) == v11
 
 
 def test_serialization_is_byte_stable(v11):
     text = serialize_entry(v11, "seed")
     vol, provenance = parse_entry(text)
     assert provenance == "seed"
-    assert vol.poly == v11.poly
+    assert vol == v11
     assert serialize_entry(vol, provenance) == text
 
 
@@ -43,7 +43,7 @@ def test_disk_round_trip(tmp_path, v03):
     v04 = lift(v03)
     store.put(v04, "genus0_lift")
     fresh = VolumeStore(tmp_path)
-    assert fresh.get(0, 4).poly == v04.poly
+    assert fresh.get(0, 4) == v04
     # identical bytes after a full write/read/write cycle
     path = tmp_path / "g0_n4.json"
     assert serialize_entry(*parse_entry(path.read_text())) == path.read_text()
@@ -67,7 +67,7 @@ def test_cross_provenance_agreement(v03):
     store.put(lifted, "genus0_lift")
     recursed = mirzakhani_volume(0, 4, VolumeStore())
     store.put(recursed, "mirzakhani")  # equal, accepted
-    assert store.get(0, 4, provenance="mirzakhani").poly == lifted.poly
+    assert store.get(0, 4, provenance="mirzakhani").orbits == lifted.orbits
 
 
 def test_cross_provenance_conflict_is_fatal(v03, v11):
@@ -226,3 +226,73 @@ def test_failed_rename_leaves_no_file(tmp_path, monkeypatch, v03):
     with pytest.raises(OSError, match="rename failed"):
         store.put(v03, "seed")
     assert list(tmp_path.iterdir()) == []
+
+
+# The parse gate: a document's terms must list every monomial of every
+# orbit once, with the orbit's one coefficient, each with n + 1 exponents.
+# V(0,5)'s fourth term is L1^2 L4^2, and its orbit ((2, 0, 0, 0, 0), 2)
+# has five monomials, L1^2 pi^2 first.
+
+
+def _v05_terms():
+    from wpvol.compute import ensure_volume
+
+    vol = ensure_volume(VolumeStore(), 0, 5)
+    return vol, json.loads(serialize_entry(vol, "genus0_lift"))
+
+
+def _with_terms(doc, terms):
+    return json.dumps(dict(doc, terms=terms))
+
+
+def test_duplicate_monomial_rejected():
+    _, doc = _v05_terms()
+    terms = doc["terms"] + [doc["terms"][3]]
+    with pytest.raises(CacheError) as info:
+        parse_entry(_with_terms(doc, terms))
+    assert str(info.value) == "duplicate monomial (2, 0, 0, 2, 0, 0)"
+
+
+def test_orbit_missing_an_arrangement_rejected():
+    _, doc = _v05_terms()
+    terms = [t for t in doc["terms"] if (t["l"], t["pi"]) != ([2, 0, 0, 0, 0], 2)]
+    assert len(terms) == len(doc["terms"]) - 1
+    with pytest.raises(CacheError) as info:
+        parse_entry(_with_terms(doc, terms))
+    assert str(info.value) == (
+        "stored entry fails validation: V(0,5) invariant failure: not symmetric: "
+        "orbit ((2, 0, 0, 0, 0), 2) has 4 of 5 monomials"
+    )
+
+
+def test_orbit_with_two_coefficients_rejected():
+    _, doc = _v05_terms()
+    terms = [dict(t) for t in doc["terms"]]
+    changed = [t for t in terms if (t["l"], t["pi"]) == ([0, 2, 0, 0, 0], 2)]
+    assert len(changed) == 1
+    changed[0]["re"] = "1/3"
+    with pytest.raises(CacheError) as info:
+        parse_entry(_with_terms(doc, terms))
+    assert str(info.value) == (
+        "stored entry fails validation: V(0,5) invariant failure: not symmetric: "
+        "orbit ((2, 0, 0, 0, 0), 2) carries distinct coefficients"
+    )
+
+
+def test_wrong_number_of_exponents_rejected():
+    _, doc = _v05_terms()
+    terms = [dict(t) for t in doc["terms"]]
+    terms[0]["l"] = terms[0]["l"] + [0]
+    with pytest.raises(CacheError) as info:
+        parse_entry(_with_terms(doc, terms))
+    assert str(info.value) == "bad exponents (4, 0, 0, 0, 0, 0, 0) for n = 5"
+
+
+def test_shuffled_terms_parse_to_the_same_orbits(rng):
+    vol, doc = _v05_terms()
+    for _ in range(5):
+        terms = list(doc["terms"])
+        rng.shuffle(terms)
+        parsed, provenance = parse_entry(_with_terms(doc, terms))
+        assert (parsed, provenance) == (vol, "genus0_lift")
+        assert str(parsed.poly) == str(vol.poly)

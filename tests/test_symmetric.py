@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from wpvol.poly import Poly
 from wpvol.symmetric import LiftError, stratified_lift, sym_lift_zero
 from conftest import (
     brute_force_lift,
@@ -11,6 +10,7 @@ from conftest import (
     random_symmetric_even,
 )
 from dense_oracle import (
+    Dense,
     add,
     coeff_monomial,
     const,
@@ -27,20 +27,20 @@ from dense_oracle import (
 
 def lift(f):
     """sym_lift_zero on the orbits of f, expanded in n + 1 variables."""
-    return Poly.from_orbits(f.n_vars + 1, sym_lift_zero(f.orbit_coefficients()))
+    return Dense.from_orbits(f.n_vars + 1, sym_lift_zero(f.orbit_coefficients()))
 
 
 def reconstruct(evaluation, half_degree):
     """stratified_lift on the orbits of evaluation, strata and result expanded."""
     n_plus_1 = evaluation.n_vars + 1
     strata, total = stratified_lift(evaluation.orbit_coefficients(), half_degree)
-    expanded = [(k, Poly.from_orbits(n_plus_1, w)) for k, w in enumerate(strata)]
-    return expanded, Poly.from_orbits(n_plus_1, total)
+    expanded = [(k, Dense.from_orbits(n_plus_1, w)) for k, w in enumerate(strata)]
+    return expanded, Dense.from_orbits(n_plus_1, total)
 
 
 def half_sum_of_squares(n):
     halves = (scale(var(n, k, 2), Fraction(1, 2)) for k in range(1, n + 1))
-    return add(Poly(n, {}), *halves)
+    return add(Dense(n, {}), *halves)
 
 
 class TestSymLiftZero:
@@ -108,7 +108,7 @@ class TestStratifiedLift:
         assert strata[1][1] == const(4, 2)
 
     def test_zero_input(self):
-        strata, lifted = reconstruct(Poly(3, {}), 4)
+        strata, lifted = reconstruct(Dense(3, {}), 4)
         assert not lifted
         assert all(not w for _, w in strata)
 

@@ -1,11 +1,13 @@
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import wpvol
-from wpvol.poly import Poly
+from wpvol.compute import ensure_volume
+from wpvol.store import VolumeStore, parse_entry, serialize_entry
 from wpvol.volume import (
     InvariantError,
     UnstableSurfaceError,
@@ -13,7 +15,7 @@ from wpvol.volume import (
     is_stable,
     seed_volume,
 )
-from dense_oracle import add, coeff_monomial, coeff_pi, const, mul, pi, var
+from dense_oracle import Dense, add, coeff_monomial, coeff_pi, const, expand, mul, pi, var
 
 
 def test_seeds_are_valid():
@@ -22,9 +24,9 @@ def test_seeds_are_valid():
 
 
 def test_seed_values(v03, v11):
-    assert v03.poly == const(3, 1)
-    assert coeff_monomial(v11.poly, (2,), 0) == Fraction(1, 48)
-    assert coeff_monomial(v11.poly, (0,), 2) == Fraction(1, 12)
+    assert expand(v03) == const(3, 1)
+    assert coeff_monomial(expand(v11), (2,), 0) == Fraction(1, 48)
+    assert coeff_monomial(expand(v11), (0,), 2) == Fraction(1, 12)
     assert len(v11.poly) == 2
 
 
@@ -35,44 +37,45 @@ def test_stability():
 
 def test_unstable_rejected():
     with pytest.raises(UnstableSurfaceError):
-        VolumePolynomial.checked(0, 2, const(2, 1))
+        VolumePolynomial.checked(0, 2, const(2, 1).terms)
 
 
 def test_odd_exponent_rejected():
     poly = mul(var(1, 1), pi(1, 1))
     with pytest.raises(InvariantError, match="odd"):
-        VolumePolynomial.checked(1, 1, poly)
+        VolumePolynomial.checked(1, 1, poly.terms)
 
 
 def test_asymmetric_rejected():
     # right degree and parity, wrong symmetry
     poly = var(4, 1, 2)
     with pytest.raises(InvariantError, match="symmetric"):
-        VolumePolynomial.checked(0, 4, poly)
+        VolumePolynomial.checked(0, 4, poly.terms)
 
 
 def test_inhomogeneous_rejected(v11):
     with pytest.raises(InvariantError, match="homogeneous"):
-        VolumePolynomial.checked(1, 1, add(v11.poly, const(1, 1)))
+        VolumePolynomial.checked(1, 1, add(expand(v11), const(1, 1)).terms)
 
 
 def test_complex_coefficient_rejected():
     # coefficients are exact rationals; anything else fails at construction
+    # of a term map (a cache document's coefficient must be a string)
     for value in (0.5, 1j):
         with pytest.raises(TypeError):
-            Poly.from_terms(1, {(2, 0): value})
+            Dense.from_terms(1, {(2, 0): value})
 
 
 def test_wrong_variable_count_rejected(v03):
     with pytest.raises(InvariantError):
-        VolumePolynomial.checked(0, 4, v03.poly)
+        VolumePolynomial.checked(0, 4, expand(v03).terms)
 
 
 def test_odd_pi_layers_vanish(v11):
     # even L exponents plus homogeneity force even pi exponents
     for e in range(v11.degree + 1):
         if e % 2:
-            assert not coeff_pi(v11.poly, e)
+            assert not coeff_pi(expand(v11), e)
 
 
 def test_seed_only_for_base_cases():
@@ -110,10 +113,21 @@ def test_nonpositive_constant_term_rejected(orbits):
         VolumePolynomial(1, 1, orbits).validate()
 
 
-def test_checked_keeps_the_dense_input_as_its_view(v11):
-    vol = VolumePolynomial.checked(1, 1, v11.poly)
-    assert vol.orbits == v11.orbits
-    assert vol.poly is v11.poly
+def test_checked_groups_the_dense_input_by_orbit(v11):
+    vol = VolumePolynomial.checked(1, 1, expand(v11).terms)
+    assert vol == v11
+
+
+@pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (0, 6), (1, 4), (2, 2), (2, 0), (3, 0)])
+def test_parsed_volume_renders_like_the_computed_one(g, n):
+    computed = ensure_volume(VolumeStore(), g, n)
+    parsed, _ = parse_entry(serialize_entry(computed, "mirzakhani"))
+    assert parsed == computed
+    assert str(parsed.poly) == str(computed.poly)
+    assert parsed.poly.to_latex() == computed.poly.to_latex()
+    # the parsed volume renders from its orbits: no term map is kept
+    assert parsed.poly.orbits == computed.orbits and not hasattr(parsed.poly, "terms")
+    assert parsed.poly._plan is not None
 
 
 def test_volume_is_an_unhashable_read_only_value(v11):
@@ -143,6 +157,21 @@ def test_package_has_no_float_constants():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []
+
+
+def test_package_keeps_no_term_map():
+    # a volume is kept by orbit only; the dense term map lives in the tests
+    pattern = re.compile(
+        r"\.terms\b|\b_terms\b|sorted_terms|orbit_coefficients|from_terms|"
+        r"\.embed\(|\barrangements\b"
+    )
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(wpvol.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
     assert found == []
 
 
