@@ -2,18 +2,16 @@
 
 Two independent generators are available: the lift chain (string/dilaton
 recursions, genus 0 and 1 only) and Mirzakhani's kernel recursion (any
-stable (g, n)).  ``ensure_volume`` picks one, or runs both and insists on
-exact agreement.
+stable (g, n)).  ``ensure_volume`` picks one, or runs both; the store then
+insists on exact agreement, as it does for any two provenances of a volume.
 """
 
 from __future__ import annotations
 
 from .mirzakhani import mirzakhani_volume
-from .poly import Poly
 from .store import VolumeStore
 from .stringdilaton import closed_volume, lift
-from .symmetric import add
-from .volume import ConsistencyError, VolumePolynomial, is_seed, require_stable
+from .volume import VolumePolynomial, is_seed, require_stable
 
 METHODS = ("auto", "lift", "mirzakhani", "both")
 
@@ -40,8 +38,8 @@ def ensure_volume(
     """Fetch or compute V(g, n) with the requested method.
 
     ``auto`` uses the lift chain for genus 0 and 1 and the kernel recursion
-    otherwise.  ``both`` computes through the two paths and raises
-    ConsistencyError (with the difference polynomial) on any mismatch.
+    otherwise.  ``both`` stores the volume by both paths, so ``put`` raises
+    ProvenanceConflictError on any mismatch, and returns the lift.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -62,11 +60,7 @@ def ensure_volume(
         return lift_volume(store, g, n)
     if method == "mirzakhani":
         return mirzakhani_volume(g, n, store)
+    # the second put is the check: it raises ProvenanceConflictError on a mismatch
     lifted = lift_volume(store, g, n)
-    recursed = mirzakhani_volume(g, n, store)
-    if lifted.orbits != recursed.orbits:
-        raise ConsistencyError(
-            f"lift and kernel recursion disagree for V({g},{n})",
-            defect=Poly(n, add(lifted.orbits, recursed.orbits, -1)),
-        )
+    mirzakhani_volume(g, n, store)
     return lifted

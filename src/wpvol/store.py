@@ -9,20 +9,21 @@ Terms are listed in the canonical order (ascending pi exponent, then L
 exponents) and rationals are serialized as strings, so serialization is
 deterministic and round-trips byte for byte.  Coefficients are rational, so
 ``"im"`` is always written as ``"0"``, and a document with a nonzero ``"im"``
-is rejected.  Entries are validated against the volume invariants both when
-written and when read back, which turns any on-disk corruption into an
-immediate error instead of a wrong number: ``put`` is the one gate every
-produced volume passes, and a document's terms are read through
-``VolumePolynomial.checked``, which groups them into the orbit form the
-store holds.  The writer lists the terms by the orbit walk that prints a
-volume (``Poly.walk``), run over exponent tables instead of text tables.
+is rejected.  No other module knows the document.  Entries are validated
+against the volume invariants both when written and when read back, which
+turns any on-disk corruption into an immediate error instead of a wrong
+number: ``put`` is the one gate every produced volume passes, and every read
+of a file parses its terms straight into the orbit form the store holds.
+The writer lists the terms by the orbit walk that prints a volume
+(``Poly.walk``), run over exponent tables instead of text tables.
 
 Exponents must be JSON integers and coefficients strings; anything else (a
 float exponent, a numeric ``"re"``) is rejected rather than coerced.
 
 Several provenances may record the same (g, n) in one session; they must
 agree exactly, and a disagreement is fatal because it means two independent
-computation paths produced different polynomials.
+computation paths produced different polynomials.  ``--method both`` relies
+on this check.
 
 A file is written under a fresh name in the cache directory, created with
 ``O_EXCL`` so no existing file is ever reused, and renamed over its target.
@@ -35,6 +36,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+from .poly import _arrangement_count
 from .volume import InvariantError, UnstableSurfaceError, VolumePolynomial, seed_volume
 
 SCHEMA_VERSION = 1
@@ -111,8 +113,11 @@ def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
     g, n = doc.get("g"), doc.get("n")
     if type(g) is not int or type(n) is not int:
         raise CacheError("g and n must be integers")
-    terms = {}
+    seen = set()
     parsed: dict = {}  # coefficient string -> its one Fraction object
+    orbits: dict = {}  # orbit -> the coefficient of its first monomial
+    counts: dict = {}  # orbit -> its monomials listed
+    clash = None  # the first orbit met with a second coefficient
     try:
         for term in doc["terms"]:
             key = (*term["l"], term["pi"])
@@ -126,13 +131,28 @@ def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
             coeff = parsed.get(real)
             if coeff is None:
                 coeff = parsed[real] = Fraction(real)
-            if key in terms:
+            if key in seen:
                 raise CacheError(f"duplicate monomial {key}")
-            terms[key] = coeff
+            seen.add(key)
+            sig = (tuple(sorted(key[:-1], reverse=True)), key[-1])
+            first = orbits.setdefault(sig, coeff)
+            counts[sig] = counts.get(sig, 0) + 1
+            # equal strings share one Fraction, so most checks stop at `is`
+            if first is not coeff and first != coeff and clash is None:
+                clash = sig
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CacheError(f"malformed term list: {exc}") from exc
     try:
-        vol = VolumePolynomial.checked(g, n, terms)
+        # every orbit must be listed in full, with one coefficient
+        failure = f"V({g},{n}) invariant failure: not symmetric: orbit"
+        if clash is not None:
+            raise InvariantError(f"{failure} {clash} carries distinct coefficients")
+        for sig, count in counts.items():
+            expected = _arrangement_count(sig[0], n)
+            if count != expected:
+                raise InvariantError(f"{failure} {sig} has {count} of {expected} monomials")
+        vol = VolumePolynomial(g, n, orbits)
+        vol.validate()
     except (InvariantError, UnstableSurfaceError) as exc:
         raise CacheError(f"stored entry fails validation: {exc}") from exc
     return vol, provenance
@@ -155,25 +175,30 @@ class VolumeStore:
     def _path(self, g: int, n: int) -> Path:
         return self.directory / f"g{g}_n{n}.json"
 
-    def _load_from_disk(self, g: int, n: int) -> None:
-        if self.directory is None:
-            return
+    def _read(self, g: int, n: int) -> tuple[VolumePolynomial, str] | None:
+        """The volume and provenance in the file of (g, n), parsed and
+        checked to hold that key; None when there is no such file."""
+        if self.directory is None or not self._path(g, n).exists():
+            return None
         path = self._path(g, n)
-        if not path.exists():
-            return
         vol, provenance = parse_entry(path.read_text())
         if (vol.g, vol.n) != (g, n):
-            raise CacheError(
-                f"cache file {path.name} holds V({vol.g},{vol.n})"
-            )
-        self._entries.setdefault((g, n), {})[provenance] = vol
+            raise CacheError(f"cache file {path.name} holds V({vol.g},{vol.n})")
+        return vol, provenance
+
+    def _held(self, g: int, n: int) -> dict[str, VolumePolynomial]:
+        """The entries of (g, n) by provenance, its file read on first use."""
+        if (g, n) not in self._entries:
+            read = self._read(g, n)
+            if read is None:
+                return {}
+            self._entries[(g, n)] = {read[1]: read[0]}
+        return self._entries[(g, n)]
 
     def find(self, g: int, n: int) -> tuple[VolumePolynomial, str] | None:
         """The entry for (g, n) and its provenance, the first held in
         ``PROVENANCES`` order; None when the store holds none."""
-        if (g, n) not in self._entries:
-            self._load_from_disk(g, n)
-        by_prov = self._entries.get((g, n), {})
+        by_prov = self._held(g, n)
         for name in PROVENANCES:
             if name in by_prov:
                 return by_prov[name], name
@@ -183,9 +208,7 @@ class VolumeStore:
         if provenance is None:
             found = self.find(g, n)
             return None if found is None else found[0]
-        if (g, n) not in self._entries:
-            self._load_from_disk(g, n)
-        return self._entries.get((g, n), {}).get(provenance)
+        return self._held(g, n).get(provenance)
 
     def seed(self, g: int, n: int) -> VolumePolynomial:
         """The seed V(g, n), stored on first use."""
@@ -199,17 +222,14 @@ class VolumeStore:
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
         vol.validate()
-        key = (vol.g, vol.n)
-        if key not in self._entries:
-            self._load_from_disk(*key)
-        by_prov = self._entries.setdefault(key, {})
+        by_prov = self._held(vol.g, vol.n)
         for other_prov, other in by_prov.items():
             if other.orbits != vol.orbits:
                 raise ProvenanceConflictError(
-                    f"V{key} from {provenance!r} disagrees with stored "
+                    f"V({vol.g},{vol.n}) from {provenance!r} disagrees with stored "
                     f"{other_prov!r} entry"
                 )
-        by_prov[provenance] = vol
+        self._entries.setdefault((vol.g, vol.n), by_prov)[provenance] = vol
         if self.directory is not None:
             path = self._path(vol.g, vol.n)
             if not path.exists():
@@ -231,12 +251,14 @@ class VolumeStore:
         found = set(self._entries)
         if self.directory is not None:
             for path in self.directory.glob("g*_n*.json"):
-                stem = path.stem
                 try:
-                    g_part, n_part = stem.split("_")
-                    found.add((int(g_part[1:]), int(n_part[1:])))
+                    g_part, n_part = path.stem.split("_")
+                    key = (int(g_part[1:]), int(n_part[1:]))
                 except ValueError:
                     continue
+                # a name such as g01_n3.json is not the file of (1, 3)
+                if self._path(*key).name == path.name:
+                    found.add(key)
         return sorted(found)
 
     def clear(self) -> int:
@@ -261,19 +283,17 @@ class VolumeStore:
         for g, n in self.keys():
             record = {"kind": "entry", "g": g, "n": n, "ok": True, "detail": ""}
             try:
-                if self.directory is not None and self._path(g, n).exists():
-                    vol, _ = parse_entry(self._path(g, n).read_text())
-                    if (vol.g, vol.n) != (g, n):
-                        raise CacheError(f"file for ({g},{n}) holds other key")
-                    in_memory = self._entries.get((g, n), {})
-                    for prov, mem_vol in in_memory.items():
+                read = self._read(g, n)
+                if read is None:
+                    vol = self.get(g, n)
+                    vol.validate()
+                else:
+                    vol = read[0]
+                    for prov, mem_vol in self._entries.get((g, n), {}).items():
                         if mem_vol.orbits != vol.orbits:
                             raise ProvenanceConflictError(
                                 f"disk and {prov!r} entries disagree for ({g},{n})"
                             )
-                else:
-                    vol = self.get(g, n)
-                    vol.validate()
                 volumes[(g, n)] = vol
             except (CacheError, InvariantError) as exc:
                 record["ok"] = False

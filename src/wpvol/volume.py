@@ -17,10 +17,9 @@ Symmetry holds by construction, and ``validate`` checks the rest on the orbit
 keys alone.  ``poly``, the text form, is a ``Poly`` on the same orbits, built
 on first use for printing; it renders by the orbit walk and never lists the
 monomials.  Every produced volume is validated once, by ``VolumeStore.put``
-before anyone can read it; dense input (a cache document's terms) enters
-through ``checked``, which groups it by orbit and also rejects an asymmetric
-polynomial.  A convention or arithmetic slip anywhere in a recursion
-therefore surfaces as an ``InvariantError``.
+before anyone can read it, and every stored one as ``store`` parses it.  A
+convention or arithmetic slip anywhere in a recursion therefore surfaces as
+an ``InvariantError``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .poly import Poly, _arrangement_count
+from .poly import Poly
 
 
 class VolumeError(Exception):
@@ -44,7 +43,8 @@ class UnstableSurfaceError(VolumeError):
 
 
 class ConsistencyError(VolumeError):
-    """Two computation paths disagree, or an exact division left a remainder.
+    """An exact step of a recursion failed: a division left a remainder, a
+    correction was not a constant, or one orbit got two coefficients.
 
     Carries the difference polynomial when one is available.
     """
@@ -127,36 +127,6 @@ class VolumePolynomial:
             raise InvariantError(
                 f"V({self.g},{self.n}) invariant failure: " + "; ".join(problems)
             )
-
-    @classmethod
-    def checked(cls, g: int, n: int, terms: dict) -> "VolumePolynomial":
-        """Validate a dense ``{monomial: coefficient}`` map, each monomial
-        its n L exponents and then its pi exponent, and group it by orbit.
-        Every orbit must be present in full with one coefficient."""
-
-        def failure(problem: str) -> InvariantError:
-            return InvariantError(f"V({g},{n}) invariant failure: {problem}")
-
-        groups: dict = {}  # orbit -> [monomials seen, coefficient]
-        for key, c in terms.items():
-            if len(key) != n + 1:
-                raise failure(f"polynomial has {len(key) - 1} variables, expected {n}")
-            sig = (tuple(sorted(key[:-1], reverse=True)), key[-1])
-            entry = groups.get(sig)
-            if entry is None:
-                groups[sig] = [1, c]
-                continue
-            entry[0] += 1
-            # a parsed document shares one object per coefficient string
-            if entry[1] is not c and entry[1] != c:
-                raise failure(f"not symmetric: orbit {sig} carries distinct coefficients")
-        for sig, (count, _) in groups.items():
-            expected = _arrangement_count(sig[0], n)
-            if count != expected:
-                raise failure(f"not symmetric: orbit {sig} has {count} of {expected} monomials")
-        vol = cls(g, n, {sig: c for sig, (_, c) in groups.items()})
-        vol.validate()
-        return vol
 
 
 def seed_volume(g: int, n: int) -> VolumePolynomial:

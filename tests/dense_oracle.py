@@ -571,14 +571,20 @@ def render_latex(p: Dense | Poly) -> str:
 
 def serialize_entry(vol: VolumePolynomial, provenance: str) -> str:
     """The cache document of vol, one ``str`` per term."""
+    return document(vol.g, vol.n, expand(vol), provenance)
+
+
+def document(g: int, n: int, p: Dense, provenance: str = "seed") -> str:
+    """A cache document that lists the term map p as V(g, n), one ``str``
+    per term, whether or not p is a valid volume."""
     terms = [
         {"l": list(key[:-1]), "pi": key[-1], "re": str(c), "im": "0"}
-        for key, c in sorted_terms(expand(vol))
+        for key, c in sorted_terms(p)
     ]
     doc = {
         "schema": SCHEMA_VERSION,
-        "g": vol.g,
-        "n": vol.n,
+        "g": g,
+        "n": n,
         "provenance": provenance,
         "terms": terms,
     }

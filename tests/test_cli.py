@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -61,6 +62,30 @@ class TestCompute:
         assert code == 0
         assert out.count("\n") == 1
         assert "2*pi^2" in out
+
+    def test_both_methods_disagree_on_a_tampered_lift(self, capsys, cache):
+        # the store's provenance check is the comparison `both` asks for: the
+        # kernel's V(0,4) meets the stored lift there
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")
+        path = Path(cache) / "g0_n4.json"
+        text = path.read_text()
+        assert text.count('"pi":2,"re":"2"') == 1
+        path.write_text(text.replace('"pi":2,"re":"2"', '"pi":2,"re":"3"'))
+        code, out, err = run(capsys, "--cache-dir", cache, "compute",
+                             "--genus", "0", "--boundaries", "4", "--method", "both")
+        assert (code, out) == (1, "")
+        assert err == ("cache error: V(0,4) from 'mirzakhani' disagrees with stored "
+                       "'genus0_lift' entry\n")
+
+    def test_file_holding_another_volume(self, capsys, cache):
+        argv = ("compute", "--genus", "0", "--boundaries", "7", "--method", "mirzakhani")
+        run(capsys, "--cache-dir", cache, *argv)
+        shutil.copy(Path(cache) / "g0_n4.json", Path(cache) / "g0_n7.json")
+        message = "cache file g0_n7.json holds V(0,4)"
+        code, out, err = run(capsys, "--cache-dir", cache, *argv)
+        assert (code, out, err) == (1, "", f"cache error: {message}\n")
+        code, out, err = run(capsys, "--cache-dir", cache, "cache", "verify")
+        assert (code, out, err) == (1, "5 entries, 1 failures\n", f"FAIL entry (0,7): {message}\n")
 
     def test_latex(self, capsys, cache):
         code, out, _ = run(capsys, "--cache-dir", cache, "compute",
@@ -217,6 +242,14 @@ class TestCache:
         path.write_text(path.read_text().replace('"re":"1/2"', '"re":"1/3"', 1))
         code, out, err = run(capsys, "--cache-dir", cache, "cache", "verify")
         assert code == 1
+
+    def test_verify_skips_a_stray_file_name(self, capsys, cache):
+        # g01_n3.json reads as (1, 3) but is not the file of V(1,3)
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "1", "--boundaries", "2")
+        assert sorted(p.name for p in Path(cache).iterdir()) == ["g1_n1.json", "g1_n2.json"]
+        shutil.copy(Path(cache) / "g1_n2.json", Path(cache) / "g01_n3.json")
+        code, out, err = run(capsys, "--cache-dir", cache, "cache", "verify")
+        assert (code, out, err) == (0, "2 entries, OK\n", "")
 
     def test_clear(self, capsys, cache):
         run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")

@@ -129,6 +129,44 @@ def test_verify_all_flags_corruption(tmp_path, v03):
     assert report["failures"] >= 1
 
 
+def test_verify_all_without_a_directory(v03):
+    store = VolumeStore()
+    store.put(v03, "seed")
+    lifted = lift(v03)
+    constant = ((0, 0, 0, 0), 2)
+    # valid, but twice the constant orbit breaks the string relation; the
+    # dilaton relation reads only the L4 derivative, which keeps it
+    store.put(VolumePolynomial(0, 4, {**lifted.orbits, constant: 4}), "mirzakhani")
+    report = store.verify_all()
+    assert (report["entries"], report["failures"]) == (2, 1)
+    assert [(c["kind"], c["g"], c["n"], c["ok"]) for c in report["checks"]] == [
+        ("entry", 0, 3, True),
+        ("entry", 0, 4, True),
+        ("string", 0, 3, False),
+        ("dilaton", 0, 3, True),
+    ]
+    store = VolumeStore()
+    store.put(v03, "seed")
+    store.put(lifted, "genus0_lift")
+    assert store.verify_all()["failures"] == 0
+
+
+def test_both_methods_conflict_is_raised_by_the_store(v03):
+    from wpvol.compute import ensure_volume
+
+    store = VolumeStore()
+    lifted = lift(v03)
+    constant = ((0, 0, 0, 0), 2)
+    assert lifted.orbits[constant] == 2
+    store.put(VolumePolynomial(0, 4, {**lifted.orbits, constant: 4}), "mirzakhani")
+    with pytest.raises(ProvenanceConflictError) as info:
+        ensure_volume(store, 0, 4, "both")
+    assert str(info.value) == (
+        "V(0,4) from 'genus0_lift' disagrees with stored 'mirzakhani' entry"
+    )
+    assert store.get(0, 4, provenance="genus0_lift") is None
+
+
 def test_clear(tmp_path, v03):
     store = VolumeStore(tmp_path)
     store.put(v03, "seed")

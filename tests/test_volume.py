@@ -7,7 +7,7 @@ import pytest
 
 import wpvol
 from wpvol.compute import ensure_volume
-from wpvol.store import VolumeStore, parse_entry, serialize_entry
+from wpvol.store import CacheError, VolumeStore, parse_entry, serialize_entry
 from wpvol.volume import (
     InvariantError,
     UnstableSurfaceError,
@@ -15,7 +15,18 @@ from wpvol.volume import (
     is_stable,
     seed_volume,
 )
-from dense_oracle import Dense, add, coeff_monomial, coeff_pi, const, expand, mul, pi, var
+from dense_oracle import (
+    Dense,
+    add,
+    coeff_monomial,
+    coeff_pi,
+    const,
+    document,
+    expand,
+    mul,
+    pi,
+    var,
+)
 
 
 def test_seeds_are_valid():
@@ -35,27 +46,32 @@ def test_stability():
     assert not is_stable(0, 2) and not is_stable(1, 0) and not is_stable(-1, 5)
 
 
+# A cache document is the one way a term map enters the package: parse_entry
+# groups its terms by orbit and validates the result, and a CacheError
+# carries the invariant failure as its cause.
+
+
+def _parse_rejects(g, n, p, error, match):
+    with pytest.raises(CacheError, match=match) as info:
+        parse_entry(document(g, n, p))
+    assert isinstance(info.value.__cause__, error)
+
+
 def test_unstable_rejected():
-    with pytest.raises(UnstableSurfaceError):
-        VolumePolynomial.checked(0, 2, const(2, 1).terms)
+    _parse_rejects(0, 2, const(2, 1), UnstableSurfaceError, "not stable")
 
 
 def test_odd_exponent_rejected():
-    poly = mul(var(1, 1), pi(1, 1))
-    with pytest.raises(InvariantError, match="odd"):
-        VolumePolynomial.checked(1, 1, poly.terms)
+    _parse_rejects(1, 1, mul(var(1, 1), pi(1, 1)), InvariantError, "odd")
 
 
 def test_asymmetric_rejected():
     # right degree and parity, wrong symmetry
-    poly = var(4, 1, 2)
-    with pytest.raises(InvariantError, match="symmetric"):
-        VolumePolynomial.checked(0, 4, poly.terms)
+    _parse_rejects(0, 4, var(4, 1, 2), InvariantError, "symmetric")
 
 
 def test_inhomogeneous_rejected(v11):
-    with pytest.raises(InvariantError, match="homogeneous"):
-        VolumePolynomial.checked(1, 1, add(expand(v11), const(1, 1)).terms)
+    _parse_rejects(1, 1, add(expand(v11), const(1, 1)), InvariantError, "homogeneous")
 
 
 def test_complex_coefficient_rejected():
@@ -64,11 +80,6 @@ def test_complex_coefficient_rejected():
     for value in (0.5, 1j):
         with pytest.raises(TypeError):
             Dense.from_terms(1, {(2, 0): value})
-
-
-def test_wrong_variable_count_rejected(v03):
-    with pytest.raises(InvariantError):
-        VolumePolynomial.checked(0, 4, expand(v03).terms)
 
 
 def test_odd_pi_layers_vanish(v11):
@@ -113,9 +124,8 @@ def test_nonpositive_constant_term_rejected(orbits):
         VolumePolynomial(1, 1, orbits).validate()
 
 
-def test_checked_groups_the_dense_input_by_orbit(v11):
-    vol = VolumePolynomial.checked(1, 1, expand(v11).terms)
-    assert vol == v11
+def test_parse_groups_the_dense_input_by_orbit(v11):
+    assert parse_entry(document(1, 1, expand(v11))) == (v11, "seed")
 
 
 @pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (0, 6), (1, 4), (2, 2), (2, 0), (3, 0)])
@@ -173,6 +183,30 @@ def test_package_keeps_no_term_map():
         if pattern.search(line)
     ]
     assert found == []
+
+
+def test_only_the_store_knows_the_cache_document():
+    # the document's fields and its parse live in store.py alone, and
+    # volume.py takes nothing from poly but the text form
+    package = Path(wpvol.__file__).parent
+    pattern = re.compile(r"""["'](terms|re|im)["']|checked\(""")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "store.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert found == []
+    tree = ast.parse((package / "volume.py").read_text())
+    from_poly = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if "poly" in (node.module or "").split(".") or alias.name == "poly"
+    ]
+    assert from_poly == ["Poly"]
 
 
 def test_every_exported_name_resolves():
