@@ -334,3 +334,19 @@ def test_shuffled_terms_parse_to_the_same_orbits(rng):
         parsed, provenance = parse_entry(_with_terms(doc, terms))
         assert (parsed, provenance) == (vol, "genus0_lift")
         assert str(parsed.poly) == str(vol.poly)
+
+
+def test_term_errors_come_before_the_symmetry_errors():
+    # the parse reports a defect of one term before a defect of an orbit,
+    # and an orbit with two coefficients before an orbit left incomplete
+    _, doc = _v05_terms()
+    terms = [dict(t) for t in doc["terms"]]
+    clashing = [t for t in terms if (t["l"], t["pi"]) == ([0, 2, 0, 0, 0], 2)]
+    clashing[0]["re"] = "1/3"
+    with pytest.raises(CacheError) as info:
+        parse_entry(_with_terms(doc, terms + [terms[3]]))
+    assert str(info.value) == "duplicate monomial (2, 0, 0, 2, 0, 0)"
+    incomplete = [t for t in terms if (t["l"], t["pi"]) != ([0, 0, 0, 2, 2], 0)]
+    with pytest.raises(CacheError) as info:
+        parse_entry(_with_terms(doc, incomplete))
+    assert str(info.value).endswith("orbit ((2, 0, 0, 0, 0), 2) carries distinct coefficients")
