@@ -45,8 +45,10 @@ weighted by (2b+1)!; V(g, n) is the only node that reads V(g-1, n+1) so,
 and it builds that index itself and does not keep it.  The disconnected
 term splits the multiset beta, weighting a split that takes nu_v of the
 mu_v copies of each value v by prod C(mu_v, nu_v), its number of label
-subsets; the node holds, for each stable split (g1, n1 | g - g1, n + 1 - n1)
-at g1 <= g - g1, its integer rescale and its two lower indexes.  A split
+subsets.  The splits are filed by the length of their first part; each
+stable split (g1, n1 | g - g1, n + 1 - n1) at g1 <= g - g1 reads the two
+lower indexes only at the splits of length n1 - 1 whose part sums fit the
+degrees of both halves, the tails those indexes hold.  A split
 (g1, beta1 | g - g1, beta2) and its mirror (g - g1, beta2 | g1, beta1) have
 the same product and weight, so each unordered pair is convolved once, with
 weight 2, or 1 on the diagonal g1 = g - g1, beta1 = beta2.  The B-term pairs
@@ -62,14 +64,14 @@ denominator of its coefficients, with (2a+1)! folded in for each
 transformed exponent 2a.  The A-term inputs (the connected term and each
 disconnected split, a product of two lower volumes) are rescaled by one
 integer each onto a common denominator, summed by s = a + b, and met with
-F_{2s+3}/(2s+3)! once per s instead of once per (a, b); the B-term inputs
-meet pair_moment(k)/(2k+1)!.  The moments are integer tables over the node
-denominator, built for each node from the module-level ``moment_F`` and
-``pair_moment``.  Every term is homogeneous, so the output accumulates by
-L1 exponent alone and the pi exponent follows.  The orbit-agreement check
-runs on the integer numerators c at each a1, comparing c / (a1 + 1) by
-cross-multiplication, and a Fraction is built only once it passes: one per
-orbit, over the node denominator times a1 + 1.
+row s, F_{2s+3}/(2s+3)!, once per s instead of once per (a, b); the B-term
+inputs meet row k, pair_moment(k)/(2k+1)!.  The rows are integers over a
+denominator each, read once from the module-level moments (themselves built
+in integers) and kept across nodes; one integer per row and node takes an
+input times its row onto the node denominator.  Every term is homogeneous,
+so the output accumulates by L1 exponent alone and the pi exponent follows.
+The orbit-agreement check compares the integer numerators c / (a1 + 1) by
+cross-multiplication; one Fraction per orbit is built once it passes.
 """
 
 from __future__ import annotations
@@ -91,15 +93,19 @@ from .volume import (
 
 @lru_cache(maxsize=None)
 def bernoulli_number(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (B_1 = -1/2 convention)."""
+    """Exact Bernoulli number B_m (B_1 = -1/2 convention): an even B_m, m = 2j,
+    is (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), T_j the tangent numbers 1, 2, 16,
+    272, ..., built in integers by the Knuth-Buckholtz recurrence."""
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if m == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for k in range(m):
-        total += math.comb(m + 1, k) * bernoulli_number(k)
-    return -total / (m + 1)
+    if m < 2 or m % 2:
+        return {0: Fraction(1), 1: Fraction(-1, 2)}.get(m, Fraction(0))
+    j = m // 2
+    tangent = [0] + [math.factorial(i - 1) for i in range(1, j + 1)]
+    for k in range(2, j + 1):
+        for i in range(k, j + 1):
+            tangent[i] = (i - k) * tangent[i - 1] + (i - k + 2) * tangent[i]
+    return Fraction((-1) ** (j - 1) * m * tangent[j], 4 ** j * (4 ** j - 1))
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +113,9 @@ def zeta_even_coeff(i: int) -> Fraction:
     """The rational r with zeta(2i) = r * pi^(2i); zeta(0) = -1/2."""
     if i < 0:
         raise ValueError("index must be nonnegative")
+    b = bernoulli_number(2 * i)
     sign = -1 if i % 2 == 0 else 1
-    return sign * bernoulli_number(2 * i) * Fraction(2 ** (2 * i), 2 * math.factorial(2 * i))
+    return Fraction(sign * b.numerator * 4 ** i, b.denominator * 2 * math.factorial(2 * i))
 
 
 @lru_cache(maxsize=None)
@@ -118,12 +125,12 @@ def moment_F(k: int) -> dict:
     The map is shared by every caller and must not be changed."""
     if k < 0:
         raise ValueError("moment index must be nonnegative")
-    fac = math.factorial(2 * k + 1)
-    terms = {}
+    fac, terms = math.factorial(2 * k + 1), {}
     for i in range(k + 2):
-        c = fac * zeta_even_coeff(i) * (2 ** (2 * i) - 2)
-        c /= math.factorial(2 * k + 2 - 2 * i)
-        terms[(2 * k + 2 - 2 * i, 2 * i)] = c
+        z, s = zeta_even_coeff(i), 2 * k + 2 - 2 * i
+        terms[(s, 2 * i)] = Fraction(
+            fac * z.numerator * (4 ** i - 2), z.denominator * math.factorial(s)
+        )
     return terms
 
 
@@ -133,16 +140,14 @@ def pair_moment(k: int) -> dict:
     pi exponent): coefficient}``, shared like ``moment_F``.
 
     Odd powers of v cancel, so the result is even in both variables; this is
-    the x^(2k+1) transform of the kernel H(x, u+v) + H(x, u-v).
+    the x^(2k+1) transform of the kernel H(x, u+v) + H(x, u-v).  The term
+    c t^s gives 2 C(s, r) c u^(s-r) v^r for each even r, each key once.
     """
-    out = {}
-    for key, c in moment_F(k).items():
-        s, pi_exp = key
-        for r in range(0, s + 1, 2):
-            coeff = c * (2 * math.comb(s, r))
-            nkey = (s - r, r, pi_exp)
-            out[nkey] = out.get(nkey, 0) + coeff
-    return out
+    return {
+        (s - r, r, p): Fraction(2 * math.comb(s, r) * c.numerator, c.denominator)
+        for (s, p), c in moment_F(k).items()
+        for r in range(0, s + 1, 2)
+    }
 
 
 def _tails(length: int, budget: int, top: int):
@@ -201,15 +206,23 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
     # one denominator for the A-term inputs: each disconnected split, a
     # product of two lower volumes, is rescaled by one integer
     d_a = math.lcm(d_conn, *(d1 * d2 for (d1, _), (d2, _) in halves.values()))
-    lower = {
-        key: (d_a // (d1 * d2), left, right)
-        for key, ((d1, left), (d2, right)) in halves.items()
-    }
+    # the splits by the tail length n1 - 1 of their first half, with its degree
+    lower: dict = {}
+    for (g1, n1), ((d1, left), (d2, right)) in halves.items():
+        lower.setdefault(n1 - 1, []).append(
+            (g1 == g - g1, d_a // (d1 * d2), left, right, 6 * g1 - 6 + 2 * n1)
+        )
     r_conn = d_a // d_conn
 
     degree = 6 * g - 6 + 2 * n
     half = degree // 2
-    d_node, a_table, b_table = _moment_tables(half, d_a, d_pair)
+    a_rows, b_rows = _moment_rows(half)
+    # the node denominator, and per row one integer taking an input onto it
+    d_node = math.lcm(
+        *(d_a * den for den, _ in a_rows[:half - 1]), *(d_pair * den for den, _ in b_rows[:half])
+    )
+    a_scale = [d_node // (d_a * den) for den, _ in a_rows[:half - 1]]
+    b_scale = [d_node // (d_pair * den) for den, _ in b_rows[:half]]
 
     orbits: dict = {}  # (pattern, pi) -> {a1: c}, coefficient c / (d_node * (a1 + 1))
     for beta in _tails(n - 1, degree, degree):
@@ -225,49 +238,52 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
             for a, c in connected.get(tail, ()):
                 grouped[a + b] += c * weight
         # each split of the multiset beta, taking k of the m copies of each
-        # value, with its number of label subsets of L2..Ln, prod C(m, k)
-        splits = [((), (), 1)]
+        # value, with its number of label subsets of L2..Ln, prod C(m, k),
+        # and the sum of its first part; none below rest = 4, where the
+        # degrees of two halves leave no room for the heads
+        splits = [((), (), 1, 0)] if rest >= 4 else []
         for v in values:
             m = mult[v]
             splits = [
-                (beta1 + (v,) * k, beta2 + (v,) * (m - k), subsets * math.comb(m, k))
-                for (beta1, beta2, subsets), k in product(splits, range(m + 1))
+                (beta1 + (v,) * k, beta2 + (v,) * (m - k), subsets * math.comb(m, k), sum1 + k * v)
+                for (beta1, beta2, subsets, sum1), k in product(splits, range(m + 1))
             ]
         # a split and its mirror (g - g1, beta2 | g1, beta1) convolve to the
         # same terms, so each unordered pair is taken once, at g1 <= g - g1,
         # and counted twice, or once on the diagonal
-        for g1, (beta1, beta2, subsets) in product(range(g // 2 + 1), splits):
-            fold = 2
-            if g1 == g - g1:
-                if beta1 < beta2:
-                    continue  # its mirror is taken
-                if beta1 == beta2:
-                    fold = 1
-            split = lower.get((g1, len(beta1) + 1))
-            if split is None:
-                continue
-            scale, left, right = split
-            left, right = left.get(beta1), right.get(beta2)
-            if not left or not right:
-                continue
-            weight = scale * subsets * fold
-            for a1, c1 in left:
-                c1 *= weight
-                for a2, c2 in right:
-                    grouped[a1 + a2] += c1 * c2
+        for beta1, beta2, subsets, sum1 in splits:
+            for diagonal, scale, left_index, right_index, deg1 in lower.get(len(beta1), ()):
+                # a half holds tails up to its degree; both sum to degree - 4
+                if not deg1 + 4 - rest <= sum1 <= deg1:
+                    continue
+                fold = 2
+                if diagonal:
+                    if beta1 < beta2:
+                        continue  # its mirror is taken
+                    if beta1 == beta2:
+                        fold = 1
+                left, right = left_index.get(beta1), right_index.get(beta2)
+                if not left or not right:
+                    continue
+                weight = scale * subsets * fold
+                for a1, c1 in left:
+                    c1 *= weight
+                    for a2, c2 in right:
+                        grouped[a1 + a2] += c1 * c2
         # numerators of d(L1 V)/dL1 over d_node by L1 exponent a1; every
         # term is homogeneous, so its pi exponent is rest - a1
         reps: dict = {}
         for s, c in enumerate(grouped):
             if c:
-                for t, mom in a_table[s]:
+                c *= a_scale[s]
+                for t, mom in a_rows[s][1][0]:
                     reps[t] = reps.get(t, 0) + c * mom
         # B-term inputs (k, v) over d_pair, carrying (2k+1)! as the splits do
         for v in values:
             i = beta.index(v)
             for k, c in pair_lower.get(beta[:i] + beta[i + 1:], ()):
-                c *= mult[v]
-                for t, mom in b_table[k].get(v, ()):
+                c *= mult[v] * b_scale[k]
+                for t, mom in b_rows[k][1].get(v, ()):
                     reps[t] = reps.get(t, 0) + c * mom
         # integrating from 0 in L1 and dividing by L1 divides by a1 + 1
         for a1, c in reps.items():
@@ -296,38 +312,38 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
     return vol
 
 
-def _moment_tables(half: int, d_a: int, d_b: int) -> tuple[int, list, list]:
-    """The moments of one node as integer tables over one denominator d.
+# [moment_F, pair_moment, A rows, B rows]: the rows read from those two functions
+_rows: list = [None, None, [], []]
 
-    Returns (d, A, B).  A[s], for s < half - 1, lists (t, numerator) of
-    F_{2s+3}(t) / (2s+3)!; B[k], for k < half, maps the exponent of Lj in
-    pair_moment(k) / (2k+1)! to its (t, numerator).  The pi exponent of an
-    entry follows from t, as the moments are homogeneous.  The A-term inputs
-    are over d_a and the B-term inputs over d_b, so each product of an input
-    and a table entry is over d.  Built from the current module-level moments.
+
+def _moment_rows(half: int) -> tuple[list, list]:
+    """The kept A rows, at least half - 1 of them, and B rows, at least half.
+
+    Row s of A is F_{2s+3}(t) / (2s+3)! and row k of B is pair_moment(k) /
+    (2k+1)!, each as (den, {exponent of Lj: [(t, numerator)]}) over its own
+    denominator, with exponent 0 alone in A; the pi exponent follows from t,
+    as the moments are homogeneous.  Rows are read from the module-level
+    ``moment_F`` and ``pair_moment``, grown on demand, and dropped when
+    either name is rebound.
     """
-    a_terms = [
-        [(t, c.numerator, c.denominator * math.factorial(2 * s + 3))
-         for (t, _), c in moment_F(s + 1).items()]
-        for s in range(half - 1)
+    if _rows[0] is not moment_F or _rows[1] is not pair_moment:
+        _rows[:] = [moment_F, pair_moment, [], []]
+    a_rows, b_rows = _rows[2:]
+    grow = [
+        (a_rows, {(0, t): c for (t, _), c in moment_F(s + 1).items()}, 2 * s + 3)
+        for s in range(len(a_rows), half - 1)
+    ] + [
+        (b_rows, {(w, t): c for (t, w, _), c in pair_moment(k).items()}, 2 * k + 1)
+        for k in range(len(b_rows), half)
     ]
-    b_terms = [
-        [(t, w, c.numerator, c.denominator * math.factorial(2 * k + 1))
-         for (t, w, _), c in pair_moment(k).items()]
-        for k in range(half)
-    ]
-    den_a = math.lcm(*(e[-1] for terms in a_terms for e in terms))
-    den_b = math.lcm(*(e[-1] for terms in b_terms for e in terms))
-    d = math.lcm(d_a * den_a, d_b * den_b)
-    f_a, f_b = d // d_a, d // d_b
-    a_table = [[(t, num * (f_a // den)) for t, num, den in terms] for terms in a_terms]
-    b_table = []
-    for terms in b_terms:
-        by_w: dict = {}
-        for t, w, num, den in terms:
-            by_w.setdefault(w, []).append((t, num * (f_b // den)))
-        b_table.append(by_w)
-    return d, a_table, b_table
+    for rows, terms, m in grow:
+        fac = math.factorial(m)
+        den = math.lcm(*(c.denominator * fac for c in terms.values()))
+        row: dict = {}
+        for (w, t), c in terms.items():
+            row.setdefault(w, []).append((t, c.numerator * (den // (c.denominator * fac))))
+        rows.append((den, row))
+    return a_rows, b_rows
 
 
 def _build_index(orbits: dict) -> tuple[int, dict]:

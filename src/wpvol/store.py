@@ -181,7 +181,11 @@ class VolumeStore:
         if self.directory is None or not self._path(g, n).exists():
             return None
         path = self._path(g, n)
-        vol, provenance = parse_entry(path.read_text())
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise CacheError(f"unreadable cache document: {exc}") from exc
+        vol, provenance = parse_entry(text)
         if (vol.g, vol.n) != (g, n):
             raise CacheError(f"cache file {path.name} holds V({vol.g},{vol.n})")
         return vol, provenance
@@ -262,13 +266,13 @@ class VolumeStore:
         return sorted(found)
 
     def clear(self) -> int:
-        """Drop all entries; returns how many keys were removed."""
-        count = len(self.keys())
+        """Drop all entries and the files of ``keys()``; returns their count."""
+        keys = self.keys()
         self._entries.clear()
         if self.directory is not None:
-            for path in self.directory.glob("g*_n*.json"):
-                path.unlink()
-        return count
+            for key in keys:
+                self._path(*key).unlink(missing_ok=True)
+        return len(keys)
 
     def verify_all(self) -> dict:
         """Re-validate every entry and re-check relations between neighbors.

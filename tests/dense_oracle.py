@@ -17,6 +17,10 @@ can hold the orbit code against them.  They also carry the dense calculus
 and inspection helpers the tests use to state properties of polynomials.
 Variable indices are 1-based (L1..Ln).
 
+The exact moments (Bernoulli numbers, ``moment_F``, ``pair_moment``) are
+here as the ``Fraction`` recurrences they were first computed by; the
+package builds them in integers and must give the same maps.
+
 The kernel half is the recursion as it ran on ``Fraction`` coefficients,
 one double moment per (a, b) and one product per term, with the connected
 term read by taking two ordered heads out of each orbit; the package's
@@ -436,6 +440,47 @@ def genus0_psi(alpha: Sequence[int]) -> Fraction:
     for a in alpha:
         value //= math.factorial(a)
     return Fraction(value)
+
+
+# ----------------------------------------------------------------------
+# the exact moments by their Fraction recurrences
+
+
+@lru_cache(maxsize=None)
+def reference_bernoulli_number(m: int) -> Fraction:
+    """B_m (B_1 = -1/2) by the O(m^2) recurrence sum_k C(m+1, k) B_k = 0."""
+    if m == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for k in range(m):
+        total += math.comb(m + 1, k) * reference_bernoulli_number(k)
+    return -total / (m + 1)
+
+
+def reference_zeta_even_coeff(i: int) -> Fraction:
+    sign = -1 if i % 2 == 0 else 1
+    return sign * reference_bernoulli_number(2 * i) * Fraction(2 ** (2 * i), 2 * math.factorial(2 * i))
+
+
+def reference_moment_F(k: int) -> dict:
+    """F_{2k+1}(t) term by term in Fraction arithmetic."""
+    fac = math.factorial(2 * k + 1)
+    terms = {}
+    for i in range(k + 2):
+        c = fac * reference_zeta_even_coeff(i) * (2 ** (2 * i) - 2)
+        c /= math.factorial(2 * k + 2 - 2 * i)
+        terms[(2 * k + 2 - 2 * i, 2 * i)] = c
+    return terms
+
+
+def reference_pair_moment(k: int) -> dict:
+    """F_{2k+1}(u + v) + F_{2k+1}(u - v), summed term by term."""
+    out = {}
+    for (s, pi_exp), c in reference_moment_F(k).items():
+        for r in range(0, s + 1, 2):
+            nkey = (s - r, r, pi_exp)
+            out[nkey] = out.get(nkey, 0) + c * (2 * math.comb(s, r))
+    return out
 
 
 # ----------------------------------------------------------------------

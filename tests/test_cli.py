@@ -113,6 +113,18 @@ class TestCompute:
             assert (code, out) == (1, "")
             assert err.startswith("cache error: stored entry fails validation: ")
 
+    def test_undecodable_cache_file_is_a_cache_error(self, capsys, cache):
+        # bytes that are not UTF-8 used to escape as a UnicodeDecodeError
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")
+        (Path(cache) / "g0_n4.json").write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "--cache-dir", cache, "compute", "--genus", "0",
+                             "--boundaries", "4")
+        assert (code, out) == (1, "")
+        assert err == (
+            "cache error: unreadable cache document: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        )
+
     def test_closed_surface_needs_genus_two(self, capsys, cache):
         code, _, err = run(capsys, "--cache-dir", cache, "compute",
                            "--genus", "1", "--boundaries", "0")
@@ -250,6 +262,25 @@ class TestCache:
         shutil.copy(Path(cache) / "g1_n2.json", Path(cache) / "g01_n3.json")
         code, out, err = run(capsys, "--cache-dir", cache, "cache", "verify")
         assert (code, out, err) == (0, "2 entries, OK\n", "")
+
+    def test_verify_reports_an_undecodable_file(self, capsys, cache):
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")
+        (Path(cache) / "g0_n4.json").write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "--cache-dir", cache, "cache", "verify")
+        assert (code, out) == (1, "2 entries, 1 failures\n")
+        assert err == (
+            "FAIL entry (0,4): unreadable cache document: 'utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte\n"
+        )
+
+    def test_clear_removes_only_the_files_it_counts(self, capsys, cache):
+        # g01_n3.json is not the file of any key, so clear leaves it; it
+        # used to count two entries and remove three files
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "1", "--boundaries", "2")
+        shutil.copy(Path(cache) / "g1_n2.json", Path(cache) / "g01_n3.json")
+        code, out, err = run(capsys, "--cache-dir", cache, "cache", "clear")
+        assert (code, out, err) == (0, "cleared 2 entries\n", "")
+        assert [p.name for p in Path(cache).iterdir()] == ["g01_n3.json"]
 
     def test_clear(self, capsys, cache):
         run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")

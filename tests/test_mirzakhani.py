@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,10 @@ from dense_oracle import (
     is_homogeneous,
     is_symmetric,
     kernel_H,
+    reference_bernoulli_number,
+    reference_moment_F,
+    reference_pair_moment,
+    reference_zeta_even_coeff,
     scale,
 )
 
@@ -79,6 +84,13 @@ class TestBernoulli:
             p, q = mpmath.bernfrac(m)
             assert bernoulli_number(m) == Fraction(int(p), int(q))
 
+    def test_against_the_fraction_recurrence(self):
+        # the tangent-number route in integers gives the recurrence's values
+        for m in range(81):
+            assert bernoulli_number(m) == reference_bernoulli_number(m), m
+        for i in range(41):
+            assert zeta_even_coeff(i) == reference_zeta_even_coeff(i), i
+
     def test_even_zeta(self):
         assert zeta_even_coeff(0) == Fraction(-1, 2)
         assert zeta_even_coeff(1) == Fraction(1, 6)
@@ -104,6 +116,11 @@ class TestMoments:
             # value at 0 is a pure pi power
             at_zero = eval_zero(F, 1)
             assert list(at_zero.terms) == [(0, 2 * k + 2)]
+
+    def test_against_the_fraction_recurrence(self):
+        for k in range(31):
+            assert moment_F(k) == reference_moment_F(k), k
+            assert pair_moment(k) == reference_pair_moment(k), k
 
     def test_against_quadrature(self):
         # the heavier sweep (k <= 6, t in {0,1,2,5}) runs in the acceptance suite
@@ -248,6 +265,41 @@ class TestOrbitCheck:
             mirzakhani_volume(0, 5, store)
         assert store.get(0, 5, provenance="mirzakhani") is None
 
+    def test_moment_rows_follow_a_patched_moment_F(self, monkeypatch):
+        # the twin of the test above: the A rows are read from moment_F, so
+        # its patch must reach them too (pair_moment keeps its cached maps)
+        mirzakhani_volume(2, 3, VolumeStore())
+        original = mirzakhani.moment_F
+
+        def perturbed(k):
+            terms = dict(original(k))
+            terms[(2 * k + 2, 0)] += Fraction(1, 7)
+            return terms
+
+        monkeypatch.setattr(mirzakhani, "moment_F", perturbed)
+        store = VolumeStore()
+        with pytest.raises(ConsistencyError, match="orbit-agreement"):
+            mirzakhani_volume(0, 5, store)
+        assert store.get(0, 5, provenance="mirzakhani") is None
+
+    def test_each_moment_is_read_once(self, monkeypatch):
+        # the integer moment rows are kept across nodes, so a chain reads
+        # each moment once; built for each node, closed V(8,0) read
+        # moment_F(1) 40 times
+        for k in range(25):  # pair_moment reads moment_F once per process
+            pair_moment(k)
+        reads = Counter()
+        for name in ("moment_F", "pair_moment"):
+            def counted(k, name=name, original=getattr(mirzakhani, name)):
+                reads[name, k] += 1
+                return original(k)
+
+            monkeypatch.setattr(mirzakhani, name, counted)
+        ensure_volume(VolumeStore(), 8, 0)
+        assert set(reads) == {("moment_F", k) for k in range(1, 22)} | {
+            ("pair_moment", k) for k in range(22)
+        }
+        assert set(reads.values()) == {1}
 
     def test_orbit_agreement_message_is_pinned(self, monkeypatch):
         # the check compares integer numerators, and the message shows the
@@ -287,6 +339,48 @@ class TestIndex:
         ensure_volume(store, 8, 0)
         assert len(store.keys()) == 44
         assert len(builds) <= 2 * len(store.keys())
+
+
+class TestSplits:
+    def test_split_loop_looks_up_only_halves_that_exist(self, monkeypatch):
+        # the splits are read by the tail length and the part sums the two
+        # halves hold, so every lookup in a half's index is a hit; the node
+        # V(2,5) of closed V(6,0) made 1,290 lookups for 732 hits when
+        # every split was looked up at every g1, and makes 208 now
+        class Counted(dict):
+            def get(self, key, default=None):
+                self.reads.append(key in self)
+                return super().get(key, default)
+
+        original = mirzakhani._build_index
+
+        def counted(orbits):
+            den, index = original(orbits)
+            index = Counted(index)
+            index.reads = []
+            return den, index
+
+        monkeypatch.setattr(mirzakhani, "_build_index", counted)
+        g, n = 2, 5
+        store = VolumeStore()
+        for gg in range(g + 1):
+            for nn in range(1, n + 2):
+                if is_stable(gg, nn) and 2 * gg + nn < 2 * g + n:
+                    mirzakhani_volume(gg, nn, store)
+        halves = {
+            id(vol): vol
+            for g1 in range(g + 1)
+            for n1 in range(1, n + 1)
+            if is_stable(g1, n1) and is_stable(g - g1, n + 1 - n1)
+            for vol in (store.get(g1, n1), store.get(g - g1, n + 1 - n1))
+        }
+        for vol in halves.values():
+            if "_kernel_index" in vol.__dict__:
+                vol.__dict__["_kernel_index"][1].reads.clear()
+        mirzakhani_volume(g, n, store)
+        reads = [hit for vol in halves.values() for hit in vol.__dict__["_kernel_index"][1].reads]
+        assert len(reads) == 208
+        assert all(reads)
 
 
 class TestArithmetic:
