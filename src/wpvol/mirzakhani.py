@@ -45,10 +45,10 @@ weighted by (2b+1)!; V(g, n) is the only node that reads V(g-1, n+1) so,
 and it builds that index itself and does not keep it.  The disconnected
 term splits the multiset beta, weighting a split that takes nu_v of the
 mu_v copies of each value v by prod C(mu_v, nu_v), its number of label
-subsets.  The splits are filed by the length of their first part; each
-stable split (g1, n1 | g - g1, n + 1 - n1) at g1 <= g - g1 reads the two
-lower indexes only at the splits of length n1 - 1 whose part sums fit the
-degrees of both halves, the tails those indexes hold.  A split
+subsets.  The stable splits (g1, n1 | g - g1, n + 1 - n1) at g1 <= g - g1
+are filed by the tail length n1 - 1; a split of beta reads only those of
+its first part's length, and only when its part sums fit the degrees of
+both halves, so it looks up only tails the two indexes hold.  A split
 (g1, beta1 | g - g1, beta2) and its mirror (g - g1, beta2 | g1, beta1) have
 the same product and weight, so each unordered pair is convolved once, with
 weight 2, or 1 on the diagonal g1 = g - g1, beta1 = beta2.  The B-term pairs

@@ -265,9 +265,32 @@ class TestOrbitCheck:
             mirzakhani_volume(0, 5, store)
         assert store.get(0, 5, provenance="mirzakhani") is None
 
+
+    def test_orbit_agreement_message_is_pinned(self, monkeypatch):
+        # the check compares integer numerators, and the message shows the
+        # reach map as Fractions
+        original = mirzakhani.pair_moment
+
+        def perturbed(k):
+            terms = dict(original(k))
+            terms[(2 * k + 2, 0, 0)] += Fraction(1, 7)
+            return terms
+
+        monkeypatch.setattr(mirzakhani, "pair_moment", perturbed)
+        with pytest.raises(ConsistencyError) as caught:
+            mirzakhani_volume(0, 5, VolumeStore())
+        assert str(caught.value) == (
+            "recursion output for (0,4) fails the orbit-agreement check at "
+            "exponents (2, 0, 0, 0), pi^0: L1 exponent -> coefficient "
+            "{0: Fraction(1, 2), 2: Fraction(9, 14)}"
+        )
+
+
+class TestMomentRows:
     def test_moment_rows_follow_a_patched_moment_F(self, monkeypatch):
-        # the twin of the test above: the A rows are read from moment_F, so
-        # its patch must reach them too (pair_moment keeps its cached maps)
+        # the twin of TestOrbitCheck's pair_moment patch: the A rows are read
+        # from moment_F, so its patch must reach them (pair_moment keeps its
+        # cached maps)
         mirzakhani_volume(2, 3, VolumeStore())
         original = mirzakhani.moment_F
 
@@ -300,25 +323,6 @@ class TestOrbitCheck:
             ("pair_moment", k) for k in range(22)
         }
         assert set(reads.values()) == {1}
-
-    def test_orbit_agreement_message_is_pinned(self, monkeypatch):
-        # the check compares integer numerators, and the message shows the
-        # reach map as Fractions
-        original = mirzakhani.pair_moment
-
-        def perturbed(k):
-            terms = dict(original(k))
-            terms[(2 * k + 2, 0, 0)] += Fraction(1, 7)
-            return terms
-
-        monkeypatch.setattr(mirzakhani, "pair_moment", perturbed)
-        with pytest.raises(ConsistencyError) as caught:
-            mirzakhani_volume(0, 5, VolumeStore())
-        assert str(caught.value) == (
-            "recursion output for (0,4) fails the orbit-agreement check at "
-            "exponents (2, 0, 0, 0), pi^0: L1 exponent -> coefficient "
-            "{0: Fraction(1, 2), 2: Fraction(9, 14)}"
-        )
 
 
 class TestIndex:
