@@ -19,13 +19,14 @@ a ring (sum, product, scaling, the monomials) as a reference, in
 ``tests/dense_oracle.py``.
 
 Rendering.  The canonical order is ascending pi exponent, then descending
-lexicographic L exponents.  ``str`` and ``to_latex`` share one renderer: a
-walk over prefix multisets from L_n back to L_1 (``_build_plan``,
-``_walk``) that lists no monomial.  A term is its coefficient's form in
-front of factors from per-variable tables (``*L3^4``, `` L_{3}^{4}``)
-filled on first use and kept.  The plan, with each distinct coefficient's
-form, is built on the first render and kept.  ``walk`` runs the plan over
-any tables, so the cache writer lists exponent tuples in the same order.
+lexicographic L exponents.  ``str``, ``to_latex`` and the cache writer share
+one walk over prefix multisets from L_n back to L_1 (``_build_plan``,
+``block_pieces``) that lists no monomial.  Each orbit is one leaf block:
+its coefficient's printed form, a marker, and its pi factor.  A node's
+block joins its children's, each after one ``str.replace`` that puts the
+child's factor (``*L3^4``, `` L_{3}^{4}``) after the marker in all its
+terms.  The plan and each kind's leaf blocks are built on first use and
+kept, so a warm render formats no coefficient.
 
 A polynomial is never changed after construction, so values can be shared
 freely between threads; the plan filled in on first use comes out the same
@@ -37,7 +38,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
 
 
 class Poly:
@@ -57,15 +57,6 @@ class Poly:
 
     def __len__(self) -> int:
         return sum(_arrangement_count(pattern, self.n_vars) for pattern, _ in self.orbits)
-
-    def walk(self, tables: list) -> tuple[list, list, chain]:
-        """(coefficients, order, pieces): the distinct coefficients; for
-        every monomial in canonical order, the index of its coefficient; and
-        the monomials' pieces in that order, from ``_walk`` over ``tables``.
-        The plan of the walk is built on first use and kept."""
-        if self._plan is None:
-            self._plan = _build_plan(self.orbits, self.n_vars)
-        return self._plan[2], self._plan[3], _walk(self._plan, tables)
 
     def __str__(self) -> str:
         return _render(self, False)
@@ -103,20 +94,17 @@ _TABLES: dict = {}
 
 
 def _tables(n_vars: int, latex: bool) -> list:
-    if latex:
-        names = [f" L_{{{i}}}" for i in range(1, n_vars + 1)] + [" \\pi"]
-        power = ("^{", "}")
-    else:
-        names = [f"*L{i}" for i in range(1, n_vars + 1)] + ["*pi"]
-        power = ("^", "")
+    names = [f" L_{{{i}}}" if latex else f"*L{i}" for i in range(1, n_vars + 1)]
+    names.append(" \\pi" if latex else "*pi")
+    power = ("^{", "}") if latex else ("^", "")
     tables = _TABLES[(n_vars, latex)] = [_Powers(name, *power) for name in names]
     return tables
 
 
-def _coefficient(c: Fraction, latex: bool) -> tuple[str, int, str]:
-    """How c prints: the text before the factors, how many characters of the
-    factors to drop, and the term with no factor.  Both texts open with the
-    sign, " + " or " - "; a magnitude of 1 prints no digits before a factor."""
+def _coefficient(c: Fraction, latex: bool) -> tuple[str, str]:
+    """How c prints: the text before the factors, which ends in DROP where
+    the first factor loses its separator (always in LaTeX, and after a bare
+    sign), and the term with no factor.  Both open with " + " or " - "."""
     num, den = c.numerator, c.denominator
     sign = " - " if num < 0 else " + "
     num = abs(num)
@@ -127,27 +115,23 @@ def _coefficient(c: Fraction, latex: bool) -> tuple[str, int, str]:
     else:
         digits = f"({num}/{den})"
     if num == den == 1:
-        return sign, 1, sign + digits
-    return sign + digits, int(latex), sign + digits
+        return sign + DROP, sign + digits
+    return sign + digits + (DROP if latex else ""), sign + digits
 
 
 def _build_plan(orbits: dict, n: int) -> tuple:
-    """The walk that renders an orbit map: (pi exponents, levels,
-    coefficients, order, forms).
+    """The walk that renders an orbit map: (orbits, levels, roots, leaves).
 
     A node at depth k stands for the term prefixes of k L exponents with one
     pi exponent and one multiset, which alone fixes the suffixes that follow.
-    The leaves, at depth n, are the orbits, taken by ascending pi exponent so
-    that the roots come in that order.  ``levels`` lists, for k = n - 1 down
-    to 0, (k, the nodes of depth k), each node as its children (value of
-    L_{k+1}, index one level down) by descending value.  ``order`` holds,
-    for every term in canonical order, the index of its coefficient among
-    the distinct values.  ``forms`` keeps the coefficients' printed forms
-    (``_coefficient``), plain and LaTeX, each filled by its first render.
+    The leaves, at depth n, are the orbits, listed as (orbit, coefficient) by
+    ascending pi exponent so that the roots come in that order.  ``levels``
+    lists, for k = n - 1 down to 1, (k, the nodes of depth k), each node as
+    its children (value of L_{k+1}, index one level down) by descending
+    value; ``roots`` lists the roots' children alike, or each leaf with value
+    0 when n = 0.  ``leaves`` keeps each text kind's leaf blocks.
     """
     items = sorted(orbits.items(), key=lambda item: item[0][1])
-    slots: dict = {}  # coefficient -> index among the distinct values
-    order = [[slots.setdefault(c, len(slots))] for _, c in items]
     level = {(pi_exp, pattern): i for i, ((pattern, pi_exp), _) in enumerate(items)}
     levels = []
     for k in reversed(range(n)):
@@ -160,37 +144,59 @@ def _build_plan(orbits: dict, n: int) -> tuple:
             children.sort(reverse=True)
         levels.append((k, list(parents.values())))
         level = {key: i for i, key in enumerate(parents)}
-    for _, nodes in levels:
-        order = [[j for _, i in node for j in order[i]] for node in nodes]
-    pis = [pi_exp for (_, pi_exp), _ in items]
-    return pis, levels, list(slots), [j for root in order for j in root], {}
+    roots = [(0, i) for i in level.values()]  # each leaf, when n = 0
+    if n:
+        roots = [edge for node in levels.pop()[1] for edge in node]
+    return items, levels, roots, {}
 
 
-def _walk(plan: tuple, tables: list) -> chain:
-    """The piece of every term in canonical order, from ``tables``, one per
-    variable with pi last: bottom-up from L_n to L_1, each node puts its
-    value's entry in front of its children's suffixes.  Over text tables the
-    pieces are factor texts; over one-tuples they are exponent tuples."""
-    pis, levels, top = plan[0], plan[1], tables[-1]
-    suffixes = [(top[pi_exp],) for pi_exp in pis]
+# MARK stands in each term where the next factor goes; DROP marks a term
+# whose first factor loses its separator
+MARK, DROP = "\x00", "\x01"
+
+
+def block_pieces(p: Poly, kind: str, leaf, tables: list) -> list:
+    """Pieces whose join is every term of p in canonical order.
+
+    The leaves, kept in the plan by ``kind``, are ``leaf(pattern, pi_exp, c)``
+    for each orbit: MARK in front of the pi factor, or the bare term.  From
+    L_n back to L_2, each node's block joins its children's, and one
+    ``str.replace`` puts a child's factor from ``tables[k]`` after MARK in all
+    of its terms; a child whose factor is empty is reused.  The pieces are
+    the roots' children, with L_1's factor in place of MARK."""
+    if p._plan is None:
+        p._plan = _build_plan(p.orbits, p.n_vars)
+    items, levels, roots, leaves = p._plan
+    blocks = leaves.get(kind)
+    if blocks is None:
+        blocks = leaves[kind] = [leaf(*orbit, c) for orbit, c in items]
     for k, nodes in levels:
         table = tables[k]
-        suffixes = [
-            [f + s for v, i in node for f in [table[v]] for s in suffixes[i]]
+        blocks = [
+            "".join([
+                blocks[i].replace(MARK, MARK + f) if f else blocks[i]
+                for v, i in node for f in [table[v]]
+            ])
             for node in nodes
         ]
-    return chain.from_iterable(suffixes)
+    table = tables[0] if p.n_vars else ("",)
+    return [blocks[i].replace(MARK, table[v]) for v, i in roots]
 
 
 def _render(p: Poly, latex: bool) -> str:
     tables = _TABLES.get((p.n_vars, latex)) or _tables(p.n_vars, latex)
-    coefficients, order, pieces = p.walk(tables)
-    forms = p._plan[4].get(latex)
-    if forms is None:
-        forms = p._plan[4][latex] = [_coefficient(c, latex) for c in coefficients]
-    # a generator, so neither the walk's text nor the pieces outlive the join
-    text = "".join(f[0] + s[f[1]:] if s else f[2]
-                   for s, f in zip(pieces, map(forms.__getitem__, order)))
-    if not text:
+    powers_of_pi, drop = tables[-1], DROP + (" " if latex else "*")
+
+    def leaf(pattern: tuple, pi_exp: int, c: Fraction) -> str:
+        head, bare = _coefficient(c, latex)
+        return head + MARK + powers_of_pi[pi_exp] if pi_exp or any(pattern) else bare
+
+    pieces = block_pieces(p, "latex" if latex else "str", leaf, tables)
+    for j, piece in enumerate(pieces):
+        if DROP in piece:  # a memchr scan, far faster than a replace's
+            pieces[j] = piece.replace(drop, "")
+    if not pieces:
         return "0"
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+    first = pieces[0]
+    pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(pieces)

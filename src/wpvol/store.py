@@ -14,8 +14,8 @@ against the volume invariants both when written and when read back, which
 turns any on-disk corruption into an immediate error instead of a wrong
 number: ``put`` is the one gate every produced volume passes, and every read
 of a file parses its terms straight into the orbit form the store holds.
-The writer lists the terms by the orbit walk that prints a volume
-(``Poly.walk``), run over exponent tables instead of text tables.
+The writer runs the orbit walk that prints a volume (``poly.block_pieces``)
+over JSON tables, and formats each orbit's coefficient once.
 
 Exponents must be JSON integers and coefficients strings; anything else (a
 float exponent, a numeric ``"re"``) is rejected rather than coerced.
@@ -36,7 +36,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .poly import _arrangement_count
+from .poly import MARK, _arrangement_count, block_pieces
 from .volume import InvariantError, UnstableSurfaceError, VolumePolynomial, seed_volume
 
 SCHEMA_VERSION = 1
@@ -63,37 +63,23 @@ def resolve_cache_dir(flag_value: str | None = None) -> Path:
     return Path(DEFAULT_CACHE_DIR)
 
 
-class _Exponents(dict):
-    """Exponent -> the one-tuple (e,): over these tables the orbit walk
-    builds each monomial's exponent tuple, pi last, in canonical order."""
-
-    def __missing__(self, e: int) -> tuple:
-        key = self[e] = (e,)
-        return key
-
-
-_EXPONENTS = _Exponents()
-
-
-def volume_to_document(vol: VolumePolynomial, provenance: str) -> dict:
-    if provenance not in PROVENANCES:
-        raise ValueError(f"unknown provenance {provenance!r}")
-    coefficients, order, keys = vol.poly.walk([_EXPONENTS] * (vol.n + 1))
-    texts = [str(c) for c in coefficients]
-    return {
-        "schema": SCHEMA_VERSION,
-        "g": vol.g,
-        "n": vol.n,
-        "provenance": provenance,
-        "terms": [
-            {"l": list(key[:-1]), "pi": key[-1], "re": texts[j], "im": "0"}
-            for key, j in zip(keys, order)
-        ],
-    }
+def _json_leaf(pattern: tuple, pi_exp: int, c: Fraction) -> str:
+    return f'{{"l":[{MARK}],"pi":{pi_exp},"re":"{str(c)}","im":"0"}},'
 
 
 def serialize_entry(vol: VolumePolynomial, provenance: str) -> str:
-    return json.dumps(volume_to_document(vol, provenance), separators=(",", ":")) + "\n"
+    """The cache document of vol, as ``json.dumps`` with separators (",", ":")
+    writes it: the orbit walk that prints a volume, run over exponent tables
+    ("e," for each L variable, "e" for L_n) and one leaf term per orbit."""
+    if provenance not in PROVENANCES:
+        raise ValueError(f"unknown provenance {provenance!r}")
+    top = range(max((pattern[0] for pattern, _ in vol.orbits if pattern), default=0) + 1)
+    tables = [[f"{e}," for e in top]] * (vol.n - 1) + [[str(e) for e in top]]
+    pieces = block_pieces(vol.poly, "json", _json_leaf, tables)
+    if pieces:
+        pieces[-1] = pieces[-1][:-1]  # the comma after the last term
+    head = f'{{"schema":{SCHEMA_VERSION},"g":{vol.g},"n":{vol.n},"provenance":"{provenance}",'
+    return "".join([head, '"terms":[', *pieces, "]}\n"])
 
 
 def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
@@ -266,19 +252,26 @@ class VolumeStore:
         return sorted(found)
 
     def clear(self) -> int:
-        """Drop all entries and the files of ``keys()``; returns their count."""
-        keys = self.keys()
+        """Drop all entries and the files of ``keys()``; returns their count.
+        A file that cannot be removed leaves the others to go first, and its
+        ``OSError`` is raised at the end."""
+        keys, failure = self.keys(), None
         self._entries.clear()
-        if self.directory is not None:
-            for key in keys:
+        for key in keys if self.directory is not None else ():
+            try:
                 self._path(*key).unlink(missing_ok=True)
+            except OSError as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
         return len(keys)
 
     def verify_all(self) -> dict:
         """Re-validate every entry and re-check relations between neighbors.
 
         Re-reads disk-backed entries from their files so corruption is
-        caught.  Returns a report dict with one record per check.
+        caught; a file that cannot be read fails its own entry only.  Returns
+        a report dict with one record per check.
         """
         from .stringdilaton import relation_defect
 
@@ -299,7 +292,7 @@ class VolumeStore:
                                 f"disk and {prov!r} entries disagree for ({g},{n})"
                             )
                 volumes[(g, n)] = vol
-            except (CacheError, InvariantError) as exc:
+            except (CacheError, InvariantError, OSError) as exc:
                 record["ok"] = False
                 record["detail"] = str(exc)
                 report["failures"] += 1

@@ -282,6 +282,31 @@ class TestCache:
         assert (code, out, err) == (0, "cleared 2 entries\n", "")
         assert [p.name for p in Path(cache).iterdir()] == ["g01_n3.json"]
 
+    def test_verify_reports_a_key_that_cannot_be_read(self, capsys, cache):
+        # a directory where the file of V(0,4) would be fails that entry
+        # alone; the other entries and their relations are still checked
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "1", "--boundaries", "2")
+        blocked = Path(cache) / "g0_n4.json"
+        blocked.mkdir()
+        with pytest.raises(OSError) as raised:
+            blocked.read_text()
+        code, out, err = run(capsys, "--cache-dir", cache, "cache", "verify")
+        assert (code, out) == (1, "3 entries, 1 failures\n")
+        assert err == f"FAIL entry (0,4): {raised.value}\n"
+        code, out, err = run(capsys, "--cache-dir", cache, "compute", "--genus", "0",
+                             "--boundaries", "4")
+        assert (code, out, err) == (4, "", f"I/O error: {raised.value}\n")
+
+    def test_clear_removes_the_other_files_before_an_io_error(self, capsys, cache):
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "1", "--boundaries", "2")
+        blocked = Path(cache) / "g0_n4.json"
+        blocked.mkdir()
+        with pytest.raises(OSError) as raised:
+            blocked.unlink()
+        code, out, err = run(capsys, "--cache-dir", cache, "cache", "clear")
+        assert (code, out, err) == (4, "", f"I/O error: {raised.value}\n")
+        assert [p.name for p in Path(cache).iterdir()] == ["g0_n4.json"]
+
     def test_clear(self, capsys, cache):
         run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")
         code, out, _ = run(capsys, "--cache-dir", cache, "cache", "clear")

@@ -1,9 +1,12 @@
+import hashlib
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import wpvol.poly
-from wpvol.compute import lift_volume
+from wpvol.compute import ensure_volume, lift_volume
 from wpvol.poly import Poly
 from wpvol.store import VolumeStore, serialize_entry
 from conftest import random_poly
@@ -228,6 +231,66 @@ def test_rendering_formats_each_orbit_coefficient_once(monkeypatch):
     monkeypatch.setattr(Fraction, "__str__", counted_str)
     serialize_entry(vol, "genus0_lift")
     assert 0 < len(formatted) <= 45
+
+
+# sha256 of the texts of lift V(0,3..11) and V(1,1..9), closed V(2..6,0)
+# and kernel V(2,1..5), joined by newlines, as the term-at-a-time renderer
+# and ``json.dumps`` wrote them
+PINNED_DIGESTS = {
+    "str": "cfc3e10085daf14e86505b486c381d822693f3bcfab245a3ab8e8f5e6aa04cee",
+    "latex": "da099028003e65cf4b1011c5a8be438a1ac67b7fbdf2492e8e501628dd02f2b1",
+    "json": "0f93c8b6976da7141fa4c8228cd84526fc7bfaedc5f382b1190725434a5749d2",
+}
+
+
+def test_rendered_bytes_match_pinned_digests():
+    store = VolumeStore()
+    vols = [lift_volume(store, g, n) for g, top in ((0, 11), (1, 9))
+            for n in range(3 - 2 * g, top + 1)]
+    vols += [ensure_volume(store, g, 0) for g in range(2, 7)]
+    vols += [ensure_volume(store, 2, n) for n in range(1, 6)]
+    texts = {
+        "str": [str(v.poly) for v in vols],
+        "latex": [v.poly.to_latex() for v in vols],
+        "json": [serialize_entry(v, store.find(v.g, v.n)[1]) for v in vols],
+    }
+    digests = {kind: hashlib.sha256("\n".join(t).encode()).hexdigest()
+               for kind, t in texts.items()}
+    assert digests == PINNED_DIGESTS
+
+
+def containers(value):
+    """value and every list, tuple and dict inside it."""
+    if isinstance(value, (list, tuple, dict)):
+        yield value
+        for item in (value.items() if isinstance(value, dict) else value):
+            yield from containers(item)
+
+
+def test_plan_keeps_no_per_monomial_state_and_warm_renders_format_nothing(monkeypatch):
+    vol = lift_volume(VolumeStore(), 0, 10)
+    closed = ensure_volume(VolumeStore(), 2, 0)
+    p = vol.poly
+    first = (str(p), p.to_latex(), serialize_entry(vol, "genus0_lift"), str(closed.poly))
+    assert max(len(c) for c in containers(p._plan)) < len(p) == 19448
+    formatted = []
+    coefficient = wpvol.poly._coefficient
+    monkeypatch.setattr(
+        wpvol.poly, "_coefficient", lambda *a: formatted.append(a) or coefficient(*a)
+    )
+    again = (str(p), p.to_latex(), serialize_entry(vol, "genus0_lift"), str(closed.poly))
+    assert again == first and formatted == []
+
+
+def test_the_per_monomial_walk_is_gone():
+    pattern = re.compile(r"\.walk\(|\bdef walk\b|\b_walk\b|_EXPONENTS|\b_Exponents\b")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(wpvol.poly.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert found == [] and not hasattr(Poly, "walk")
 
 
 def test_arrangements_distinct_count():
