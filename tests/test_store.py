@@ -31,6 +31,11 @@ def test_serialization_is_byte_stable(v11):
     assert serialize_entry(vol, provenance) == text
 
 
+def test_writer_rejects_an_unknown_provenance(v11):
+    with pytest.raises(ValueError, match="unknown provenance 'lifted'"):
+        serialize_entry(v11, "lifted")
+
+
 def test_document_shape(v11):
     doc = json.loads(serialize_entry(v11, "seed"))
     assert doc["schema"] == 1
