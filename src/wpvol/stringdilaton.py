@@ -21,41 +21,72 @@ derivative satisfies
   d2 V(g, n+1)/dL_{n+1}^2 (L, 2*pi*i) = E.V(g, n) - (4g - 4 + n) V(g, n)
 
 with E the Euler vector field sum L_j d/dL_j, which scales an orbit by the
-sum of its pattern.  Everything here works by symmetry orbit through
-``symmetric.at_two_pi_i``.  ``relation_defect`` returns the orbit
-difference of any of the three relations, empty iff it holds.  ``lift``
-needs no re-check: ``stratified_lift`` returns only on a zero residual,
-which is the string relation, and the dilaton step, run at both genera,
-raises unless its correction cancels the dilaton defect.
+sum of its pattern.  ``relation_defect`` returns the orbit difference of
+any of the three relations, empty iff it holds.  ``lift`` needs no
+re-check: ``stratified_lift`` returns only on a zero residual, which is
+the string relation, and the dilaton step, run at both genera, raises
+unless its correction cancels the dilaton defect.
+
+Arithmetic.  ``lift`` and ``relation_defect`` run on int, over one
+denominator per step: den = 2 * D * L, with D the LCD of V(g, n) and L the
+lcm of its string weights v + 2.  Every numerator of V over den is then a
+multiple of 2L, so ``string_rhs`` divides by v + 2 exactly, and the dilaton
+constant, half of -(2g - 2 + n) times such a numerator, is an integer.  One
+Fraction is built per orbit of a result or of a defect, and none per term.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .poly import Poly
-from .symmetric import add, at_two_pi_i, stratified_lift
+from .symmetric import LiftError, add, at_two_pi_i, stratified_lift
 from .volume import ConsistencyError, VolumePolynomial, is_stable
 
 NONZERO_REMAINDER = "nonzero remainder dividing by (L1^2 + 4*pi^2)"
 
 
-def string_rhs(vol: VolumePolynomial) -> dict:
-    """sum_k of the integral from 0 to L_k of L_k * V, by orbit in n variables.
+def _numerators(vol: VolumePolynomial) -> tuple[int, dict]:
+    """(den, V's integer numerators over den), den = 2 * D * L (module docstring)."""
+    weights = {v + 2 for pattern, _ in vol.orbits for v in pattern}
+    den = 2 * math.lcm(*(c.denominator for c in vol.orbits.values())) * math.lcm(*weights)
+    return den, {key: c.numerator * (den // c.denominator) for key, c in vol.orbits.items()}
+
+
+def _over(numerators: dict, den: int) -> dict:
+    """The rational orbits of integer numerators over den: one Fraction each."""
+    return {key: Fraction(c, den) for key, c in numerators.items()}
+
+
+def string_rhs(vol: VolumePolynomial) -> tuple[int, dict]:
+    """sum_k of the integral from 0 to L_k of L_k * V, by orbit in n variables,
+    as (den, integer numerators over den).
 
     Equals the one-more-boundary volume evaluated at L_{n+1} = 2*pi*i.  The
     integral raises one exponent v to v + 2 and divides by v + 2; on orbits,
     raising one copy of v reaches each monomial of the target orbit once per
     slot holding v + 2.
     """
+    den, numerators = _numerators(vol)
     out: dict = {}
-    for (pattern, pi_exp), c in vol.orbits.items():
+    for (pattern, pi_exp), c in numerators.items():
         for v in set(pattern):
             i = pattern.index(v)
             target = tuple(sorted(pattern[:i] + (v + 2,) + pattern[i + 1:], reverse=True))
             key = (target, pi_exp)
-            out[key] = out.get(key, 0) + c * Fraction(target.count(v + 2), v + 2)
-    return {key: c for key, c in out.items() if c}
+            out[key] = out.get(key, 0) + c // (v + 2) * target.count(v + 2)
+    return den, {key: c for key, c in out.items() if c}
+
+
+def _defect(bigger: dict, smaller: VolumePolynomial, order: int, den: int) -> dict:
+    """``relation_defect`` on numerators over den, a multiple of smaller's step's."""
+    g, n = smaller.g, smaller.n
+    step, rhs = string_rhs(smaller) if order == 0 else _numerators(smaller)
+    if order:
+        rhs = {(p, q): (2 * g - 2 + n if order == 1 else sum(p) - 4 * g + 4 - n) * c
+               for (p, q), c in rhs.items()}
+    return add(at_two_pi_i(bigger, order), rhs, -(den // step))
 
 
 def relation_defect(bigger: VolumePolynomial, smaller: VolumePolynomial, order: int) -> dict:
@@ -67,14 +98,9 @@ def relation_defect(bigger: VolumePolynomial, smaller: VolumePolynomial, order: 
         raise ValueError(
             f"expected (g, n+1) against (g, n), got ({bigger.g},{bigger.n}) and ({g},{n})"
         )
-    if order == 0:
-        rhs = string_rhs(smaller)
-    elif order == 1:
-        rhs = {key: (2 * g - 2 + n) * c for key, c in smaller.orbits.items()}
-    else:
-        factor = 4 * g - 4 + n
-        rhs = {(p, q): (sum(p) - factor) * c for (p, q), c in smaller.orbits.items()}
-    return add(at_two_pi_i(bigger.orbits, order), rhs, -1)
+    den = math.lcm(_numerators(smaller)[0], *(c.denominator for c in bigger.orbits.values()))
+    numerators = {key: c.numerator * (den // c.denominator) for key, c in bigger.orbits.items()}
+    return _over(_defect(numerators, smaller, order, den), den)
 
 
 def lift(vol: VolumePolynomial) -> VolumePolynomial:
@@ -92,23 +118,25 @@ def lift(vol: VolumePolynomial) -> VolumePolynomial:
     g, n = vol.g, vol.n
     if g > 1 or not is_stable(g, n):
         raise ValueError("lift needs a stable volume of genus 0 or 1")
-    _, candidate = stratified_lift(string_rhs(vol), 3 * g - 2 + n)
-    defect = relation_defect(VolumePolynomial(g, n + 1, candidate), vol, 1)
-    constant = Fraction(-defect.get(((2,) * n, 0), 0), 2)
+    den, rhs = string_rhs(vol)
+    try:
+        _, candidate = stratified_lift(rhs, 3 * g - 2 + n)
+    except LiftError as exc:
+        exc.residual = exc.residual and _over(exc.residual, den)
+        raise
+    defect = _defect(candidate, vol, 1, den)
+    # -(2g - 2 + n) times an even numerator: the candidate has no all-variable orbit
+    constant = -defect.get(((2,) * n, 0), 0) // 2
     rest = add(defect, _boundary_product(n), 2 * constant)
     if rest:
-        raise ConsistencyError(
-            "dilaton correction is not a constant", defect=Poly(n, rest)
-        )
-    return VolumePolynomial(g, n + 1, add(candidate, _boundary_product(n + 1), constant))
+        raise ConsistencyError("dilaton correction is not a constant", Poly(n, _over(rest, den)))
+    out = add(candidate, _boundary_product(n + 1), constant)
+    return VolumePolynomial(g, n + 1, _over(out, den))
 
 
 def _boundary_product(m: int) -> dict:
     """prod_{j<=m} (L_j^2 + 4 pi^2) by orbit: 4^(m-s) pi^(2(m-s)) m_(2^s)."""
-    return {
-        ((2,) * s + (0,) * (m - s), 2 * (m - s)): Fraction(4 ** (m - s))
-        for s in range(m + 1)
-    }
+    return {((2,) * s + (0,) * (m - s), 2 * (m - s)): 4 ** (m - s) for s in range(m + 1)}
 
 
 def closed_volume(vol: VolumePolynomial) -> VolumePolynomial:

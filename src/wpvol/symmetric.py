@@ -2,7 +2,8 @@
 pi-stratified reconstruction.
 
 All three work on symmetric polynomials by orbit, ``{(pattern, pi_exp): c}``
-with ``pattern`` the L exponents sorted descending (see ``poly``).
+with ``pattern`` the L exponents sorted descending (see ``poly``) and c a
+Fraction or an int, which comes out as it went in (the lift's numerators).
 
 ``sym_lift_zero`` solves: given a symmetric polynomial f in n variables
 with even L exponents, produce the symmetric polynomial S in n+1 variables
@@ -23,8 +24,8 @@ every relation check are built on it.
 n+1 variables of total degree 2D from its evaluation E = V(L1,...,Ln, 2*pi*i),
 peeling one pi stratum at a time: the pi**2k coefficient of the running
 residual is exactly stratum k restricted to L_{n+1} = 0, so lift it, subtract
-its own evaluation, and continue.  A nonzero final residual means E is not
-such an evaluation.
+its own evaluation in place from one copy of E, and continue.  A nonzero
+final residual means E is not such an evaluation.
 """
 
 from __future__ import annotations
@@ -96,29 +97,30 @@ def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[dic
     Returns the strata, V = sum_k pi**2k * strata[k] with ``strata[k]``
     pi-free and homogeneous in L of degree 2*(D - k), by orbit, and the
     reassembled candidate, whose evaluation at L_{n+1} = 2*pi*i is
-    ``evaluation`` exactly.  When the squared degree of
-    V reaches n+1 the candidate is the representative with no all-variable
-    orbit; callers needing a different representative add a correction
-    downstream.
+    ``evaluation`` exactly.  When the squared degree of V reaches n+1 the
+    candidate is the representative with no all-variable orbit; callers
+    needing a different representative add a correction downstream.
     """
     D = target_half_degree
     if D < 0:
         raise ValueError("target half degree must be nonnegative")
-    residual = dict(evaluation)
+    residual = dict(evaluation)  # updated in place; ``evaluation`` is left as given
     strata = []
     total: dict = {}
     for k in range(D + 1):
-        layer = {(p, 0): c for (p, pi_exp), c in residual.items() if pi_exp == 2 * k}
+        layer = {(p, 0): c for (p, pi_exp), c in residual.items() if pi_exp == 2 * k and c}
         if any(sum(p) != 2 * (D - k) for p, _ in layer):
             raise LiftError(
                 f"stratum {k} is not homogeneous of degree {2 * (D - k)}",
-                residual=residual,
+                residual={key: c for key, c in residual.items() if c},
             )
         w = sym_lift_zero(layer)
         strata.append(w)
         stratum = {(pattern, 2 * k): c for (pattern, _), c in w.items()}
         total.update(stratum)
-        residual = add(residual, at_two_pi_i(stratum), -1)
+        for key, c in at_two_pi_i(stratum).items():
+            residual[key] = residual.get(key, 0) - c
+    residual = {key: c for key, c in residual.items() if c}
     if residual:
         raise LiftError(
             "nonzero residual: the input is not the evaluation of any "

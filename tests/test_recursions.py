@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from wpvol.stringdilaton import closed_volume, lift, relation_defect, string_rhs
+from wpvol.symmetric import LiftError, stratified_lift
 from wpvol.symmetric import add as add_orbits
-from wpvol.volume import ConsistencyError, VolumePolynomial
+from wpvol.volume import ConsistencyError, VolumePolynomial, seed_volume
 from conftest import monomial_symmetric
 from dense_oracle import (
     Dense,
@@ -44,19 +45,26 @@ def boundary_factor(n, j):
     return add(var(n, j, 2), scale(pi(n, 2), 4))
 
 
+def string_orbits(vol):
+    """string_rhs as rational orbits: its integer numerators over its denominator."""
+    den, numerators = string_rhs(vol)
+    assert all(isinstance(c, int) for c in numerators.values())
+    return {key: Fraction(c, den) for key, c in numerators.items()}
+
+
 class TestStringRHS:
     def test_three_holed_sphere(self, v03):
         half = Fraction(1, 2)
         expected = Dense.from_terms(
             3, {(2, 0, 0, 0): half, (0, 2, 0, 0): half, (0, 0, 2, 0): half}
         )
-        assert Dense.from_orbits(3, string_rhs(v03)) == expected
+        assert Dense.from_orbits(3, string_orbits(v03)) == expected
 
     def test_torus(self, v11):
         expected = Dense.from_terms(
             1, {(4, 0): Fraction(1, 192), (2, 2): Fraction(1, 24)}
         )
-        assert Dense.from_orbits(1, string_rhs(v11)) == expected
+        assert Dense.from_orbits(1, string_orbits(v11)) == expected
 
 
 class TestGenus0Lift:
@@ -176,6 +184,79 @@ class TestCheckers:
     def test_mismatched_indices_rejected(self, v03, v12):
         with pytest.raises(ValueError):
             relation_defect(v12, v03, 0)
+
+
+class TestErrorUnits:
+    def test_lift_error_defect_is_in_rational_units(self, v04):
+        # V(0,4) plus (1/3)*L1^4: its string image is not homogeneous, and the
+        # residual is printed as at the parent, not scaled by the lift's
+        # common denominator
+        bad = VolumePolynomial(0, 4, add_orbits(v04.orbits, {((4, 0, 0, 0), 0): Fraction(1, 3)}))
+        with pytest.raises(LiftError, match="stratum 0 is not homogeneous") as info:
+            lift(bad)
+        assert info.value.residual == {
+            ((6, 0, 0, 0), 0): Fraction(1, 18),
+            ((4, 2, 0, 0), 0): Fraction(1, 6),
+            ((4, 0, 0, 0), 0): Fraction(1, 8),
+            ((2, 2, 0, 0), 0): Fraction(1, 2),
+            ((2, 0, 0, 0), 2): Fraction(1),
+        }
+        assert str(info.value.defect).startswith("(1/18)*L1^6 + (1/6)*L1^4*L2^2")
+
+    def test_dilaton_defect_is_in_rational_units(self, v04):
+        bad = VolumePolynomial(0, 4, add_orbits(v04.orbits, {((0, 0, 0, 0), 2): Fraction(5, 3)}))
+        with pytest.raises(ConsistencyError, match="dilaton correction") as info:
+            lift(bad)
+        assert str(info.value.defect) == "-(5/3)*pi^2"
+
+    def test_stratified_lift_leaves_the_evaluation_unchanged(self, v04):
+        den, evaluation = string_rhs(v04)
+        before = dict(evaluation)
+        _, total = stratified_lift(evaluation, 2)
+        assert evaluation == before
+        assert {key: Fraction(c, den) for key, c in total.items()} == lift(v04).orbits
+
+
+class TestArithmetic:
+    @pytest.fixture
+    def fraction_calls(self, monkeypatch):
+        """Count Fraction + and * calls, both operand orders, from here on."""
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            def counted(a, b, method=getattr(Fraction, name)):
+                calls.append(method)
+                return method(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        assert 1 + Fraction(1, 2) == 2 * Fraction(3, 4)
+        assert len(calls) == 2
+        calls.clear()
+        return calls
+
+    @pytest.mark.parametrize("g, n", [(0, 8), (1, 6)])
+    def test_lift_does_no_per_term_fraction_arithmetic(self, fraction_calls, g, n):
+        # lift(V(0,9)) took 913 Fraction + and * calls and lift(V(1,7)) 1,386
+        # when every term was a Fraction; integer numerators over one
+        # denominator build one Fraction per output orbit instead
+        vol = seed_volume(g, 3 - 2 * g)
+        for _ in range(n - vol.n + 1):
+            vol = lift(vol)
+        fraction_calls.clear()
+        out = lift(vol)
+        assert (out.g, out.n) == (g, n + 2)
+        assert len(fraction_calls) <= 2 * len(out.orbits)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_relation_defect_does_no_per_term_fraction_arithmetic(self, fraction_calls, order):
+        # 478 / 240 / 240 calls at orders 0 / 1 / 2 when every term was a Fraction
+        smaller = seed_volume(0, 3)
+        for _ in range(6):
+            smaller = lift(smaller)
+        bigger = lift(smaller)
+        assert (smaller.n, bigger.n) == (9, 10)
+        fraction_calls.clear()
+        assert not relation_defect(bigger, smaller, order)
+        assert len(fraction_calls) <= len(smaller.orbits)
 
 
 class TestEulerField:

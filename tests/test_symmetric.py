@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,21 @@ class TestStratifiedLift:
             evaluation = drop_var(eval_two_pi_i(target, n_plus_1), n_plus_1)
             _, recovered = reconstruct(evaluation, half_degree)
             assert recovered == target
+
+    def test_integer_evaluation_lifts_in_integers(self, rng):
+        # the lift chain runs it on integer numerators over one denominator
+        for _ in range(10):
+            n_plus_1 = rng.randint(3, 5)
+            half_degree = rng.randint(0, n_plus_1)
+            target = random_symmetric_even(rng, n_plus_1, half_degree)
+            evaluation = drop_var(eval_two_pi_i(target, n_plus_1), n_plus_1).orbit_coefficients()
+            scale_by = math.lcm(*(c.denominator for c in evaluation.values()))
+            numerators = {key: int(c * scale_by) for key, c in evaluation.items()}
+            strata, total = stratified_lift(evaluation, half_degree)
+            int_strata, int_total = stratified_lift(numerators, half_degree)
+            for exact, scaled in zip(strata + [total], int_strata + [int_total]):
+                assert all(type(c) is int for c in scaled.values())
+                assert scaled == {key: c * scale_by for key, c in exact.items()}
 
     def test_inhomogeneous_stratum_rejected(self):
         with pytest.raises(LiftError, match="homogeneous"):
