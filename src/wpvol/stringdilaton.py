@@ -80,7 +80,7 @@ def string_rhs(vol: VolumePolynomial) -> tuple[int, dict]:
 
 
 def _defect(bigger: dict, smaller: VolumePolynomial, order: int, den: int) -> dict:
-    """``relation_defect`` on numerators over den, a multiple of smaller's step's."""
+    """``relation_defect`` on numerators over den, a multiple of smaller's step denominator."""
     g, n = smaller.g, smaller.n
     step, rhs = string_rhs(smaller) if order == 0 else _numerators(smaller)
     if order:

@@ -101,6 +101,7 @@ class TestGenus0Lift:
     @pytest.mark.parametrize("n, bump, defect", [
         (4, {((2, 0, 0, 0), 0): 1}, "4*pi^2"),  # plus m_(2)
         (5, {((0, 0, 0, 0, 0), 4): 1}, "-2*pi^4"),  # plus pi^4
+        (4, {((0, 0, 0, 0), 2): Fraction(5, 3)}, "-(5/3)*pi^2"),  # plus (5/3)*pi^2
     ])
     def test_dilaton_failure_raises(self, v04, n, bump, defect):
         # V(0, n) breaking the dilaton relation: the string step alone
@@ -189,8 +190,7 @@ class TestCheckers:
 class TestErrorUnits:
     def test_lift_error_defect_is_in_rational_units(self, v04):
         # V(0,4) plus (1/3)*L1^4: its string image is not homogeneous, and the
-        # residual is printed as at the parent, not scaled by the lift's
-        # common denominator
+        # residual is in rational units, not scaled by the lift's denominator
         bad = VolumePolynomial(0, 4, add_orbits(v04.orbits, {((4, 0, 0, 0), 0): Fraction(1, 3)}))
         with pytest.raises(LiftError, match="stratum 0 is not homogeneous") as info:
             lift(bad)
@@ -202,12 +202,6 @@ class TestErrorUnits:
             ((2, 0, 0, 0), 2): Fraction(1),
         }
         assert str(info.value.defect).startswith("(1/18)*L1^6 + (1/6)*L1^4*L2^2")
-
-    def test_dilaton_defect_is_in_rational_units(self, v04):
-        bad = VolumePolynomial(0, 4, add_orbits(v04.orbits, {((0, 0, 0, 0), 2): Fraction(5, 3)}))
-        with pytest.raises(ConsistencyError, match="dilaton correction") as info:
-            lift(bad)
-        assert str(info.value.defect) == "-(5/3)*pi^2"
 
     def test_stratified_lift_leaves_the_evaluation_unchanged(self, v04):
         den, evaluation = string_rhs(v04)
