@@ -21,12 +21,16 @@ a ring (sum, product, scaling, the monomials) as a reference, in
 Rendering.  The canonical order is ascending pi exponent, then descending
 lexicographic L exponents.  ``str``, ``to_latex`` and the cache writer share
 one walk over prefix multisets from L_n back to L_1 (``_build_plan``,
-``block_pieces``) that lists no monomial.  Each orbit is one leaf block:
+``block_pieces``) that lists no monomial.  A node of the walk is keyed by
+one int, a count per distinct exponent with the pi exponent above, so a
+parent's key is its child's less one weight.  Each orbit is one leaf block:
 its coefficient's printed form, a marker, and its pi factor.  A node's
 block joins its children's, each after one ``str.replace`` that puts the
 child's factor (``*L3^4``, `` L_{3}^{4}``) after the marker in all its
-terms.  The plan and each kind's leaf blocks are built on first use and
-kept, so a warm render formats no coefficient.
+terms.  The walk stops at depth 2: each piece of the text is a depth-2
+block with L_1's and L_2's factors put in by one ``str.replace``.  The
+plan and each kind's leaf blocks are built on first use and kept, so a
+warm render formats no coefficient.
 
 A polynomial is never changed after construction, so values can be shared
 freely between threads; the plan filled in on first use comes out the same
@@ -124,29 +128,42 @@ def _build_plan(orbits: dict, n: int) -> tuple:
 
     A node at depth k stands for the term prefixes of k L exponents with one
     pi exponent and one multiset, which alone fixes the suffixes that follow.
-    The leaves, at depth n, are the orbits, listed as (orbit, coefficient) by
-    ascending pi exponent so that the roots come in that order.  ``levels``
-    lists, for k = n - 1 down to 1, (k, the nodes of depth k), each node as
-    its children (value of L_{k+1}, index one level down) by descending
-    value; ``roots`` lists the roots' children alike, or each leaf with value
-    0 when n = 0.  ``leaves`` keeps each text kind's leaf blocks.
+    Its key is one int: a count field of ``n.bit_length()`` bits per distinct
+    exponent, with the pi exponent above them, so that a parent's key is the
+    child's less the weight of the value dropped.  The leaves, at depth n,
+    are the orbits, listed as (orbit, coefficient).  ``levels`` lists, for
+    k = n - 1 down to 2, (k, the nodes of depth k), each node as its children
+    (value of L_{k+1}, index one level down) by descending value.  ``roots``
+    lists the depth-2 nodes in canonical order, each as (value of L_1, value
+    of L_2, index); when n < 2 the values past L_n are 0 and the index is a
+    leaf's.  ``leaves`` keeps each text kind's leaf blocks.
     """
-    items = sorted(orbits.items(), key=lambda item: item[0][1])
-    level = {(pi_exp, pattern): i for i, ((pattern, pi_exp), _) in enumerate(items)}
+    items = list(orbits.items())
+    exponents = sorted({e for pattern, _ in orbits for e in pattern}, reverse=True)
+    width = n.bit_length()  # a count of n fits
+    weight = {e: 1 << width * j for j, e in enumerate(exponents)}
+    above = width * len(weight)  # where the pi exponent starts
+    level = {
+        sum([weight[e] for e in pattern], pi_exp << above): i
+        for i, ((pattern, pi_exp), _) in enumerate(items)
+    }
     levels = []
     for k in reversed(range(n)):
         parents: dict = {}
-        for (pi_exp, ms), i in level.items():
-            for j, v in enumerate(ms):
-                if not j or v != ms[j - 1]:
-                    parents.setdefault((pi_exp, ms[:j] + ms[j + 1:]), []).append((v, i))
-        for children in parents.values():
-            children.sort(reverse=True)
+        for v, w in weight.items():  # by descending value
+            mask = (w << width) - w  # the count field of v
+            for code, i in level.items():
+                if code & mask:
+                    parents.setdefault(code - w, []).append((v, i))
         levels.append((k, list(parents.values())))
-        level = {key: i for i, key in enumerate(parents)}
-    roots = [(0, i) for i in level.values()]  # each leaf, when n = 0
-    if n:
-        roots = [edge for node in levels.pop()[1] for edge in node]
+        level = {code: i for i, code in enumerate(parents)}
+    roots = [(0, 0, level[code]) for code in sorted(level)]  # by pi exponent
+    if n:  # each root's children, by the value of L_1
+        nodes = levels.pop()[1]
+        roots = [(v, 0, i) for _, _, r in roots for v, i in nodes[r]]
+    if n > 1:  # and theirs, by the value of L_2
+        nodes = levels.pop()[1]
+        roots = [(v, w, i) for v, _, j in roots for w, i in nodes[j]]
     return items, levels, roots, {}
 
 
@@ -160,10 +177,11 @@ def block_pieces(p: Poly, kind: str, leaf, tables: list) -> list:
 
     The leaves, kept in the plan by ``kind``, are ``leaf(pattern, pi_exp, c)``
     for each orbit: MARK in front of the pi factor, or the bare term.  From
-    L_n back to L_2, each node's block joins its children's, and one
+    L_n back to L_3, each node's block joins its children's, and one
     ``str.replace`` puts a child's factor from ``tables[k]`` after MARK in all
     of its terms; a child whose factor is empty is reused.  The pieces are
-    the roots' children, with L_1's factor in place of MARK."""
+    the depth-2 blocks, each with L_1's and L_2's factors in place of MARK
+    in one ``str.replace``."""
     if p._plan is None:
         p._plan = _build_plan(p.orbits, p.n_vars)
     items, levels, roots, leaves = p._plan
@@ -179,8 +197,8 @@ def block_pieces(p: Poly, kind: str, leaf, tables: list) -> list:
             ])
             for node in nodes
         ]
-    table = tables[0] if p.n_vars else ("",)
-    return [blocks[i].replace(MARK, table[v]) for v, i in roots]
+    first, second = (tables[:p.n_vars] + [("",), ("",)])[:2]
+    return [blocks[i].replace(MARK, first[v] + second[w]) for v, w, i in roots]
 
 
 def _render(p: Poly, latex: bool) -> str:

@@ -54,9 +54,11 @@ def at_two_pi_i(orbits: dict, derivatives: int = 0) -> dict:
     is also divided by it, the real form (dV/dL)/L of the dilaton relation.
     Each distinct exponent v of a pattern leaves the pattern without v, the
     coefficient times (2*pi*i)**v = (-4)**(v/2) * pi**v, or after one or two
-    derivatives v or v*(v-1) times (2*pi*i)**(v-2).  Odd v raise ValueError.
+    derivatives v or v*(v-1) times (2*pi*i)**(v-2), a weight computed once
+    per distinct v.  Odd v raise ValueError.
     """
     drop = 2 if derivatives else 0
+    weights: dict = {}
     out: dict = {}
     for (pattern, pi_exp), c in orbits.items():
         for v in set(pattern):
@@ -64,7 +66,9 @@ def at_two_pi_i(orbits: dict, derivatives: int = 0) -> dict:
                 raise ValueError(f"odd power L^{v} has no real value at 2*pi*i")
             if v < drop:
                 continue
-            weight = (1, v, v * (v - 1))[derivatives] * (-4) ** ((v - drop) >> 1)
+            weight = weights.get(v)
+            if weight is None:
+                weight = weights[v] = (1, v, v * (v - 1))[derivatives] * (-4) ** ((v - drop) >> 1)
             i = pattern.index(v)
             key = (pattern[:i] + pattern[i + 1:], pi_exp + v - drop)
             out[key] = out.get(key, 0) + c * weight

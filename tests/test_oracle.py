@@ -378,6 +378,24 @@ def test_writer_lists_random_orbit_maps_like_dense(rng):
     assert seen >= COVERED
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_an_exponent_in_every_slot_renders_like_dense(n):
+    # the walk keys a node by one count field per distinct exponent; a count
+    # of n (every slot) must fit its field, next to orbits at other pi exponents
+    orbits = {
+        ((2,) * n, 0): Fraction(1),
+        ((4,) * n, 2): Fraction(-5, 12),
+        ((0,) * n, 6): Fraction(6),
+        ((4,) + (2,) * (n - 1), 4): Fraction(-1),
+        ((6,) + (0,) * (n - 1), 2): Fraction(3, 7),
+    }
+    p = Poly(n, orbits)
+    assert str(p) == dense.render(p)
+    assert p.to_latex() == dense.render_latex(p)
+    vol = VolumePolynomial(1, n, orbits)
+    assert serialize_entry(vol, "mirzakhani") == dense.serialize_entry(vol, "mirzakhani")
+
+
 def test_render_keeps_the_walk_and_builds_no_term_map(monkeypatch):
     plans = []
     build_plan = wpvol.poly._build_plan
