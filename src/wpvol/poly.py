@@ -93,16 +93,24 @@ class _Powers(dict):
         return text
 
 
-# (n_vars, latex) -> the _Powers of L1..Ln and of pi, kept across calls
+# (n_vars, latex) -> the _Powers of L1..Ln and of pi, the maker of an orbit's
+# leaf block and the text that DROP marks for removal, kept across calls
 _TABLES: dict = {}
 
 
-def _tables(n_vars: int, latex: bool) -> list:
+def _tables(n_vars: int, latex: bool) -> tuple:
     names = [f" L_{{{i}}}" if latex else f"*L{i}" for i in range(1, n_vars + 1)]
     names.append(" \\pi" if latex else "*pi")
     power = ("^{", "}") if latex else ("^", "")
-    tables = _TABLES[(n_vars, latex)] = [_Powers(name, *power) for name in names]
-    return tables
+    tables = [_Powers(name, *power) for name in names]
+    powers_of_pi = tables[-1]
+
+    def leaf(pattern: tuple, pi_exp: int, c: Fraction) -> str:
+        head, bare = _coefficient(c, latex)
+        return head + MARK + powers_of_pi[pi_exp] if pi_exp or any(pattern) else bare
+
+    entry = _TABLES[(n_vars, latex)] = tables, leaf, DROP + (" " if latex else "*")
+    return entry
 
 
 def _coefficient(c: Fraction, latex: bool) -> tuple[str, str]:
@@ -197,18 +205,13 @@ def block_pieces(p: Poly, kind: str, leaf, tables: list) -> list:
             ])
             for node in nodes
         ]
-    first, second = (tables[:p.n_vars] + [("",), ("",)])[:2]
+    first = tables[0] if p.n_vars else ("",)
+    second = tables[1] if p.n_vars > 1 else ("",)
     return [blocks[i].replace(MARK, first[v] + second[w]) for v, w, i in roots]
 
 
 def _render(p: Poly, latex: bool) -> str:
-    tables = _TABLES.get((p.n_vars, latex)) or _tables(p.n_vars, latex)
-    powers_of_pi, drop = tables[-1], DROP + (" " if latex else "*")
-
-    def leaf(pattern: tuple, pi_exp: int, c: Fraction) -> str:
-        head, bare = _coefficient(c, latex)
-        return head + MARK + powers_of_pi[pi_exp] if pi_exp or any(pattern) else bare
-
+    tables, leaf, drop = _TABLES.get((p.n_vars, latex)) or _tables(p.n_vars, latex)
     pieces = block_pieces(p, "latex" if latex else "str", leaf, tables)
     for j, piece in enumerate(pieces):
         if DROP in piece:  # a memchr scan, far faster than a replace's
