@@ -12,18 +12,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 from .compute import ensure_volume
 from .intersections import balanced, identity_cases, psi_kappa
-from .poly import Poly
-from .store import CacheError, VolumeStore, resolve_cache_dir, serialize_entry
+from .poly import MARK, Poly, block_pieces
+from .store import CacheError, VolumeStore, resolve_cache_dir
 from .stringdilaton import NONZERO_REMAINDER, relation_defect
 from .volume import (
     ConsistencyError,
     InvariantError,
     UnstableSurfaceError,
+    VolumePolynomial,
     is_stable,
 )
 from .symmetric import LiftError, at_two_pi_i
@@ -42,8 +44,33 @@ RELATIONS = ("string", "dilaton", "second", "factor", "string2", "dilaton2", "al
 MAX_DENSE_TERMS = 500_000
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help at the width ``shutil.get_terminal_size`` gives:
+    $COLUMNS, else the terminal of ``sys.__stdout__``, else 80 columns.
+    Read here, since importing ``shutil`` loads ``bz2`` and ``lzma``."""
+
+    def __init__(self, prog):
+        try:
+            columns = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):
+                columns = 0
+        super().__init__(prog, width=(columns or 80) - 2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` its subparsers, on _Formatter."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wpvol",
         description="Exact volume polynomials of moduli spaces of bordered "
         "hyperbolic surfaces, and their intersection numbers.",
@@ -55,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # also accepted after the subcommand; SUPPRESS keeps the global value
     # when the per-command flag is absent
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -264,6 +291,24 @@ def _cmd_intersect(args) -> int:
     return EXIT_OK
 
 
+def _json_term(pattern: tuple, pi_exp: int, c) -> str:
+    return f'{{"l":[{MARK}],"pi":{pi_exp},"re":"{str(c)}","im":"0"}},'
+
+
+def export_document(vol: VolumePolynomial, provenance: str) -> str:
+    """The JSON export of vol: a dense document, one term per monomial in
+    the canonical order, as ``json.dumps`` with separators (",", ":") writes
+    it.  The orbit walk that prints a volume runs over exponent tables ("e,"
+    for each L variable, "e" for L_n) with one leaf term per orbit."""
+    top = range(max((pattern[0] for pattern, _ in vol.orbits if pattern), default=0) + 1)
+    tables = [[f"{e}," for e in top]] * (vol.n - 1) + [[str(e) for e in top]]
+    pieces = block_pieces(vol.poly, "json", _json_term, tables)
+    if pieces:
+        pieces[-1] = pieces[-1][:-1]  # the comma after the last term
+    head = f'{{"schema":1,"g":{vol.g},"n":{vol.n},"provenance":"{provenance}",'
+    return "".join([head, '"terms":[', *pieces, "]}\n"])
+
+
 def _cmd_export(args) -> int:
     g, n = args.genus, args.boundaries
     if not is_stable(g, n):
@@ -276,7 +321,7 @@ def _cmd_export(args) -> int:
         ensure_volume(store, g, n)
     vol, provenance = store.find(g, n)
     if args.format == "json":
-        text = serialize_entry(vol, provenance)
+        text = export_document(vol, provenance)
     else:
         text = vol.poly.to_latex() + "\n"
     if args.output:

@@ -19,7 +19,7 @@ a ring (sum, product, scaling, the monomials) as a reference, in
 ``tests/dense_oracle.py``.
 
 Rendering.  The canonical order is ascending pi exponent, then descending
-lexicographic L exponents.  ``str``, ``to_latex`` and the cache writer share
+lexicographic L exponents.  ``str``, ``to_latex`` and the JSON export share
 one walk over prefix multisets from L_n back to L_1 (``_build_plan``,
 ``block_pieces``) that lists no monomial.  A node of the walk is keyed by
 one int, a count per distinct exponent with the pi exponent above, so a

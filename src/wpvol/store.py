@@ -1,24 +1,24 @@
 """Persistent, validated memo table of volume polynomials.
 
-One JSON document per (g, n):
+One JSON document per (g, n), schema 2, one entry per symmetry orbit:
 
-    {"schema": 1, "g": 1, "n": 1, "provenance": "seed",
-     "terms": [{"l": [2], "pi": 0, "re": "1/48", "im": "0"}, ...]}
+    {"schema": 2, "g": 1, "n": 1, "provenance": "seed",
+     "orbits": [{"l": [2], "pi": 0, "c": "1/48"}, {"l": [0], "pi": 2, "c": "1/12"}]}
 
-Terms are listed in the canonical order (ascending pi exponent, then L
-exponents) and rationals are serialized as strings, so serialization is
-deterministic and round-trips byte for byte.  Coefficients are rational, so
-``"im"`` is always written as ``"0"``, and a document with a nonzero ``"im"``
-is rejected.  No other module knows the document.  Entries are validated
-against the volume invariants both when written and when read back, which
-turns any on-disk corruption into an immediate error instead of a wrong
-number: ``put`` is the one gate every produced volume passes, and every read
-of a file parses its terms straight into the orbit form the store holds.
-The writer runs the orbit walk that prints a volume (``poly.block_pieces``)
-over JSON tables, and formats each orbit's coefficient once.
+``"l"`` is the orbit's L exponents sorted descending and ``"c"`` its
+coefficient as a string.  Orbits are listed in descending (pattern, pi)
+order, so serialization is deterministic and round-trips byte for byte.  No
+other module knows the document.  Entries are validated against the volume
+invariants both when written and when read back, which turns any on-disk
+corruption that breaks an invariant into an immediate error instead of a
+wrong number: ``put`` is the one gate every produced volume passes, and
+every read of a file parses its orbits straight into the orbit map the
+store holds.  A document of another schema, such as the dense schema 1
+that listed every monomial, is a ``CacheError``; ``wpvol cache clear``
+removes it.
 
 Exponents must be JSON integers and coefficients strings; anything else (a
-float exponent, a numeric ``"re"``) is rejected rather than coerced.
+float exponent, a numeric ``"c"``) is rejected rather than coerced.
 
 Several provenances may record the same (g, n) in one session; they must
 agree exactly, and a disagreement is fatal because it means two independent
@@ -36,10 +36,9 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .poly import MARK, _arrangement_count, block_pieces
 from .volume import InvariantError, UnstableSurfaceError, VolumePolynomial, seed_volume
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 PROVENANCES = ("seed", "genus0_lift", "genus1_lift", "mirzakhani")
 ENV_CACHE_DIR = "WPVOL_CACHE"
 DEFAULT_CACHE_DIR = "wpvol-cache"
@@ -63,23 +62,17 @@ def resolve_cache_dir(flag_value: str | None = None) -> Path:
     return Path(DEFAULT_CACHE_DIR)
 
 
-def _json_leaf(pattern: tuple, pi_exp: int, c: Fraction) -> str:
-    return f'{{"l":[{MARK}],"pi":{pi_exp},"re":"{str(c)}","im":"0"}},'
-
-
 def serialize_entry(vol: VolumePolynomial, provenance: str) -> str:
     """The cache document of vol, as ``json.dumps`` with separators (",", ":")
-    writes it: the orbit walk that prints a volume, run over exponent tables
-    ("e," for each L variable, "e" for L_n) and one leaf term per orbit."""
+    writes it: one entry per orbit, in descending (pattern, pi) order."""
     if provenance not in PROVENANCES:
         raise ValueError(f"unknown provenance {provenance!r}")
-    top = range(max((pattern[0] for pattern, _ in vol.orbits if pattern), default=0) + 1)
-    tables = [[f"{e}," for e in top]] * (vol.n - 1) + [[str(e) for e in top]]
-    pieces = block_pieces(vol.poly, "json", _json_leaf, tables)
-    if pieces:
-        pieces[-1] = pieces[-1][:-1]  # the comma after the last term
+    orbits = ",".join(
+        f'{{"l":[{",".join(map(str, pattern))}],"pi":{pi_exp},"c":"{c}"}}'
+        for (pattern, pi_exp), c in sorted(vol.orbits.items(), reverse=True)
+    )
     head = f'{{"schema":{SCHEMA_VERSION},"g":{vol.g},"n":{vol.n},"provenance":"{provenance}",'
-    return "".join([head, '"terms":[', *pieces, "]}\n"])
+    return f'{head}"orbits":[{orbits}]}}\n'
 
 
 def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
@@ -99,44 +92,21 @@ def parse_entry(text: str) -> tuple[VolumePolynomial, str]:
     g, n = doc.get("g"), doc.get("n")
     if type(g) is not int or type(n) is not int:
         raise CacheError("g and n must be integers")
-    seen = set()
-    parsed: dict = {}  # coefficient string -> its one Fraction object
-    orbits: dict = {}  # orbit -> the coefficient of its first monomial
-    counts: dict = {}  # orbit -> its monomials listed
-    clash = None  # the first orbit met with a second coefficient
+    orbits: dict = {}
     try:
-        for term in doc["terms"]:
-            key = (*term["l"], term["pi"])
-            if len(key) != n + 1 or any(type(e) is not int or e < 0 for e in key):
+        for entry in doc["orbits"]:
+            pattern, pi_exp, c = tuple(entry["l"]), entry["pi"], entry["c"]
+            key = (*pattern, pi_exp)
+            if len(pattern) != n or any(type(e) is not int or e < 0 for e in key):
                 raise CacheError(f"bad exponents {key} for n = {n}")
-            real, imag = term["re"], term["im"]
-            if type(real) is not str or type(imag) is not str:
-                raise CacheError(f"coefficient at monomial {key} is not a string")
-            if imag != "0" and Fraction(imag):
-                raise CacheError(f"non-real coefficient at monomial {key}")
-            coeff = parsed.get(real)
-            if coeff is None:
-                coeff = parsed[real] = Fraction(real)
-            if key in seen:
-                raise CacheError(f"duplicate monomial {key}")
-            seen.add(key)
-            sig = (tuple(sorted(key[:-1], reverse=True)), key[-1])
-            first = orbits.setdefault(sig, coeff)
-            counts[sig] = counts.get(sig, 0) + 1
-            # equal strings share one Fraction, so most checks stop at `is`
-            if first is not coeff and first != coeff and clash is None:
-                clash = sig
+            if type(c) is not str:
+                raise CacheError(f"coefficient of orbit {key} is not a string")
+            if (pattern, pi_exp) in orbits:
+                raise CacheError(f"repeated orbit {key}")
+            orbits[pattern, pi_exp] = Fraction(c)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CacheError(f"malformed term list: {exc}") from exc
+        raise CacheError(f"malformed orbit list: {exc}") from exc
     try:
-        # every orbit must be listed in full, with one coefficient
-        failure = f"V({g},{n}) invariant failure: not symmetric: orbit"
-        if clash is not None:
-            raise InvariantError(f"{failure} {clash} carries distinct coefficients")
-        for sig, count in counts.items():
-            expected = _arrangement_count(sig[0], n)
-            if count != expected:
-                raise InvariantError(f"{failure} {sig} has {count} of {expected} monomials")
         vol = VolumePolynomial(g, n, orbits)
         vol.validate()
     except (InvariantError, UnstableSurfaceError) as exc:

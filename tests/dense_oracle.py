@@ -615,24 +615,38 @@ def render_latex(p: Dense | Poly) -> str:
 
 
 def serialize_entry(vol: VolumePolynomial, provenance: str) -> str:
-    """The cache document of vol, one ``str`` per term."""
+    """The JSON export of vol (``cli.export_document``), one ``str`` per term."""
     return document(vol.g, vol.n, expand(vol), provenance)
 
 
 def document(g: int, n: int, p: Dense, provenance: str = "seed") -> str:
-    """A cache document that lists the term map p as V(g, n), one ``str``
-    per term, whether or not p is a valid volume."""
+    """A dense document, the JSON export's schema 1, that lists the term map
+    p as V(g, n), one ``str`` per term, whether or not p is a valid volume."""
     terms = [
         {"l": list(key[:-1]), "pi": key[-1], "re": str(c), "im": "0"}
         for key, c in sorted_terms(p)
     ]
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "g": g,
-        "n": n,
-        "provenance": provenance,
-        "terms": terms,
-    }
+    doc = {"schema": 1, "g": g, "n": n, "provenance": provenance, "terms": terms}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+# V(1,1) as schema 1 of the cache wrote it, and the JSON export still does:
+# one dense term per monomial
+SCHEMA_1_V11 = (
+    '{"schema":1,"g":1,"n":1,"provenance":"seed","terms":[{"l":[2],"pi":0,'
+    '"re":"1/48","im":"0"},{"l":[0],"pi":2,"re":"1/12","im":"0"}]}\n'
+)
+
+
+def orbit_document(g: int, n: int, orbits: dict, provenance: str = "seed") -> str:
+    """A cache document that lists the orbit map as V(g, n), in descending
+    (pattern, pi) order, whether or not it is a valid volume."""
+    entries = [
+        {"l": list(pattern), "pi": pi_exp, "c": str(c)}
+        for (pattern, pi_exp), c in sorted(orbits.items(), reverse=True)
+    ]
+    doc = {"schema": SCHEMA_VERSION, "g": g, "n": n, "provenance": provenance,
+           "orbits": entries}
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -16,6 +18,8 @@ from wpvol.compute import ensure_volume
 from wpvol.store import VolumeStore
 from wpvol.symmetric import LiftError
 from wpvol.volume import VolumePolynomial, seed_volume
+import dense_oracle
+from dense_oracle import SCHEMA_1_V11
 
 
 def run(capsys, *argv):
@@ -69,8 +73,8 @@ class TestCompute:
         run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")
         path = Path(cache) / "g0_n4.json"
         text = path.read_text()
-        assert text.count('"pi":2,"re":"2"') == 1
-        path.write_text(text.replace('"pi":2,"re":"2"', '"pi":2,"re":"3"'))
+        assert text.count('"pi":2,"c":"2"') == 1
+        path.write_text(text.replace('"pi":2,"c":"2"', '"pi":2,"c":"3"'))
         code, out, err = run(capsys, "--cache-dir", cache, "compute",
                              "--genus", "0", "--boundaries", "4", "--method", "both")
         assert (code, out) == (1, "")
@@ -100,11 +104,11 @@ class TestCompute:
         assert out == "(43/2160)*pi^6\n"
 
     def test_emptied_cache_entry_is_a_cache_error(self, capsys, cache):
-        # a document whose term list is empty must not load as the zero volume
+        # a document whose orbit list is empty must not load as the zero volume
         run(capsys, "--cache-dir", cache, "compute", "--genus", "1", "--boundaries", "2")
         path = Path(cache) / "g1_n2.json"
         document = json.loads(path.read_text())
-        document["terms"] = []
+        document["orbits"] = []
         path.write_text(json.dumps(document, separators=(",", ":")))
         for argv in (("compute", "--genus", "1", "--boundaries", "2"),
                      ("compute", "--genus", "1", "--boundaries", "3"),
@@ -194,6 +198,14 @@ class TestExport:
         assert doc["provenance"] == "seed"
         assert doc["terms"][0]["re"] == "1/48"
 
+    def test_json_is_the_dense_document_of_the_oracle(self, capsys, cache):
+        # the export lists every monomial (schema 1), unlike the cache file
+        code, out, _ = run(capsys, "--cache-dir", cache, "export",
+                           "--format", "json", "--genus", "2", "--boundaries", "5")
+        assert code == 0
+        vol, provenance = VolumeStore(cache).find(2, 5)
+        assert out == dense_oracle.serialize_entry(vol, provenance)
+
     def test_computes_on_miss(self, capsys, cache):
         code, out, _ = run(capsys, "--cache-dir", cache, "export",
                            "--format", "json", "--genus", "0", "--boundaries", "5")
@@ -251,9 +263,25 @@ class TestCache:
 
         run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")
         path = next(Path(cache).glob("g0_n4.json"))
-        path.write_text(path.read_text().replace('"re":"1/2"', '"re":"1/3"', 1))
+        # a valid V(0,4) in form: the string relation with V(0,3) fails
+        path.write_text(path.read_text().replace('"c":"1/2"', '"c":"1/3"', 1))
         code, out, err = run(capsys, "--cache-dir", cache, "cache", "verify")
-        assert code == 1
+        assert (code, out) == (1, "2 entries, 2 failures\n")
+
+    def test_schema_1_entry_is_refused_and_kept(self, capsys, cache):
+        # a cache written before schema 2 fails until `wpvol cache clear`
+        Path(cache).mkdir()
+        path = Path(cache) / "g1_n1.json"
+        path.write_text(SCHEMA_1_V11)
+        message = "cache error: cache schema version mismatch (expected 2, got 1)\n"
+        for argv in (("compute", "--genus", "1", "--boundaries", "1"),
+                     ("compute", "--genus", "1", "--boundaries", "2")):
+            code, out, err = run(capsys, "--cache-dir", cache, *argv)
+            assert (code, out, err) == (1, "", message)
+        assert path.read_text() == SCHEMA_1_V11
+        assert sorted(p.name for p in Path(cache).iterdir()) == ["g1_n1.json"]
+        code, out, _ = run(capsys, "--cache-dir", cache, "cache", "clear")
+        assert (code, out) == (0, "cleared 1 entries\n")
 
     def test_verify_skips_a_stray_file_name(self, capsys, cache):
         # g01_n3.json reads as (1, 3) but is not the file of V(1,3)
@@ -378,11 +406,14 @@ class TestVerify:
 
         run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")
         path = next(Path(cache).glob("g0_n4.json"))
-        path.write_text(path.read_text().replace('"re":"1/2"', '"re":"1/3"', 1))
+        # a zero coefficient: the entry fails validation as it is read
+        path.write_text(path.read_text().replace('"c":"1/2"', '"c":"0"', 1))
         code, _, err = run(capsys, "--cache-dir", cache, "verify",
                            "--relation", "string", "--max-genus", "0",
                            "--max-boundaries", "5")
         assert code == 1
+        assert err == ("cache error: stored entry fails validation: V(0,4) invariant "
+                       "failure: zero coefficient stored\n")
 
     @pytest.fixture()
     def perturbed_cache(self, capsys, cache):
@@ -392,9 +423,9 @@ class TestVerify:
         assert code == 0
         path = Path(cache) / "g1_n2.json"
         document = json.loads(path.read_text())
-        for term in document["terms"]:
-            if term["l"] == [2, 2]:
-                term["re"] = "1/95"
+        for orbit in document["orbits"]:
+            if orbit["l"] == [2, 2]:
+                orbit["c"] = "1/95"
         path.write_text(json.dumps(document, separators=(",", ":")))
         return cache
 
@@ -564,9 +595,9 @@ def test_lift_from_volume_breaking_dilaton_is_inconsistent(capsys, cache):
     run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")
     path = Path(cache) / "g0_n4.json"
     document = json.loads(path.read_text())
-    for term in document["terms"]:
-        if term["pi"] == 0:
-            term["re"] = str(Fraction(term["re"]) + 1)
+    for orbit in document["orbits"]:
+        if orbit["pi"] == 0:
+            orbit["c"] = str(Fraction(orbit["c"]) + 1)
     path.write_text(json.dumps(document, separators=(",", ":")))
     code, out, err = run(capsys, "--cache-dir", cache, "compute",
                          "--genus", "0", "--boundaries", "5")
@@ -585,9 +616,9 @@ def test_closed_volume_from_indivisible_cached_volume_is_inconsistent(capsys, ca
     run(capsys, "--cache-dir", cache, "compute", "--genus", "2", "--boundaries", "1")
     path = Path(cache) / "g2_n1.json"
     document = json.loads(path.read_text())
-    changed = [term for term in document["terms"] if term["l"] == [8]]
+    changed = [orbit for orbit in document["orbits"] if orbit["l"] == [8]]
     assert len(changed) == 1
-    changed[0]["re"] = "1/7"
+    changed[0]["c"] = "1/7"
     path.write_text(json.dumps(document, separators=(",", ":")))
     code, out, err = run(capsys, "--cache-dir", cache, "compute",
                          "--genus", "2", "--boundaries", "0")
@@ -616,15 +647,46 @@ def test_repeated_runs_byte_identical_with_warm_cache(capsys, tmp_path):
 
 def test_import_stays_lean():
     # modules that cost milliseconds at every CLI start and that wpvol
-    # does not need; -I -S keeps site and the environment out of the count
+    # does not need, neither to import nor to parse a command line; -I -S
+    # keeps site and the environment out of the count
     src = Path(wpvol.cli.__file__).parents[1]
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import wpvol.cli; "
+        "wpvol.cli.build_parser().parse_args(['compute', '--genus', '0', '--boundaries', '4']); "
         "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect', "
-        "'tempfile', 'shutil') if m in sys.modules))"
+        "'tempfile', 'shutil', 'bz2', 'lzma') if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code],
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert result.stdout.split() == []
+
+
+@pytest.mark.parametrize("columns, terminal", [
+    ("40", 57), ("80", None), ("200", None), (None, 57), (None, 0), (None, None), ("0", 57),
+    ("x", None),
+])
+def test_help_matches_the_stock_formatter(monkeypatch, columns, terminal):
+    # the parser finds its width without shutil, and lays out the same text;
+    # a terminal of None is no terminal at all
+    def get_terminal_size(fd):
+        if terminal is None:
+            raise OSError("not a terminal")
+        return os.terminal_size((terminal, 24))
+
+    monkeypatch.setattr(os, "get_terminal_size", get_terminal_size)
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    parser = wpvol.cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = [parser, *commands.choices.values()]
+    assert [p.prog for p in parsers] == ["wpvol"] + [
+        f"wpvol {name}" for name in ("compute", "verify", "intersect", "export", "cache")
+    ]
+    ours = [(p.format_help(), p.format_usage()) for p in parsers]
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert [(p.format_help(), p.format_usage()) for p in parsers] == ours

@@ -7,7 +7,7 @@ equal the dense reference, monomial for monomial, on the real volumes, on
 random symmetric perturbations of them, and on random symmetric
 polynomials.  A further test checks that computing and verifying build no
 text form.  The rendering tests require the orbit walk, in the printed
-text and in the term list of the cache writer, to match the term-at-a-time
+text and in the term list of the JSON export, to match the term-at-a-time
 reference byte for byte, and the walk to build no term map.  The kernel
 tests require the integer recursion to give the orbit maps, and so the
 text, of the Fraction recursion.
@@ -27,7 +27,7 @@ from conftest import (
 )
 import wpvol.poly
 from wpvol import mirzakhani
-from wpvol.cli import run_verification
+from wpvol.cli import export_document, run_verification
 from wpvol.compute import ensure_volume, lift_volume
 from wpvol.mirzakhani import mirzakhani_volume
 from wpvol.poly import Poly, _arrangement_count
@@ -286,10 +286,9 @@ def assert_renders_like_dense(p: Poly) -> None:
 def test_render_matches_dense_on_volumes(store, g, n):
     vol = volume(store, g, n)
     assert_renders_like_dense(vol.poly)
-    text = serialize_entry(vol, "mirzakhani")
-    assert text == dense.serialize_entry(vol, "mirzakhani")
-    # a parsed document shares one coefficient object per distinct string
-    parsed, _ = parse_entry(text)
+    assert export_document(vol, "mirzakhani") == dense.serialize_entry(vol, "mirzakhani")
+    # a volume read back from its cache document renders alike
+    parsed, _ = parse_entry(serialize_entry(vol, "mirzakhani"))
     assert_renders_like_dense(parsed.poly)
     assert str(parsed.poly) == str(vol.poly)
 
@@ -365,7 +364,7 @@ def test_orbit_walk_renders_like_dense(rng):
 
 
 def test_writer_lists_random_orbit_maps_like_dense(rng):
-    # the cache writer runs the walk over exponent tables; the reference
+    # the JSON export runs the walk over exponent tables; the reference
     # sorts the term map
     shared = [Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 12)]
     seen = set()
@@ -373,7 +372,7 @@ def test_writer_lists_random_orbit_maps_like_dense(rng):
         n = rng.randint(0, 6)
         orbits = random_orbit_map(rng, n, shared)
         vol = VolumePolynomial(rng.randint(0, 3), n, orbits)
-        assert serialize_entry(vol, "mirzakhani") == dense.serialize_entry(vol, "mirzakhani")
+        assert export_document(vol, "mirzakhani") == dense.serialize_entry(vol, "mirzakhani")
         seen |= coverage(orbits, n)
     assert seen >= COVERED
 
@@ -393,7 +392,7 @@ def test_an_exponent_in_every_slot_renders_like_dense(n):
     assert str(p) == dense.render(p)
     assert p.to_latex() == dense.render_latex(p)
     vol = VolumePolynomial(1, n, orbits)
-    assert serialize_entry(vol, "mirzakhani") == dense.serialize_entry(vol, "mirzakhani")
+    assert export_document(vol, "mirzakhani") == dense.serialize_entry(vol, "mirzakhani")
 
 
 def test_render_keeps_the_walk_and_builds_no_term_map(monkeypatch):
@@ -407,7 +406,7 @@ def test_render_keeps_the_walk_and_builds_no_term_map(monkeypatch):
     text, latex = str(p), p.to_latex()
     assert str(p) == text and p.to_latex() == latex
     assert (len(p), bool(p)) == (19448, True)
-    serialize_entry(vol, "genus0_lift")
+    export_document(vol, "genus0_lift")
     assert len(plans) == 1
     assert p.__slots__ == ("n_vars", "orbits", "_plan") and not hasattr(p, "terms")
     # the reference expands the orbits into a term map of its own

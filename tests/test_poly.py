@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import wpvol.poly
+from wpvol.cli import export_document
 from wpvol.compute import ensure_volume, lift_volume
 from wpvol.poly import Poly
 from wpvol.store import VolumeStore, serialize_entry
@@ -227,15 +228,16 @@ def test_rendering_formats_each_orbit_coefficient_once(monkeypatch):
         formatted.append(c)
         return fraction_str(c)
 
-    formatted.clear()
     monkeypatch.setattr(Fraction, "__str__", counted_str)
-    serialize_entry(vol, "genus0_lift")
-    assert 0 < len(formatted) <= 45
+    for write in (export_document, serialize_entry):
+        formatted.clear()
+        write(vol, "genus0_lift")
+        assert 0 < len(formatted) <= 45
 
 
 # sha256 of the texts of lift V(0,3..11) and V(1,1..9), closed V(2..6,0)
 # and kernel V(2,1..5), joined by newlines, as the term-at-a-time renderer
-# and ``json.dumps`` wrote them
+# and ``json.dumps`` wrote them; "json" is the JSON export
 PINNED_DIGESTS = {
     "str": "cfc3e10085daf14e86505b486c381d822693f3bcfab245a3ab8e8f5e6aa04cee",
     "latex": "da099028003e65cf4b1011c5a8be438a1ac67b7fbdf2492e8e501628dd02f2b1",
@@ -252,7 +254,7 @@ def test_rendered_bytes_match_pinned_digests():
     texts = {
         "str": [str(v.poly) for v in vols],
         "latex": [v.poly.to_latex() for v in vols],
-        "json": [serialize_entry(v, store.find(v.g, v.n)[1]) for v in vols],
+        "json": [export_document(v, store.find(v.g, v.n)[1]) for v in vols],
     }
     digests = {kind: hashlib.sha256("\n".join(t).encode()).hexdigest()
                for kind, t in texts.items()}
@@ -271,14 +273,14 @@ def test_plan_keeps_no_per_monomial_state_and_warm_renders_format_nothing(monkey
     vol = lift_volume(VolumeStore(), 0, 10)
     closed = ensure_volume(VolumeStore(), 2, 0)
     p = vol.poly
-    first = (str(p), p.to_latex(), serialize_entry(vol, "genus0_lift"), str(closed.poly))
+    first = (str(p), p.to_latex(), export_document(vol, "genus0_lift"), str(closed.poly))
     assert max(len(c) for c in containers(p._plan)) < len(p) == 19448
     formatted = []
     coefficient = wpvol.poly._coefficient
     monkeypatch.setattr(
         wpvol.poly, "_coefficient", lambda *a: formatted.append(a) or coefficient(*a)
     )
-    again = (str(p), p.to_latex(), serialize_entry(vol, "genus0_lift"), str(closed.poly))
+    again = (str(p), p.to_latex(), export_document(vol, "genus0_lift"), str(closed.poly))
     assert again == first and formatted == []
 
 

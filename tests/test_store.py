@@ -1,8 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from wpvol.cli import export_document
 from wpvol.mirzakhani import mirzakhani_volume
 from wpvol.store import (
     PROVENANCES,
@@ -15,6 +17,7 @@ from wpvol.store import (
 )
 from wpvol.stringdilaton import lift
 from wpvol.volume import UnstableSurfaceError, VolumePolynomial
+from dense_oracle import SCHEMA_1_V11, orbit_document
 
 
 def test_round_trip_in_memory(v11):
@@ -37,10 +40,32 @@ def test_writer_rejects_an_unknown_provenance(v11):
 
 
 def test_document_shape(v11):
-    doc = json.loads(serialize_entry(v11, "seed"))
-    assert doc["schema"] == 1
+    text = serialize_entry(v11, "seed")
+    doc = json.loads(text)
+    assert doc["schema"] == 2
     assert doc["g"] == 1 and doc["n"] == 1
-    assert doc["terms"][0] == {"l": [2], "pi": 0, "re": "1/48", "im": "0"}
+    assert doc["orbits"] == [{"l": [2], "pi": 0, "c": "1/48"}, {"l": [0], "pi": 2, "c": "1/12"}]
+    assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+# sha256 of the cache documents of lift V(0,3..11) and V(1,1..9), closed
+# V(2..6,0) and kernel V(2,1..5), joined by newlines
+PINNED_DOCUMENTS = "e02351450a6aaf1ff07cdf17cbc1d3e020a387293aa5212d9e212de3da78f55a"
+
+
+def test_documents_match_the_oracle_and_a_pinned_digest():
+    # one entry per orbit, in descending (pattern, pi) order, as the oracle
+    # writes it with json.dumps; the digest pins the bytes across changes
+    from wpvol.compute import ensure_volume, lift_volume
+
+    store = VolumeStore()
+    vols = [lift_volume(store, g, n) for g, top in ((0, 11), (1, 9))
+            for n in range(3 - 2 * g, top + 1)]
+    vols += [ensure_volume(store, g, 0) for g in range(2, 7)]
+    vols += [ensure_volume(store, 2, n) for n in range(1, 6)]
+    texts = [serialize_entry(v, store.find(v.g, v.n)[1]) for v in vols]
+    assert texts == [orbit_document(v.g, v.n, v.orbits, store.find(v.g, v.n)[1]) for v in vols]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == PINNED_DOCUMENTS
 
 
 def test_disk_round_trip(tmp_path, v03):
@@ -85,15 +110,17 @@ def test_cross_provenance_conflict_is_fatal(v03, v11):
 
 
 def test_schema_version_mismatch(v11):
-    text = serialize_entry(v11, "seed").replace('"schema":1', '"schema":99')
+    text = serialize_entry(v11, "seed").replace('"schema":2', '"schema":99')
     with pytest.raises(CacheError, match="schema"):
         parse_entry(text)
 
 
-def test_nonzero_imaginary_part_rejected(v11):
-    text = serialize_entry(v11, "seed").replace('"im":"0"', '"im":"1/2"', 1)
-    with pytest.raises(CacheError, match="non-real"):
-        parse_entry(text)
+def test_schema_1_document_refused(v11):
+    # schema 1 is the JSON export's dense document, never a cache entry
+    assert export_document(v11, "seed") == SCHEMA_1_V11
+    with pytest.raises(CacheError) as info:
+        parse_entry(SCHEMA_1_V11)
+    assert str(info.value) == "cache schema version mismatch (expected 2, got 1)"
 
 
 def test_unreadable_document():
@@ -105,7 +132,8 @@ def test_corrupted_coefficient_detected(tmp_path, v03):
     store = VolumeStore(tmp_path)
     store.put(lift(v03), "genus0_lift")
     path = tmp_path / "g0_n4.json"
-    path.write_text(path.read_text().replace('"re":"1/2"', '"re":"1/3"', 1))
+    # the constant orbit of V(0,4), 2 pi^2, is the volume of M(0,4): positive
+    path.write_text(path.read_text().replace('"c":"2"', '"c":"-2"', 1))
     fresh = VolumeStore(tmp_path)
     with pytest.raises(CacheError, match="validation"):
         fresh.get(0, 4)
@@ -128,7 +156,8 @@ def test_verify_all_flags_corruption(tmp_path, v03):
     store.put(v03, "seed")
     store.put(lift(v03), "genus0_lift")
     path = tmp_path / "g0_n4.json"
-    path.write_text(path.read_text().replace('"re":"1/2"', '"re":"1/3"', 1))
+    # a valid V(0,4) in form, so only the relations with V(0,3) can see it
+    path.write_text(path.read_text().replace('"c":"1/2"', '"c":"1/3"', 1))
     fresh = VolumeStore(tmp_path)
     report = fresh.verify_all()
     assert report["failures"] >= 1
@@ -216,33 +245,35 @@ def test_each_produced_volume_validated_once(monkeypatch):
 
 
 def _document(vol, **edits):
-    """The cache document of ``vol``, its first term's fields replaced."""
+    """The cache document of ``vol``, its first orbit's fields replaced."""
     doc = json.loads(serialize_entry(vol, "seed"))
     for field, value in edits.items():
         if field in ("g", "n"):
             doc[field] = value
         else:
-            doc["terms"][0][field] = value
+            doc["orbits"][0][field] = value
     return json.dumps(doc)
 
 
 @pytest.mark.parametrize(
     "g, n, edits",
     [
-        # V(2,0) = 43/2160 pi^6 has one term
+        # V(2,0) = 43/2160 pi^6 has one orbit
         (2, 0, {"pi": 6.7}),  # read as pi^6 by int()
         (2, 0, {"pi": 6.0}),
-        (2, 0, {"re": 0.0199}),  # read as its binary expansion by Fraction()
-        # V(1,1)'s first term is L1^2 / 48
+        (2, 0, {"c": 0.0199}),  # read as its binary expansion by Fraction()
+        # V(1,1)'s first orbit is L1^2 / 48
         (1, 1, {"pi": False}),  # bool is an int subclass
         (1, 1, {"l": ["2"]}),
         (1, 1, {"l": [2, 0]}),  # one exponent too many for n = 1
-        (1, 1, {"re": 1}),
-        (1, 1, {"re": "1/0"}),
-        (1, 1, {"re": "0"}),  # a stored term is never zero
-        (1, 1, {"im": 0}),
+        (1, 1, {"c": 1}),
+        (1, 1, {"c": "1/0"}),
+        (1, 1, {"c": "0"}),  # a stored orbit is never zero
+        (1, 1, {"l": [-2]}),
         (1, 1, {"g": True}),
         (1, 1, {"g": 0}),  # V(0,1) is unstable
+        (1, 1, {"c": "x"}),
+        (1, 1, {"l": 2}),
     ],
 )
 def test_corrupt_document_rejected(g, n, edits):
@@ -251,13 +282,6 @@ def test_corrupt_document_rejected(g, n, edits):
     text = _document(ensure_volume(VolumeStore(), g, n), **edits)
     with pytest.raises(CacheError):
         parse_entry(text)
-
-
-def test_imaginary_part_zero_shortcut(v11):
-    vol, _ = parse_entry(_document(v11, im="0/1"))
-    assert vol == v11
-    with pytest.raises(CacheError, match="malformed"):
-        parse_entry(_document(v11, im="x"))
 
 
 def test_failed_rename_leaves_no_file(tmp_path, monkeypatch, v03):
@@ -271,87 +295,73 @@ def test_failed_rename_leaves_no_file(tmp_path, monkeypatch, v03):
     assert list(tmp_path.iterdir()) == []
 
 
-# The parse gate: a document's terms must list every monomial of every
-# orbit once, with the orbit's one coefficient, each with n + 1 exponents.
-# V(0,5)'s fourth term is L1^2 L4^2, and its orbit ((2, 0, 0, 0, 0), 2)
-# has five monomials, L1^2 pi^2 first.
+# The parse gate: a document lists each orbit of a volume once, as its
+# pattern sorted descending, its pi exponent and its coefficient, and the
+# orbits must make a valid V(g, n).  V(0,5)'s orbits, in document order:
+# L1^4 / 8, L1^2 L2^2 / 2, 3 L1^2 pi^2 and 10 pi^4.
 
 
-def _v05_terms():
+def _v05_orbits():
     from wpvol.compute import ensure_volume
 
     vol = ensure_volume(VolumeStore(), 0, 5)
     return vol, json.loads(serialize_entry(vol, "genus0_lift"))
 
 
-def _with_terms(doc, terms):
-    return json.dumps(dict(doc, terms=terms))
-
-
-def test_duplicate_monomial_rejected():
-    _, doc = _v05_terms()
-    terms = doc["terms"] + [doc["terms"][3]]
-    with pytest.raises(CacheError) as info:
-        parse_entry(_with_terms(doc, terms))
-    assert str(info.value) == "duplicate monomial (2, 0, 0, 2, 0, 0)"
-
-
-def test_orbit_missing_an_arrangement_rejected():
-    _, doc = _v05_terms()
-    terms = [t for t in doc["terms"] if (t["l"], t["pi"]) != ([2, 0, 0, 0, 0], 2)]
-    assert len(terms) == len(doc["terms"]) - 1
-    with pytest.raises(CacheError) as info:
-        parse_entry(_with_terms(doc, terms))
-    assert str(info.value) == (
-        "stored entry fails validation: V(0,5) invariant failure: not symmetric: "
-        "orbit ((2, 0, 0, 0, 0), 2) has 4 of 5 monomials"
-    )
+def _with_orbits(doc, orbits):
+    return json.dumps(dict(doc, orbits=orbits))
 
 
 def test_orbit_with_two_coefficients_rejected():
-    _, doc = _v05_terms()
-    terms = [dict(t) for t in doc["terms"]]
-    changed = [t for t in terms if (t["l"], t["pi"]) == ([0, 2, 0, 0, 0], 2)]
-    assert len(changed) == 1
-    changed[0]["re"] = "1/3"
-    with pytest.raises(CacheError) as info:
-        parse_entry(_with_terms(doc, terms))
-    assert str(info.value) == (
-        "stored entry fails validation: V(0,5) invariant failure: not symmetric: "
-        "orbit ((2, 0, 0, 0, 0), 2) carries distinct coefficients"
-    )
+    # the orbit L1^2 pi^2 listed a second time, with another coefficient
+    # and as it is
+    _, doc = _v05_orbits()
+    for c in ("1/3", "3"):
+        orbits = doc["orbits"] + [{"l": [2, 0, 0, 0, 0], "pi": 2, "c": c}]
+        with pytest.raises(CacheError) as info:
+            parse_entry(_with_orbits(doc, orbits))
+        assert str(info.value) == "repeated orbit (2, 0, 0, 0, 0, 2)"
 
 
 def test_wrong_number_of_exponents_rejected():
-    _, doc = _v05_terms()
-    terms = [dict(t) for t in doc["terms"]]
-    terms[0]["l"] = terms[0]["l"] + [0]
+    _, doc = _v05_orbits()
+    orbits = [dict(t) for t in doc["orbits"]]
+    orbits[0]["l"] = orbits[0]["l"] + [0]
     with pytest.raises(CacheError) as info:
-        parse_entry(_with_terms(doc, terms))
+        parse_entry(_with_orbits(doc, orbits))
     assert str(info.value) == "bad exponents (4, 0, 0, 0, 0, 0, 0) for n = 5"
 
 
 def test_shuffled_terms_parse_to_the_same_orbits(rng):
-    vol, doc = _v05_terms()
+    vol, doc = _v05_orbits()
     for _ in range(5):
-        terms = list(doc["terms"])
-        rng.shuffle(terms)
-        parsed, provenance = parse_entry(_with_terms(doc, terms))
+        orbits = list(doc["orbits"])
+        rng.shuffle(orbits)
+        parsed, provenance = parse_entry(_with_orbits(doc, orbits))
         assert (parsed, provenance) == (vol, "genus0_lift")
         assert str(parsed.poly) == str(vol.poly)
 
 
-def test_term_errors_come_before_the_symmetry_errors():
-    # the parse reports a defect of one term before a defect of an orbit,
-    # and an orbit with two coefficients before an orbit left incomplete
-    _, doc = _v05_terms()
-    terms = [dict(t) for t in doc["terms"]]
-    clashing = [t for t in terms if (t["l"], t["pi"]) == ([0, 2, 0, 0, 0], 2)]
-    clashing[0]["re"] = "1/3"
+@pytest.mark.parametrize("index, fields, message", [
+    (1, {"l": [2, 2, 0, 0, 0.0]}, "bad exponents (2, 2, 0, 0, 0.0, 0) for n = 5"),
+    (1, {"l": [2, 2, False, 0, 0]}, "bad exponents (2, 2, False, 0, 0, 0) for n = 5"),
+    (1, {"l": [4, 2, 0, 0, -2]}, "bad exponents (4, 2, 0, 0, -2, 0) for n = 5"),
+    (0, {"c": ["1/8"]}, "coefficient of orbit (4, 0, 0, 0, 0, 0) is not a string"),
+], ids=["float", "bool", "negative", "list"])
+def test_schema_2_defect_rejected(index, fields, message):
+    _, doc = _v05_orbits()
+    orbits = [dict(t) for t in doc["orbits"]]
+    orbits[index].update(fields)
     with pytest.raises(CacheError) as info:
-        parse_entry(_with_terms(doc, terms + [terms[3]]))
-    assert str(info.value) == "duplicate monomial (2, 0, 0, 2, 0, 0)"
-    incomplete = [t for t in terms if (t["l"], t["pi"]) != ([0, 0, 0, 2, 2], 0)]
+        parse_entry(_with_orbits(doc, orbits))
+    assert str(info.value) == message
+
+
+def test_empty_orbit_list_rejected():
+    # V(0,5)(0) is the volume of M(0,5), so no orbits is not the zero volume
+    _, doc = _v05_orbits()
     with pytest.raises(CacheError) as info:
-        parse_entry(_with_terms(doc, incomplete))
-    assert str(info.value).endswith("orbit ((2, 0, 0, 0, 0), 2) carries distinct coefficients")
+        parse_entry(_with_orbits(doc, []))
+    assert str(info.value) == (
+        "stored entry fails validation: V(0,5) invariant failure: constant term is not positive"
+    )

@@ -17,15 +17,11 @@ from wpvol.volume import (
 )
 from dense_oracle import (
     Dense,
-    add,
     coeff_monomial,
     coeff_pi,
     const,
-    document,
     expand,
-    mul,
-    pi,
-    var,
+    orbit_document,
 )
 
 
@@ -46,32 +42,34 @@ def test_stability():
     assert not is_stable(0, 2) and not is_stable(1, 0) and not is_stable(-1, 5)
 
 
-# A cache document is the one way a term map enters the package: parse_entry
-# groups its terms by orbit and validates the result, and a CacheError
+# A cache document is the one way an orbit map enters the package from
+# outside: parse_entry validates the orbits it lists, and a CacheError
 # carries the invariant failure as its cause.
 
 
-def _parse_rejects(g, n, p, error, match):
+def _parse_rejects(g, n, orbits, error, match):
     with pytest.raises(CacheError, match=match) as info:
-        parse_entry(document(g, n, p))
+        parse_entry(orbit_document(g, n, orbits))
     assert isinstance(info.value.__cause__, error)
 
 
 def test_unstable_rejected():
-    _parse_rejects(0, 2, const(2, 1), UnstableSurfaceError, "not stable")
+    _parse_rejects(0, 2, {((0, 0), 0): Fraction(1)}, UnstableSurfaceError, "not stable")
 
 
 def test_odd_exponent_rejected():
-    _parse_rejects(1, 1, mul(var(1, 1), pi(1, 1)), InvariantError, "odd")
+    _parse_rejects(1, 1, {((1,), 1): Fraction(1)}, InvariantError, "odd")
 
 
 def test_asymmetric_rejected():
-    # right degree and parity, wrong symmetry
-    _parse_rejects(0, 4, var(4, 1, 2), InvariantError, "symmetric")
+    # right degree and parity; an orbit map is symmetric by construction, so
+    # its one asymmetric form is a key that is no orbit: L4^2 of V(0,4)
+    orbits = {((0, 0, 0, 2), 0): Fraction(1, 2), ((0, 0, 0, 0), 2): Fraction(2)}
+    _parse_rejects(0, 4, orbits, InvariantError, "sorted")
 
 
 def test_inhomogeneous_rejected(v11):
-    _parse_rejects(1, 1, add(expand(v11), const(1, 1)), InvariantError, "homogeneous")
+    _parse_rejects(1, 1, {**v11.orbits, ((0,), 0): Fraction(1)}, InvariantError, "homogeneous")
 
 
 def test_complex_coefficient_rejected():
@@ -124,8 +122,8 @@ def test_nonpositive_constant_term_rejected(orbits):
         VolumePolynomial(1, 1, orbits).validate()
 
 
-def test_parse_groups_the_dense_input_by_orbit(v11):
-    assert parse_entry(document(1, 1, expand(v11))) == (v11, "seed")
+def test_parse_reads_the_oracle_orbit_document(v11):
+    assert parse_entry(orbit_document(1, 1, v11.orbits)) == (v11, "seed")
 
 
 @pytest.mark.parametrize("g, n", [(0, 3), (1, 1), (0, 6), (1, 4), (2, 2), (2, 0), (3, 0)])
@@ -186,14 +184,19 @@ def test_package_keeps_no_term_map():
 
 
 def test_only_the_store_knows_the_cache_document():
-    # the document's fields and its parse live in store.py alone, and
-    # volume.py takes nothing from poly but the text form
+    # the cache document's fields and its parse live in store.py alone, the
+    # dense export's fields in cli.py alone, and volume.py takes nothing
+    # from poly but the text form
     package = Path(wpvol.__file__).parent
-    pattern = re.compile(r"""["'](terms|re|im)["']|checked\(""")
+    owners = {
+        "store.py": re.compile(r"""["']c["']|["']orbits["']:|checked\("""),
+        "cli.py": re.compile(r"""["'](terms|re|im)["']"""),
+    }
     found = [
         f"{path.name}:{number}: {line.strip()}"
+        for owner, pattern in owners.items()
         for path in sorted(package.glob("*.py"))
-        if path.name != "store.py"
+        if path.name != owner
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
