@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 relation or cache-verification failure, 2 usage or
 domain error (including a request over ``MAX_DENSE_TERMS``), 3 internal
-mathematical inconsistency, 4 I/O failure.
+mathematical inconsistency, 4 I/O failure.  Every refused request raises,
+before any store is opened, and ``main`` alone prints it and exits 2.
 Results go to stdout, diagnostics to stderr; identical flags against an
 identical cache produce byte-identical stdout.
 """
@@ -27,6 +28,7 @@ from .volume import (
     UnstableSurfaceError,
     VolumePolynomial,
     is_stable,
+    require_stable,
 )
 from .symmetric import LiftError, at_two_pi_i
 
@@ -42,6 +44,10 @@ RELATIONS = ("string", "dilaton", "second", "factor", "string2", "dilaton2", "al
 # V(0,12) (395,693), V(1,10) (352,715) and V(9,0) (409,807) fit; V(0,13),
 # V(1,11) and V(10,0) do not.
 MAX_DENSE_TERMS = 500_000
+
+
+class _Refused(Exception):
+    """A request the CLI refuses: ``main`` prints ``error: <message>``, exit 2."""
 
 
 class _Formatter(argparse.HelpFormatter):
@@ -124,8 +130,8 @@ def _open_store(args) -> VolumeStore:
     return VolumeStore(resolve_cache_dir(args.cache_dir))
 
 
-def _within_size_limit(g: int, n: int) -> bool:
-    """Whether building V(g, n) stays within MAX_DENSE_TERMS, else say why.
+def _require_size_limit(g: int, n: int) -> None:
+    """Raise _Refused unless building V(g, n) stays within MAX_DENSE_TERMS.
 
     The kernel recursion for V(g, n) visits at most the stable V(g', n')
     with g' <= g, n' >= 1 and g' + n' <= g + max(n, 1), and V(g', n') has
@@ -138,30 +144,46 @@ def _within_size_limit(g: int, n: int) -> bool:
             if is_stable(gg, size - gg):
                 total += math.comb(3 * gg - 3 + 2 * (size - gg), size - gg)
         if total > MAX_DENSE_TERMS:
-            print(
-                f"error: V({g},{n}) needs more than {MAX_DENSE_TERMS} dense "
-                "terms, the limit of this command",
-                file=sys.stderr,
-            )
-            return False
-    return True
+            raise _Refused(f"V({g},{n}) needs more than {MAX_DENSE_TERMS} dense terms, "
+                           "the limit of this command")
 
 
 def _cmd_compute(args) -> int:
     g, n = args.genus, args.boundaries
-    if not is_stable(g, n):
-        print(f"error: (g, n) = ({g}, {n}) is not stable", file=sys.stderr)
-        return EXIT_USAGE
+    require_stable(g, n)
     method = args.method or "auto"
     if method in ("lift", "both") and g > 1:
-        print(f"error: method {method!r} needs genus <= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if not _within_size_limit(g, n):
-        return EXIT_USAGE
-    store = _open_store(args)
-    vol = ensure_volume(store, g, n, method)
+        raise _Refused(f"method {method!r} needs genus <= 1")
+    _require_size_limit(g, n)
+    vol = ensure_volume(_open_store(args), g, n, method)
     print(vol.poly.to_latex() if args.latex else str(vol.poly))
     return EXIT_OK
+
+
+def _case(g: int, n: int, ok: bool, detail: str, **extra) -> dict:
+    """One case of a report; its detail is kept only on a failure."""
+    return {"g": g, "n": n, "ok": ok, **({} if ok else {"detail": detail}), **extra}
+
+
+def _pair_cases(store: VolumeStore, relation: str, max_genus: int, max_boundaries: int):
+    """Each case of a relation between V(g, n+1) and V(g, n): one per pair by
+    ``relation_defect`` for string, dilaton and second, one per coefficient
+    by ``identity_cases`` from n = 1 for string2 and dilaton2."""
+    identity = relation in ("string2", "dilaton2")
+    # RELATIONS lists string, dilaton and second by derivatives in L_{n+1}: 0, 1, 2
+    order = ("string2", "dilaton2").index(relation) if identity else RELATIONS.index(relation)
+    for g in range(max_genus + 1):
+        for n in range(int(identity), max_boundaries):
+            if not (is_stable(g, n) and is_stable(g, n + 1)):
+                continue
+            if identity:
+                bigger, smaller = ensure_volume(store, g, n + 1), ensure_volume(store, g, n)
+                for alpha, m, lhs, rhs in identity_cases(bigger, smaller, order):
+                    yield _case(g, n, lhs == rhs, f"{lhs} != {rhs}", alpha=list(alpha), m=m)
+            else:
+                smaller = ensure_volume(store, g, n)
+                defect = relation_defect(ensure_volume(store, g, n + 1), smaller, order)
+                yield _case(g, n, not defect, defect and str(Poly(n, defect)))
 
 
 def run_verification(
@@ -172,93 +194,49 @@ def run_verification(
     Volumes come from the store, computed on demand by ``ensure_volume``.
     """
     if relation == "all":
-        reports = [
-            run_verification(store, name, max_genus, max_boundaries)
-            for name in RELATIONS
-            if name != "all"
-        ]
-        return {
-            "relation": "all",
-            "max_genus": max_genus,
-            "max_boundaries": max_boundaries,
-            "checked": sum(r["checked"] for r in reports),
-            "failed": sum(r["failed"] for r in reports),
-            "vacuous": 0,
-            "reports": reports,
-        }
-
-    cases = []
-    failed = 0
-
-    def record(g, n, ok, detail="", **extra):
-        nonlocal failed
-        entry = {"g": g, "n": n, "ok": bool(ok)}
-        if detail:
-            entry["detail"] = detail
-        entry.update(extra)
-        if not ok:
-            failed += 1
-        cases.append(entry)
-
-    if relation in ("string", "dilaton", "second"):
-        # RELATIONS lists these three by derivatives in L_{n+1}: 0, 1, 2
-        order = RELATIONS.index(relation)
-        for g in range(max_genus + 1):
-            for n in range(max_boundaries):
-                if not (is_stable(g, n) and is_stable(g, n + 1)):
-                    continue
-                smaller = ensure_volume(store, g, n)
-                defect = relation_defect(ensure_volume(store, g, n + 1), smaller, order)
-                detail = str(Poly(n, defect)) if defect else ""
-                record(g, n, not defect, detail=detail)
-    elif relation == "factor":
-        for g in range(1, max_genus + 1):
-            # the remainder of V(g, 1) / (L^2 + 4 pi^2) is V(g, 1) at L = 2*pi*i
-            ok = not at_two_pi_i(ensure_volume(store, g, 1).orbits)
-            record(g, 1, ok, detail="" if ok else NONZERO_REMAINDER)
-    elif relation in ("string2", "dilaton2"):
-        order = ("string2", "dilaton2").index(relation)
-        for g in range(max_genus + 1):
-            for n in range(1, max_boundaries):
-                if not (is_stable(g, n) and is_stable(g, n + 1)):
-                    continue
-                bigger, smaller = ensure_volume(store, g, n + 1), ensure_volume(store, g, n)
-                for alpha, m, lhs, rhs in identity_cases(bigger, smaller, order):
-                    ok = lhs == rhs
-                    detail = "" if ok else f"{lhs} != {rhs}"
-                    record(g, n, ok, detail=detail, alpha=list(alpha), m=m)
+        reports = [run_verification(store, name, max_genus, max_boundaries)
+                   for name in RELATIONS if name != "all"]
+        checked = sum(r["checked"] for r in reports)
+        failed = sum(r["failed"] for r in reports)
+        body = {"reports": reports}
     else:
-        raise ValueError(f"unknown relation {relation!r}")
-
+        if relation == "factor":
+            # the remainder of V(g, 1) / (L^2 + 4 pi^2) is V(g, 1) at L = 2*pi*i
+            cases = [
+                _case(g, 1, not at_two_pi_i(ensure_volume(store, g, 1).orbits), NONZERO_REMAINDER)
+                for g in range(1, max_genus + 1)
+            ]
+        elif relation in RELATIONS:
+            cases = list(_pair_cases(store, relation, max_genus, max_boundaries))
+        else:
+            raise ValueError(f"unknown relation {relation!r}")
+        checked, failed = len(cases), sum(not case["ok"] for case in cases)
+        body = {"cases": cases}
     return {
         "relation": relation,
         "max_genus": max_genus,
         "max_boundaries": max_boundaries,
-        "checked": len(cases),
+        "checked": checked,
         "failed": failed,
         "vacuous": 0,  # every case fills the dimension, so none is 0 = 0
-        "cases": cases,
+        **body,
     }
 
 
 def _cmd_verify(args) -> int:
-    if not _within_size_limit(args.max_genus, args.max_boundaries):
-        return EXIT_USAGE
-    store = _open_store(args)
-    report = run_verification(store, args.relation, args.max_genus, args.max_boundaries)
+    _require_size_limit(args.max_genus, args.max_boundaries)
+    report = run_verification(_open_store(args), args.relation, args.max_genus,
+                              args.max_boundaries)
     print(json.dumps(report, separators=(",", ":")))
-    if report["failed"]:
-        flat = report.get("reports", [report])
-        for sub_report in flat:
-            for case in sub_report.get("cases", []):
-                if not case["ok"]:
-                    print(
-                        f"first failure: {sub_report['relation']} at "
-                        f"(g={case['g']}, n={case['n']}): {case.get('detail', '')}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_RELATION
-        return EXIT_RELATION
+    for sub_report in report.get("reports", [report]):
+        for case in sub_report["cases"]:
+            if not case["ok"]:
+                print(
+                    f"first failure: {sub_report['relation']} at "
+                    f"(g={case['g']}, n={case['n']}): {case['detail']}",
+                    file=sys.stderr,
+                )
+                return EXIT_RELATION
     return EXIT_OK
 
 
@@ -267,25 +245,14 @@ def _cmd_intersect(args) -> int:
         # empty alpha means the closed surface (n = 0, pure kappa classes)
         alpha = tuple(int(part) for part in args.alpha.split(",")) if args.alpha else ()
     except ValueError:
-        print(f"error: bad alpha list {args.alpha!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused(f"bad alpha list {args.alpha!r}") from None
     if len(alpha) != args.n:
-        print(
-            f"error: alpha has {len(alpha)} entries for n = {args.n}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if not is_stable(args.genus, args.n):
-        print(
-            f"error: (g, n) = ({args.genus}, {args.n}) is not stable",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise _Refused(f"alpha has {len(alpha)} entries for n = {args.n}")
+    require_stable(args.genus, args.n)
     if not balanced(args.genus, args.n, alpha, args.kappa):
         print(0)  # the class has the wrong degree: nothing to compute
         return EXIT_OK
-    if not _within_size_limit(args.genus, args.n):
-        return EXIT_USAGE
+    _require_size_limit(args.genus, args.n)
     value = psi_kappa(args.genus, args.n, alpha, args.kappa, _open_store(args))
     print(value)
     return EXIT_OK
@@ -311,11 +278,8 @@ def export_document(vol: VolumePolynomial, provenance: str) -> str:
 
 def _cmd_export(args) -> int:
     g, n = args.genus, args.boundaries
-    if not is_stable(g, n):
-        print(f"error: (g, n) = ({g}, {n}) is not stable", file=sys.stderr)
-        return EXIT_USAGE
-    if not _within_size_limit(g, n):
-        return EXIT_USAGE
+    require_stable(g, n)
+    _require_size_limit(g, n)
     store = _open_store(args)
     if store.find(g, n) is None:
         ensure_volume(store, g, n)
@@ -372,7 +336,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except UnstableSurfaceError as exc:
+    except (UnstableSurfaceError, _Refused) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConsistencyError, LiftError, InvariantError) as exc:

@@ -59,16 +59,16 @@ def _over(numerators: dict, den: int) -> dict:
     return {key: Fraction(c, den) for key, c in numerators.items()}
 
 
-def string_rhs(vol: VolumePolynomial) -> tuple[int, dict]:
+def string_rhs(vol: VolumePolynomial, step: tuple[int, dict] | None = None) -> tuple[int, dict]:
     """sum_k of the integral from 0 to L_k of L_k * V, by orbit in n variables,
-    as (den, integer numerators over den).
+    as (den, integer numerators over den); ``step`` is ``_numerators(vol)``.
 
     Equals the one-more-boundary volume evaluated at L_{n+1} = 2*pi*i.  The
     integral raises one exponent v to v + 2 and divides by v + 2; on orbits,
     raising one copy of v reaches each monomial of the target orbit once per
     slot holding v + 2.
     """
-    den, numerators = _numerators(vol)
+    den, numerators = step or _numerators(vol)
     out: dict = {}
     for (pattern, pi_exp), c in numerators.items():
         for v in set(pattern):
@@ -79,14 +79,14 @@ def string_rhs(vol: VolumePolynomial) -> tuple[int, dict]:
     return den, {key: c for key, c in out.items() if c}
 
 
-def _defect(bigger: dict, smaller: VolumePolynomial, order: int, den: int) -> dict:
-    """``relation_defect`` on numerators over den, a multiple of smaller's step denominator."""
+def _defect(bigger: dict, smaller: VolumePolynomial, step: tuple, order: int, den: int) -> dict:
+    """``relation_defect`` on numerators over den, a multiple of step's denominator."""
     g, n = smaller.g, smaller.n
-    step, rhs = string_rhs(smaller) if order == 0 else _numerators(smaller)
+    step_den, rhs = string_rhs(smaller, step) if order == 0 else step
     if order:
         rhs = {(p, q): (2 * g - 2 + n if order == 1 else sum(p) - 4 * g + 4 - n) * c
                for (p, q), c in rhs.items()}
-    return add(at_two_pi_i(bigger, order), rhs, -(den // step))
+    return add(at_two_pi_i(bigger, order), rhs, -(den // step_den))
 
 
 def relation_defect(bigger: VolumePolynomial, smaller: VolumePolynomial, order: int) -> dict:
@@ -98,9 +98,10 @@ def relation_defect(bigger: VolumePolynomial, smaller: VolumePolynomial, order: 
         raise ValueError(
             f"expected (g, n+1) against (g, n), got ({bigger.g},{bigger.n}) and ({g},{n})"
         )
-    den = math.lcm(_numerators(smaller)[0], *(c.denominator for c in bigger.orbits.values()))
+    step = _numerators(smaller)
+    den = math.lcm(step[0], *(c.denominator for c in bigger.orbits.values()))
     numerators = {key: c.numerator * (den // c.denominator) for key, c in bigger.orbits.items()}
-    return _over(_defect(numerators, smaller, order, den), den)
+    return _over(_defect(numerators, smaller, step, order, den), den)
 
 
 def lift(vol: VolumePolynomial) -> VolumePolynomial:
@@ -118,13 +119,14 @@ def lift(vol: VolumePolynomial) -> VolumePolynomial:
     g, n = vol.g, vol.n
     if g > 1 or not is_stable(g, n):
         raise ValueError("lift needs a stable volume of genus 0 or 1")
-    den, rhs = string_rhs(vol)
+    step = _numerators(vol)
+    den, rhs = string_rhs(vol, step)
     try:
         _, candidate = stratified_lift(rhs, 3 * g - 2 + n)
     except LiftError as exc:
         exc.residual = exc.residual and _over(exc.residual, den)
         raise
-    defect = _defect(candidate, vol, 1, den)
+    defect = _defect(candidate, vol, step, 1, den)
     # -(2g - 2 + n) times an even numerator: the candidate has no all-variable orbit
     constant = -defect.get(((2,) * n, 0), 0) // 2
     rest = add(defect, _boundary_product(n), 2 * constant)

@@ -514,6 +514,20 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected
 
+    def test_all_report_first_failure_on_perturbed_volume(self, capsys, perturbed_cache):
+        # the first failing case of the first sub-report that has one
+        code, out, err = run(capsys, "--cache-dir", perturbed_cache, "verify",
+                             "--relation", "all", "--max-genus", "1",
+                             "--max-boundaries", "3")
+        assert code == 1
+        assert '"checked":28,"failed":11' in out
+        report = json.loads(out)
+        assert [(r["relation"], r["checked"], r["failed"]) for r in report["reports"]] == [
+            ("string", 2, 2), ("dilaton", 2, 2), ("second", 2, 2),
+            ("factor", 1, 0), ("string2", 13, 3), ("dilaton2", 8, 2),
+        ]
+        assert err == "first failure: string at (g=1, n=1): -(1/2280)*L1^2*pi^2\n"
+
     def test_all_relations_tiny_range(self, capsys, cache):
         code, out, _ = run(capsys, "--cache-dir", cache, "verify",
                            "--relation", "all", "--max-genus", "1",
@@ -571,6 +585,48 @@ class TestSizeLimit:
         code, _, _ = run(capsys, "--cache-dir", cache, "compute",
                          "--genus", str(g), "--boundaries", str(n))
         assert code == (0 if admitted else 2)
+
+
+NOT_STABLE_0_2 = "error: (g, n) = (0, 2) is not stable\n"
+TOO_BIG = "needs more than 500000 dense terms, the limit of this command\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("compute --genus 0 --boundaries 2", NOT_STABLE_0_2),
+    ("compute --genus -1 --boundaries 5", "error: (g, n) = (-1, 5) is not stable\n"),
+    ("export --format json --genus 0 --boundaries 2", NOT_STABLE_0_2),
+    ("intersect --genus 0 --n 2 --alpha 0,0", NOT_STABLE_0_2),
+    ("compute --genus 2 --boundaries 1 --method lift", "error: method 'lift' needs genus <= 1\n"),
+    ("compute --genus 3 --boundaries 1 --method both", "error: method 'both' needs genus <= 1\n"),
+    ("intersect --genus 1 --n 2 --alpha x,1", "error: bad alpha list 'x,1'\n"),
+    ("intersect --genus 1 --n 2 --alpha 1", "error: alpha has 1 entries for n = 2\n"),
+    ("compute --genus 0 --boundaries 13", f"error: V(0,13) {TOO_BIG}"),
+    ("export --format latex --genus 0 --boundaries 13", f"error: V(0,13) {TOO_BIG}"),
+    ("intersect --genus 200 --n 1 --alpha 0 --kappa 598", f"error: V(200,1) {TOO_BIG}"),
+    ("verify --relation all --max-genus 3 --max-boundaries 8", f"error: V(3,8) {TOO_BIG}"),
+])
+def test_every_refusal(capsys, cache, argv, err):
+    # one line on stderr, nothing on stdout, exit 2, and no cache directory
+    assert run(capsys, "--cache-dir", cache, *argv.split()) == (2, "", err)
+    assert not Path(cache).exists()
+
+
+def test_module_entry_point(tmp_path):
+    # python -m wpvol.cli returns main's exit code through SystemExit
+    src = Path(wpvol.cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cache = str(tmp_path / "cache")
+
+    def cli(*argv):
+        result = subprocess.run(
+            [sys.executable, "-m", "wpvol.cli", "--cache-dir", cache, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        return result.returncode, result.stdout, result.stderr
+
+    assert cli("compute", "--genus", "0", "--boundaries", "2") == (2, "", NOT_STABLE_0_2)
+    assert cli("compute", "--genus", "1", "--boundaries", "1") == (
+        0, "(1/48)*L1^2 + (1/12)*pi^2\n", "")
 
 
 def test_lift_residual_printed_as_polynomial(capsys, cache, monkeypatch):
