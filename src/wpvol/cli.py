@@ -176,13 +176,13 @@ def _pair_cases(store: VolumeStore, relation: str, max_genus: int, max_boundarie
         for n in range(int(identity), max_boundaries):
             if not (is_stable(g, n) and is_stable(g, n + 1)):
                 continue
+            smaller = ensure_volume(store, g, n)
+            bigger = ensure_volume(store, g, n + 1)
             if identity:
-                bigger, smaller = ensure_volume(store, g, n + 1), ensure_volume(store, g, n)
                 for alpha, m, lhs, rhs in identity_cases(bigger, smaller, order):
                     yield _case(g, n, lhs == rhs, f"{lhs} != {rhs}", alpha=list(alpha), m=m)
             else:
-                smaller = ensure_volume(store, g, n)
-                defect = relation_defect(ensure_volume(store, g, n + 1), smaller, order)
+                defect = relation_defect(bigger, smaller, order)
                 yield _case(g, n, not defect, defect and str(Poly(n, defect)))
 
 

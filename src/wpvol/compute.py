@@ -2,8 +2,9 @@
 
 Two independent generators are available: the lift chain (string/dilaton
 recursions, genus 0 and 1 only) and Mirzakhani's kernel recursion (any
-stable (g, n)).  ``ensure_volume`` picks one, or runs both; the store then
-insists on exact agreement, as it does for any two provenances of a volume.
+stable (g, n)).  ``ensure_volume`` picks one, or runs both.  Each generator
+memoizes through ``VolumeStore.memo``, which serves the seeds and insists on
+exact agreement between any two provenances of a volume.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from .mirzakhani import mirzakhani_volume
 from .store import VolumeStore
 from .stringdilaton import closed_volume, lift
-from .volume import VolumePolynomial, is_seed, require_stable
+from .volume import VolumePolynomial, require_stable
 
 METHODS = ("auto", "lift", "mirzakhani", "both")
 
@@ -21,15 +22,17 @@ def lift_volume(store: VolumeStore, g: int, n: int) -> VolumePolynomial:
     require_stable(g, n)
     if g > 1:
         raise ValueError("the lift chain only generates genus 0 and 1 volumes")
-    if is_seed(g, n):
-        return store.seed(g, n)
-    provenance = f"genus{g}_lift"
-    cached = store.get(g, n, provenance=provenance)
-    if cached is not None:
-        return cached
-    vol = lift(lift_volume(store, g, n - 1))
-    store.put(vol, provenance)
-    return vol
+    return store.memo(g, n, f"genus{g}_lift", _lift_from_below, store, g, n)
+
+
+def _lift_from_below(store: VolumeStore, g: int, n: int) -> VolumePolynomial:
+    return lift(lift_volume(store, g, n - 1))
+
+
+def _closed(store: VolumeStore, g: int) -> VolumePolynomial:
+    # the string and dilaton relations at n = 0 read V(g, 0) off the
+    # one-boundary volume at L = 2*pi*i, the only route with no boundary
+    return closed_volume(mirzakhani_volume(g, 1, store))
 
 
 def ensure_volume(
@@ -45,15 +48,8 @@ def ensure_volume(
         raise ValueError(f"unknown method {method!r}")
     require_stable(g, n)
     if n == 0:
-        # closed surface (g >= 2 by stability): the string and dilaton
-        # relations at n = 0 read V(g, 0) off the one-boundary volume at
-        # L = 2*pi*i, the only route with no boundary
-        cached = store.get(g, 0)
-        if cached is not None:
-            return cached
-        vol = closed_volume(mirzakhani_volume(g, 1, store))
-        store.put(vol, "mirzakhani")
-        return vol
+        # a closed surface, g >= 2 by stability
+        return store.memo(g, 0, "mirzakhani", _closed, store, g)
     if method == "auto":
         method = "lift" if g <= 1 else "mirzakhani"
     if method == "lift":

@@ -82,13 +82,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .volume import (
-    ConsistencyError,
-    VolumePolynomial,
-    is_seed,
-    is_stable,
-    require_stable,
-)
+from .volume import ConsistencyError, VolumePolynomial, is_stable, require_stable
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +155,7 @@ def _tails(length: int, budget: int, top: int):
 
 
 def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
-    """Compute V(g, n) by the kernel recursion, memoizing through a store.
+    """Compute V(g, n) by the kernel recursion, memoizing through ``store.memo``.
 
     Runs on representatives and checks orbit agreement, in integer
     arithmetic over one denominator (module docstring).
@@ -173,11 +167,11 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
             "volumes come from V(g, 1) by the dilaton relation at n = 0, "
             "through ensure_volume"
         )
-    if is_seed(g, n):
-        return store.seed(g, n)
-    cached = store.get(g, n, provenance="mirzakhani")
-    if cached is not None:
-        return cached
+    return store.memo(g, n, "mirzakhani", _node, g, n, store)
+
+
+def _node(g: int, n: int, store) -> VolumePolynomial:
+    """V(g, n) from the lower volumes, which ``mirzakhani_volume`` fetches."""
 
     def index(gg: int, nn: int) -> tuple[int, dict]:
         # the index, kept in the volume's __dict__ as ``poly`` is:
@@ -307,9 +301,7 @@ def mirzakhani_volume(g: int, n: int, store) -> VolumePolynomial:
                 f"coefficient {coeffs}"
             )
         result[(pattern, p)] = Fraction(c0, d_node * (a0 + 1))
-    vol = VolumePolynomial(g, n, result)
-    store.put(vol, "mirzakhani")
-    return vol
+    return VolumePolynomial(g, n, result)
 
 
 # [moment_F, pair_moment, A rows, B rows]: the rows read from those two functions

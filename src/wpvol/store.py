@@ -20,10 +20,10 @@ removes it.
 Exponents must be JSON integers and coefficients strings; anything else (a
 float exponent, a numeric ``"c"``) is rejected rather than coerced.
 
-Several provenances may record the same (g, n) in one session; they must
-agree exactly, and a disagreement is fatal because it means two independent
-computation paths produced different polynomials.  ``--method both`` relies
-on this check.
+``memo`` is every generator's one memo: one volume per (g, n), with the
+provenances that produced it.  A second provenance must agree exactly; a
+disagreement is fatal because it means two independent computation paths
+produced different polynomials.  ``--method both`` relies on this check.
 
 A file is written under a fresh name in the cache directory, created with
 ``O_EXCL`` so no existing file is ever reused, and renamed over its target.
@@ -36,7 +36,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from .volume import InvariantError, UnstableSurfaceError, VolumePolynomial, seed_volume
+from .volume import InvariantError, UnstableSurfaceError, VolumePolynomial, is_seed, seed_volume
 
 SCHEMA_VERSION = 2
 PROVENANCES = ("seed", "genus0_lift", "genus1_lift", "mirzakhani")
@@ -125,8 +125,8 @@ class VolumeStore:
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        # (g, n) -> {provenance: VolumePolynomial}
-        self._entries: dict[tuple[int, int], dict[str, VolumePolynomial]] = {}
+        # (g, n) -> (the one volume, the provenances that produced it)
+        self._entries: dict[tuple[int, int], tuple[VolumePolynomial, list[str]]] = {}
 
     def _path(self, g: int, n: int) -> Path:
         return self.directory / f"g{g}_n{n}.json"
@@ -146,50 +146,54 @@ class VolumeStore:
             raise CacheError(f"cache file {path.name} holds V({vol.g},{vol.n})")
         return vol, provenance
 
-    def _held(self, g: int, n: int) -> dict[str, VolumePolynomial]:
-        """The entries of (g, n) by provenance, its file read on first use."""
-        if (g, n) not in self._entries:
+    def _held(self, g: int, n: int) -> tuple[VolumePolynomial, list[str]] | None:
+        """The volume of (g, n) and its provenances, its file read on first
+        use; None when the store holds none."""
+        held = self._entries.get((g, n))
+        if held is None:
             read = self._read(g, n)
-            if read is None:
-                return {}
-            self._entries[(g, n)] = {read[1]: read[0]}
-        return self._entries[(g, n)]
+            if read is not None:
+                held = self._entries[(g, n)] = (read[0], [read[1]])
+        return held
 
     def find(self, g: int, n: int) -> tuple[VolumePolynomial, str] | None:
         """The entry for (g, n) and its provenance, the first held in
         ``PROVENANCES`` order; None when the store holds none."""
-        by_prov = self._held(g, n)
-        for name in PROVENANCES:
-            if name in by_prov:
-                return by_prov[name], name
-        return None
+        held = self._held(g, n)
+        return held and (held[0], min(held[1], key=PROVENANCES.index))
 
     def get(self, g: int, n: int, provenance: str | None = None) -> VolumePolynomial | None:
-        if provenance is None:
-            found = self.find(g, n)
-            return None if found is None else found[0]
-        return self._held(g, n).get(provenance)
+        held = self._held(g, n)
+        return held[0] if held and provenance in (None, *held[1]) else None
 
-    def seed(self, g: int, n: int) -> VolumePolynomial:
-        """The seed V(g, n), stored on first use."""
-        vol = self.get(g, n, provenance="seed")
-        if vol is None:
-            vol = seed_volume(g, n)
-            self.put(vol, "seed")
-        return vol
+    def memo(self, g: int, n: int, provenance: str, build, *args) -> VolumePolynomial:
+        """V(g, n) as ``provenance`` produces it: the held volume once that
+        provenance has, else ``build(*args)``, stored and then returned as
+        the object the store holds.  The seeds V(0,3) and V(1,1) are never
+        built: every provenance is served the seed, stored as ``"seed"``."""
+        # a hit is one lookup and one provenance test
+        held = self._entries.get((g, n)) or self._held(g, n)
+        if held is not None and provenance in held[1]:
+            return held[0]
+        if is_seed(g, n) and build is not seed_volume:
+            return self.memo(g, n, "seed", seed_volume, g, n)
+        self.put(build(*args), provenance)
+        return self._entries[(g, n)][0]
 
     def put(self, vol: VolumePolynomial, provenance: str) -> None:
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
         vol.validate()
-        by_prov = self._held(vol.g, vol.n)
-        for other_prov, other in by_prov.items():
-            if other.orbits != vol.orbits:
-                raise ProvenanceConflictError(
-                    f"V({vol.g},{vol.n}) from {provenance!r} disagrees with stored "
-                    f"{other_prov!r} entry"
-                )
-        self._entries.setdefault((vol.g, vol.n), by_prov)[provenance] = vol
+        held = self._held(vol.g, vol.n)
+        if held is None:
+            self._entries[(vol.g, vol.n)] = (vol, [provenance])
+        elif held[0].orbits != vol.orbits:
+            raise ProvenanceConflictError(
+                f"V({vol.g},{vol.n}) from {provenance!r} disagrees with stored "
+                f"{held[1][0]!r} entry"
+            )
+        elif provenance not in held[1]:
+            held[1].append(provenance)
         if self.directory is not None:
             path = self._path(vol.g, vol.n)
             if not path.exists():
@@ -255,12 +259,11 @@ class VolumeStore:
                     vol = self.get(g, n)
                     vol.validate()
                 else:
-                    vol = read[0]
-                    for prov, mem_vol in self._entries.get((g, n), {}).items():
-                        if mem_vol.orbits != vol.orbits:
-                            raise ProvenanceConflictError(
-                                f"disk and {prov!r} entries disagree for ({g},{n})"
-                            )
+                    vol, held = read[0], self._entries.get((g, n))
+                    if held is not None and held[0].orbits != vol.orbits:
+                        raise ProvenanceConflictError(
+                            f"disk and {held[1][0]!r} entries disagree for ({g},{n})"
+                        )
                 volumes[(g, n)] = vol
             except (CacheError, InvariantError, OSError) as exc:
                 record["ok"] = False

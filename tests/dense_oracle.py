@@ -60,6 +60,7 @@ from wpvol.volume import (
     is_seed,
     is_stable,
     require_stable,
+    seed_volume,
 )
 
 _F0 = Fraction(0)
@@ -518,7 +519,7 @@ def reference_volume(g: int, n: int, store) -> VolumePolynomial:
     if n < 1:
         raise ValueError("the kernel recursion needs a distinguished boundary")
     if is_seed(g, n):
-        return store.seed(g, n)
+        return store.memo(g, n, "seed", seed_volume, g, n)
     cached = store.get(g, n, provenance="mirzakhani")
     if cached is not None:
         return cached

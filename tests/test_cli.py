@@ -415,6 +415,22 @@ class TestVerify:
         assert err == ("cache error: stored entry fails validation: V(0,4) invariant "
                        "failure: zero coefficient stored\n")
 
+    @pytest.mark.parametrize("relation", ["string", "dilaton", "second", "string2", "dilaton2"])
+    def test_each_relation_reads_the_smaller_volume_first(self, capsys, cache, relation):
+        # with V(2,1) and V(2,2) both corrupted, every pair relation loads
+        # V(g, n) before V(g, n+1), so each names V(2,1)
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "2", "--boundaries", "2")
+        for n in (1, 2):
+            path = Path(cache) / f"g2_n{n}.json"
+            document = json.loads(path.read_text())
+            document["orbits"][0]["c"] = "0"
+            path.write_text(json.dumps(document, separators=(",", ":")) + "\n")
+        code, out, err = run(capsys, "--cache-dir", cache, "verify", "--relation", relation,
+                             "--max-genus", "2", "--max-boundaries", "3")
+        assert (code, out) == (1, "")
+        assert err == ("cache error: stored entry fails validation: V(2,1) invariant "
+                       "failure: zero coefficient stored\n")
+
     @pytest.fixture()
     def perturbed_cache(self, capsys, cache):
         """V(1,1..3) cached, with the L1^2 L2^2 coefficient of V(1,2) 1/96 -> 1/95."""

@@ -201,6 +201,26 @@ def test_both_methods_conflict_is_raised_by_the_store(v03):
     assert store.get(0, 4, provenance="genus0_lift") is None
 
 
+def test_both_methods_share_one_volume():
+    from wpvol.compute import ensure_volume
+
+    store = VolumeStore()
+    ensure_volume(store, 0, 5, "both")
+    assert store.get(0, 5, "genus0_lift") is store.get(0, 5, "mirzakhani")
+    assert store.find(0, 5)[1] == "genus0_lift"
+
+
+def test_every_generator_is_served_the_one_seed(tmp_path):
+    from wpvol.compute import lift_volume
+
+    store = VolumeStore(tmp_path)
+    seed = lift_volume(store, 0, 3)
+    assert mirzakhani_volume(0, 3, store) is seed
+    assert store.find(0, 3) == (seed, "seed")
+    assert [store.get(0, 3, prov) for prov in PROVENANCES] == [seed, None, None, None]
+    assert [path.name for path in tmp_path.iterdir()] == ["g0_n3.json"]
+
+
 def test_clear(tmp_path, v03):
     store = VolumeStore(tmp_path)
     store.put(v03, "seed")

@@ -212,6 +212,21 @@ def test_only_the_store_knows_the_cache_document():
     assert from_poly == ["Poly"]
 
 
+def test_only_the_store_decides_what_to_memoize():
+    # every generator looks up, seeds and stores through VolumeStore.memo:
+    # no other module puts a volume or asks whether a key is a seed
+    owners = {r"\.put\(": ("store.py",), r"\bis_seed\b": ("store.py", "volume.py")}
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for pattern, allowed in owners.items()
+        for path in sorted(Path(wpvol.__file__).parent.glob("*.py"))
+        if path.name not in allowed
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+    assert found == []
+
+
 def test_every_exported_name_resolves():
     assert [name for name in wpvol.__all__ if not hasattr(wpvol, name)] == []
     assert len(set(wpvol.__all__)) == len(wpvol.__all__)
