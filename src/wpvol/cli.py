@@ -180,7 +180,8 @@ def _pair_cases(store: VolumeStore, relation: str, max_genus: int, max_boundarie
             bigger = ensure_volume(store, g, n + 1)
             if identity:
                 for alpha, m, lhs, rhs in identity_cases(bigger, smaller, order):
-                    yield _case(g, n, lhs == rhs, f"{lhs} != {rhs}", alpha=list(alpha), m=m)
+                    ok = lhs == rhs
+                    yield _case(g, n, ok, ok or f"{lhs} != {rhs}", alpha=list(alpha), m=m)
             else:
                 defect = relation_defect(bigger, smaller, order)
                 yield _case(g, n, not defect, defect and str(Poly(n, defect)))

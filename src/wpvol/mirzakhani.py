@@ -42,13 +42,14 @@ splits and the B-term of every node above a volume read its index, so it is
 kept on the volume object.  The connected term takes a second head 2b out of
 V(g-1, n+1) by reading that volume's index at the tail beta + (2b,), sorted,
 weighted by (2b+1)!; V(g, n) is the only node that reads V(g-1, n+1) so,
-and it builds that index itself and does not keep it.  The disconnected
-term splits the multiset beta, weighting a split that takes nu_v of the
-mu_v copies of each value v by prod C(mu_v, nu_v), its number of label
-subsets.  The stable splits (g1, n1 | g - g1, n + 1 - n1) at g1 <= g - g1
-are filed by the tail length n1 - 1; a split of beta reads only those of
-its first part's length, and only when its part sums fit the degrees of
-both halves, so it looks up only tails the two indexes hold.  A split
+and it reads the index that volume keeps, or builds one and does not keep
+it.  The disconnected term splits the multiset beta, weighting a split
+that takes nu_v of the mu_v copies of each value v by prod C(mu_v, nu_v),
+its number of label subsets, with each mu_v counted in the sorted beta.
+The stable splits (g1, n1 | g - g1, n + 1 - n1) at g1 <= g - g1 are filed
+by the tail length n1 - 1; a split of beta reads only those of its first
+part's length, and only when its part sums fit the degrees of both
+halves, so it looks up only tails the two indexes hold.  A split
 (g1, beta1 | g - g1, beta2) and its mirror (g - g1, beta2 | g1, beta1) have
 the same product and weight, so each unordered pair is convolved once, with
 weight 2, or 1 on the diagonal g1 = g - g1, beta1 = beta2.  The B-term pairs
@@ -65,9 +66,11 @@ transformed exponent 2a.  The A-term inputs (the connected term and each
 disconnected split, a product of two lower volumes) are rescaled by one
 integer each onto a common denominator, summed by s = a + b, and met with
 row s, F_{2s+3}/(2s+3)!, once per s instead of once per (a, b); the B-term
-inputs meet row k, pair_moment(k)/(2k+1)!.  The rows are integers over a
-denominator each, read once from the module-level moments (themselves built
-in integers) and kept across nodes; one integer per row and node takes an
+inputs meet row k, pair_moment(k)/(2k+1)!.  The rows are integers over the
+least denominator of each, built from the closed forms with each
+c_i = zeta(2i)(4^i - 2) read once, grown on demand and kept across nodes;
+the kernel reads neither ``moment_F`` nor ``pair_moment``, the exact forms
+kept for export and the oracles.  One integer per row and node takes an
 input times its row onto the node denominator.  Every term is homogeneous,
 so the output accumulates by L1 exponent alone and the pi exponent follows.
 The orbit-agreement check compares the integer numerators c / (a1 + 1) by
@@ -77,7 +80,6 @@ cross-multiplication; one Fraction per orbit is built once it passes.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -184,11 +186,12 @@ def _node(g: int, n: int, store) -> VolumePolynomial:
             vol.__dict__["_kernel_index"] = _build_index(vol.orbits)
         return vol.__dict__["_kernel_index"]
 
-    # only this node reads V(g-1, n+1) for its connected term, so that
-    # index is not kept
+    # only this node reads V(g-1, n+1) for its connected term, so it keeps
+    # no index of that volume, but reads the one a volume already keeps
     d_conn, connected = 1, {}
     if is_stable(g - 1, n + 1):
-        d_conn, connected = _build_index(mirzakhani_volume(g - 1, n + 1, store).orbits)
+        vol = mirzakhani_volume(g - 1, n + 1, store)
+        d_conn, connected = vol.__dict__.get("_kernel_index") or _build_index(vol.orbits)
     # the two lower indexes of each stable split (g1, n1 | g - g1, n + 1 - n1)
     # at g1 <= g - g1; V(g, n-1) and V(g, n) have no stable partner
     halves = {
@@ -206,10 +209,10 @@ def _node(g: int, n: int, store) -> VolumePolynomial:
         lower.setdefault(n1 - 1, []).append(
             (g1 == g - g1, d_a // (d1 * d2), left, right, 6 * g1 - 6 + 2 * n1)
         )
-    r_conn = d_a // d_conn
-
     degree = 6 * g - 6 + 2 * n
     half = degree // 2
+    # the connected term's weight (2b+1)! for each second head 2b, onto d_a
+    conn_weight = [math.factorial(2 * b + 1) * (d_a // d_conn) for b in range(half - 1)]
     a_rows, b_rows = _moment_rows(half)
     # the node denominator, and per row one integer taking an input onto it
     d_node = math.lcm(
@@ -220,15 +223,16 @@ def _node(g: int, n: int, store) -> VolumePolynomial:
 
     orbits: dict = {}  # (pattern, pi) -> {a1: c}, coefficient c / (d_node * (a1 + 1))
     for beta in _tails(n - 1, degree, degree):
-        mult = Counter(beta)
-        values = sorted(mult, reverse=True)
+        # the distinct values of the sorted tail, descending, each with its
+        # first index and its multiplicity
+        runs = [(v, beta.index(v), beta.count(v)) for v in dict.fromkeys(beta)]
         rest = degree - sum(beta)  # L1 and pi degree of the output at beta
         # A-term inputs by s = a + b, over d_a, at pi exponent rest - 4 - 2s
         grouped = [0] * (half - 1)
         # the connected term: its second head 2b comes out of the tail
         for b in range(rest // 2 - 1):
             tail = tuple(sorted(beta + (2 * b,), reverse=True))
-            weight = math.factorial(2 * b + 1) * r_conn
+            weight = conn_weight[b]
             for a, c in connected.get(tail, ()):
                 grouped[a + b] += c * weight
         # each split of the multiset beta, taking k of the m copies of each
@@ -236,8 +240,7 @@ def _node(g: int, n: int, store) -> VolumePolynomial:
         # and the sum of its first part; none below rest = 4, where the
         # degrees of two halves leave no room for the heads
         splits = [((), (), 1, 0)] if rest >= 4 else []
-        for v in values:
-            m = mult[v]
+        for v, _, m in runs:
             splits = [
                 (beta1 + (v,) * k, beta2 + (v,) * (m - k), subsets * math.comb(m, k), sum1 + k * v)
                 for (beta1, beta2, subsets, sum1), k in product(splits, range(m + 1))
@@ -270,13 +273,12 @@ def _node(g: int, n: int, store) -> VolumePolynomial:
         for s, c in enumerate(grouped):
             if c:
                 c *= a_scale[s]
-                for t, mom in a_rows[s][1][0]:
+                for t, mom in a_rows[s][1]:
                     reps[t] = reps.get(t, 0) + c * mom
         # B-term inputs (k, v) over d_pair, carrying (2k+1)! as the splits do
-        for v in values:
-            i = beta.index(v)
+        for v, i, m in runs:
             for k, c in pair_lower.get(beta[:i] + beta[i + 1:], ()):
-                c *= mult[v] * b_scale[k]
+                c *= m * b_scale[k]
                 for t, mom in b_rows[k][1].get(v, ()):
                     reps[t] = reps.get(t, 0) + c * mom
         # integrating from 0 in L1 and dividing by L1 divides by a1 + 1
@@ -284,7 +286,7 @@ def _node(g: int, n: int, store) -> VolumePolynomial:
             if c:
                 sig = (tuple(sorted((a1,) + beta, reverse=True)), rest - a1)
                 orbits.setdefault(sig, {})[a1] = c
-    del connected  # not kept, so freed before the output is built
+    del connected  # freed before the output is built, unless V(g-1, n+1) keeps it
 
     # check every orbit: c / (a1 + 1) must agree over its reach, compared
     # by cross-multiplication; one Fraction per orbit, over d_node
@@ -304,37 +306,45 @@ def _node(g: int, n: int, store) -> VolumePolynomial:
     return VolumePolynomial(g, n, result)
 
 
-# [moment_F, pair_moment, A rows, B rows]: the rows read from those two functions
-_rows: list = [None, None, [], []]
+# [c_i, A rows, B rows]: c_i = zeta(2i) (4^i - 2) / pi^(2i), each read once
+# from zeta_even_coeff, and the rows built from them
+_rows: tuple = ([], [], [])
 
 
 def _moment_rows(half: int) -> tuple[list, list]:
     """The kept A rows, at least half - 1 of them, and B rows, at least half.
 
-    Row s of A is F_{2s+3}(t) / (2s+3)! and row k of B is pair_moment(k) /
-    (2k+1)!, each as (den, {exponent of Lj: [(t, numerator)]}) over its own
-    denominator, with exponent 0 alone in A; the pi exponent follows from t,
-    as the moments are homogeneous.  Rows are read from the module-level
-    ``moment_F`` and ``pair_moment``, grown on demand, and dropped when
-    either name is rebound.
+    Row s of A is F_{2s+3}(t) / (2s+3)! = sum_i c_i t^m / m!, m = 2s+4-2i,
+    as (den, [(t, numerator)]); row k of B is pair_moment(k) / (2k+1)! =
+    sum_i sum_{r even} 2 c_i u^(m-r) v^r / (r! (m-r)!), m = 2k+2-2i, as
+    (den, {r: [(m - r, numerator)]}).  Each row is integers over its least
+    denominator, built from the closed form and grown on demand; the pi
+    exponent follows from t, as the moments are homogeneous.
     """
-    if _rows[0] is not moment_F or _rows[1] is not pair_moment:
-        _rows[:] = [moment_F, pair_moment, [], []]
-    a_rows, b_rows = _rows[2:]
-    grow = [
-        (a_rows, {(0, t): c for (t, _), c in moment_F(s + 1).items()}, 2 * s + 3)
-        for s in range(len(a_rows), half - 1)
-    ] + [
-        (b_rows, {(w, t): c for (t, w, _), c in pair_moment(k).items()}, 2 * k + 1)
-        for k in range(len(b_rows), half)
-    ]
-    for rows, terms, m in grow:
-        fac = math.factorial(m)
-        den = math.lcm(*(c.denominator * fac for c in terms.values()))
-        row: dict = {}
-        for (w, t), c in terms.items():
-            row.setdefault(w, []).append((t, c.numerator * (den // (c.denominator * fac))))
-        rows.append((den, row))
+    cs, a_rows, b_rows = _rows
+    cs += [zeta_even_coeff(i) * (4 ** i - 2) for i in range(len(cs), half + 1)]
+    # row s of A holds c_i for i <= s + 2, row k of B 2 c_i for i <= k + 1;
+    # over q * top!, q the lcm of their denominators, term i of A has the
+    # numerator c_i q top! / m!, and term (i, r) of B 2 c_i q top! / m! C(m, r)
+    grow = [(a_rows, 1, s + 3, 2 * s + 4) for s in range(len(a_rows), half - 1)]
+    grow += [(b_rows, 2, k + 2, 2 * k + 2) for k in range(len(b_rows), half)]
+    for rows, scale, terms, top in grow:
+        q = math.lcm(*(c.denominator for c in cs[:terms]))
+        den = q * math.factorial(top)
+        nums = [
+            scale * c.numerator * (q // c.denominator) * math.perm(top, 2 * i)
+            for i, c in enumerate(cs[:terms])
+        ]
+        # every other numerator is a multiple of these (B holds each at r = 0),
+        # so one gcd takes the row onto its least denominator
+        g = math.gcd(den, *nums)
+        nums = [(top - 2 * i, c // g) for i, c in enumerate(nums)]
+        if rows is b_rows:
+            nums = {
+                r: [(m - r, c * math.comb(m, r)) for m, c in nums if m >= r]
+                for r in range(0, top + 1, 2)
+            }
+        rows.append((den // g, nums))
     return a_rows, b_rows
 
 

@@ -389,6 +389,22 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["failed"] == 0
 
+    @pytest.mark.parametrize("relation", ["string2", "dilaton2"])
+    def test_passing_identity_cases_format_nothing(self, monkeypatch, relation):
+        # the "lhs != rhs" detail is built only for a failing case, which
+        # keeps it; a passing one would throw it away
+        formatted = []
+        original = Fraction.__str__
+
+        def counted(self):
+            formatted.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__str__", counted)
+        report = wpvol.cli.run_verification(VolumeStore(), relation, 2, 4)
+        assert report["checked"] > 0 and report["failed"] == 0
+        assert formatted == []
+
     @pytest.mark.parametrize("relation, extra, checked", [("string2", 1, 13), ("dilaton2", 0, 8)])
     def test_identity_sweep_cases(self, capsys, cache, relation, extra, checked):
         # each (alpha, m) whose classes fill the dimension of M(g, n + extra), once
@@ -733,6 +749,23 @@ def test_import_stays_lean():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert result.stdout.split() == []
+
+
+def test_import_builds_no_moments():
+    # the kernel's moment rows and the Bernoulli numbers behind them are
+    # built on first use, so a CLI call that never reaches the kernel
+    # does not pay for them
+    src = Path(wpvol.cli.__file__).parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import wpvol.cli; "
+        "from wpvol import mirzakhani; "
+        "print(mirzakhani._rows, mirzakhani.bernoulli_number.cache_info().currsize)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert result.stdout.split() == ["([],", "[],", "[])", "0"]
 
 
 @pytest.mark.parametrize("columns, terminal", [

@@ -231,52 +231,37 @@ class TestVolumes:
         assert first is again
 
 
+def bump_rows(monkeypatch, kind):
+    # the kept rows afresh to half 12, each with the 1/7 that the moment
+    # behind it gains at its top power of L1 (pair_moment(k) at u^(2k+2) v^0
+    # for B row k, F_{2s+3} at t^(2s+4) for A row s), over the row's factorial
+    monkeypatch.setattr(mirzakhani, "_rows", ([], [], []))
+    a_rows, b_rows = mirzakhani._moment_rows(12)
+    rows = a_rows if kind == "A" else b_rows
+    for j, (den, row) in enumerate(rows):
+        step = 7 * math.factorial(2 * j + 3 if kind == "A" else 2 * j + 1)
+        new = math.lcm(den, step)
+        lists = {w: [(t, c * (new // den)) for t, c in terms]
+                 for w, terms in ({0: row} if kind == "A" else row).items()}
+        t, c = lists[0][0]  # the top power, first in its list
+        lists[0][0] = (t, c + new // step)
+        rows[j] = (new, lists[0] if kind == "A" else lists)
+
+
 class TestOrbitCheck:
     def test_asymmetric_pair_moment_is_caught(self, monkeypatch):
         # a moment that is no longer symmetric in (L1, Lj) breaks the symmetry
         # of every volume with a B-term; the representatives must notice
-        original = mirzakhani.pair_moment
-
-        def perturbed(k):
-            terms = dict(original(k))
-            terms[(2 * k + 2, 0, 0)] += Fraction(1, 7)
-            return terms
-
-        monkeypatch.setattr(mirzakhani, "pair_moment", perturbed)
+        bump_rows(monkeypatch, "B")
         store = VolumeStore()
         with pytest.raises(ConsistencyError, match="orbit-agreement"):
             mirzakhani_volume(0, 5, store)
         assert store.get(0, 5, provenance="mirzakhani") is None
-
-    def test_moment_tables_follow_a_patched_pair_moment(self, monkeypatch):
-        # integer moment tables built by an earlier recursion must not
-        # outlive a patch of the module-level pair_moment
-        mirzakhani_volume(2, 3, VolumeStore())
-        original = mirzakhani.pair_moment
-
-        def perturbed(k):
-            terms = dict(original(k))
-            terms[(2 * k + 2, 0, 0)] += Fraction(1, 7)
-            return terms
-
-        monkeypatch.setattr(mirzakhani, "pair_moment", perturbed)
-        store = VolumeStore()
-        with pytest.raises(ConsistencyError, match="orbit-agreement"):
-            mirzakhani_volume(0, 5, store)
-        assert store.get(0, 5, provenance="mirzakhani") is None
-
 
     def test_orbit_agreement_message_is_pinned(self, monkeypatch):
         # the check compares integer numerators, and the message shows the
         # reach map as Fractions
-        original = mirzakhani.pair_moment
-
-        def perturbed(k):
-            terms = dict(original(k))
-            terms[(2 * k + 2, 0, 0)] += Fraction(1, 7)
-            return terms
-
-        monkeypatch.setattr(mirzakhani, "pair_moment", perturbed)
+        bump_rows(monkeypatch, "B")
         with pytest.raises(ConsistencyError) as caught:
             mirzakhani_volume(0, 5, VolumeStore())
         assert str(caught.value) == (
@@ -287,42 +272,52 @@ class TestOrbitCheck:
 
 
 class TestMomentRows:
-    def test_moment_rows_follow_a_patched_moment_F(self, monkeypatch):
-        # the twin of TestOrbitCheck's pair_moment patch: the A rows are read
-        # from moment_F, so its patch must reach them (pair_moment keeps its
-        # cached maps)
-        mirzakhani_volume(2, 3, VolumeStore())
-        original = mirzakhani.moment_F
-
-        def perturbed(k):
-            terms = dict(original(k))
-            terms[(2 * k + 2, 0)] += Fraction(1, 7)
-            return terms
-
-        monkeypatch.setattr(mirzakhani, "moment_F", perturbed)
+    def test_perturbed_a_rows_are_caught(self, monkeypatch):
+        # the twin of TestOrbitCheck's B-row perturbation
+        bump_rows(monkeypatch, "A")
         store = VolumeStore()
         with pytest.raises(ConsistencyError, match="orbit-agreement"):
             mirzakhani_volume(0, 5, store)
         assert store.get(0, 5, provenance="mirzakhani") is None
 
+    def test_rows_equal_the_exact_moments(self, monkeypatch):
+        # the rows come from the closed form in integers, grown on demand,
+        # each over its least denominator
+        monkeypatch.setattr(mirzakhani, "_rows", ([], [], []))
+        mirzakhani._moment_rows(10)
+        a_rows, b_rows = mirzakhani._moment_rows(30)
+        assert (len(a_rows), len(b_rows)) == (29, 30)
+        for s, (den, row) in enumerate(a_rows):
+            assert math.gcd(den, *(c for _, c in row)) == 1
+            got = {(t, 2 * s + 4 - t): Fraction(c, den) for t, c in row}
+            fac = math.factorial(2 * s + 3)
+            assert got == {key: c / fac for key, c in reference_moment_F(s + 1).items()}, s
+            assert got == {key: c / fac for key, c in moment_F(s + 1).items()}, s
+        for k, (den, row) in enumerate(b_rows):
+            assert math.gcd(den, *(c for terms in row.values() for _, c in terms)) == 1
+            got = {
+                (t, r, 2 * k + 2 - t - r): Fraction(c, den)
+                for r, terms in row.items() for t, c in terms
+            }
+            fac = math.factorial(2 * k + 1)
+            assert got == {key: c / fac for key, c in reference_pair_moment(k).items()}, k
+            assert got == {key: c / fac for key, c in pair_moment(k).items()}, k
+
     def test_each_moment_is_read_once(self, monkeypatch):
-        # the integer moment rows are kept across nodes, so a chain reads
-        # each moment once; built for each node, closed V(8,0) read
-        # moment_F(1) 40 times
-        for k in range(25):  # pair_moment reads moment_F once per process
-            pair_moment(k)
+        # the rows keep each c_i = zeta(2i) (4^i - 2) they read, so a chain
+        # reads each once and never the Fraction moments; built for each
+        # node, closed V(8,0) read moment_F(1) 40 times
+        monkeypatch.setattr(mirzakhani, "_rows", ([], [], []))
         reads = Counter()
-        for name in ("moment_F", "pair_moment"):
-            def counted(k, name=name, original=getattr(mirzakhani, name)):
-                reads[name, k] += 1
-                return original(k)
+        for name in ("zeta_even_coeff", "moment_F", "pair_moment"):
+            def counted(i, name=name, original=getattr(mirzakhani, name)):
+                reads[name, i] += 1
+                return original(i)
 
             monkeypatch.setattr(mirzakhani, name, counted)
         ensure_volume(VolumeStore(), 8, 0)
-        assert set(reads) == {("moment_F", k) for k in range(1, 22)} | {
-            ("pair_moment", k) for k in range(22)
-        }
-        assert set(reads.values()) == {1}
+        # the top node V(8,1) has degree 44, so half 22
+        assert reads == Counter(("zeta_even_coeff", i) for i in range(23))
 
 
 class TestIndex:
