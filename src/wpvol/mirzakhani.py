@@ -187,7 +187,7 @@ def _node(g: int, n: int, store) -> VolumePolynomial:
         return vol.__dict__["_kernel_index"]
 
     # only this node reads V(g-1, n+1) for its connected term, so it keeps
-    # no index of that volume, but reads the one a volume already keeps
+    # no index of that volume, but reads the one that volume already keeps
     d_conn, connected = 1, {}
     if is_stable(g - 1, n + 1):
         vol = mirzakhani_volume(g - 1, n + 1, store)
@@ -328,23 +328,23 @@ def _moment_rows(half: int) -> tuple[list, list]:
     # numerator c_i q top! / m!, and term (i, r) of B 2 c_i q top! / m! C(m, r)
     grow = [(a_rows, 1, s + 3, 2 * s + 4) for s in range(len(a_rows), half - 1)]
     grow += [(b_rows, 2, k + 2, 2 * k + 2) for k in range(len(b_rows), half)]
-    for rows, scale, terms, top in grow:
-        q = math.lcm(*(c.denominator for c in cs[:terms]))
+    for rows, scale, count, top in grow:
+        q = math.lcm(*(c.denominator for c in cs[:count]))
         den = q * math.factorial(top)
         nums = [
             scale * c.numerator * (q // c.denominator) * math.perm(top, 2 * i)
-            for i, c in enumerate(cs[:terms])
+            for i, c in enumerate(cs[:count])
         ]
         # every other numerator is a multiple of these (B holds each at r = 0),
         # so one gcd takes the row onto its least denominator
         g = math.gcd(den, *nums)
-        nums = [(top - 2 * i, c // g) for i, c in enumerate(nums)]
+        row = [(top - 2 * i, c // g) for i, c in enumerate(nums)]
         if rows is b_rows:
-            nums = {
-                r: [(m - r, c * math.comb(m, r)) for m, c in nums if m >= r]
+            row = {
+                r: [(m - r, c * math.comb(m, r)) for m, c in row if m >= r]
                 for r in range(0, top + 1, 2)
             }
-        rows.append((den // g, nums))
+        rows.append((den // g, row))
     return a_rows, b_rows
 
 
