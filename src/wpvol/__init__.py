@@ -9,9 +9,9 @@ from .volume import (
     is_stable,
     seed_volume,
 )
-from .symmetric import LiftError, stratified_lift, sym_lift_zero
+from .symmetric import LiftError, stratified_lift
 from .stringdilaton import closed_volume, lift, relation_defect, string_rhs
-from .mirzakhani import mirzakhani_volume, moment_F
+from .mirzakhani import mirzakhani_volume
 from .store import VolumeStore, resolve_cache_dir
 from .compute import ensure_volume, lift_volume
 from .intersections import psi_kappa
@@ -32,12 +32,10 @@ __all__ = [
     "lift",
     "lift_volume",
     "mirzakhani_volume",
-    "moment_F",
     "psi_kappa",
     "relation_defect",
     "resolve_cache_dir",
     "seed_volume",
     "stratified_lift",
     "string_rhs",
-    "sym_lift_zero",
 ]

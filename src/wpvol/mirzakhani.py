@@ -66,15 +66,15 @@ transformed exponent 2a.  The A-term inputs (the connected term and each
 disconnected split, a product of two lower volumes) are rescaled by one
 integer each onto a common denominator, summed by s = a + b, and met with
 row s, F_{2s+3}/(2s+3)!, once per s instead of once per (a, b); the B-term
-inputs meet row k, pair_moment(k)/(2k+1)!.  The rows are integers over the
-least denominator of each, built from the closed forms with each
-c_i = zeta(2i)(4^i - 2) read once, grown on demand and kept across nodes;
-the kernel reads neither ``moment_F`` nor ``pair_moment``, the exact forms
-kept for export and the oracles.  One integer per row and node takes an
-input times its row onto the node denominator.  Every term is homogeneous,
-so the output accumulates by L1 exponent alone and the pi exponent follows.
-The orbit-agreement check compares the integer numerators c / (a1 + 1) by
-cross-multiplication; one Fraction per orbit is built once it passes.
+inputs meet row k, (F_{2k+1}(u+v) + F_{2k+1}(u-v))/(2k+1)!, the x^(2k+1)
+transform of H(x, u+v) + H(x, u-v).  The rows are integers over the least
+denominator of each, built from the closed forms with each
+c_i = zeta(2i)(4^i - 2) read once, grown on demand and kept across nodes.
+One integer per row and node takes an input times its row onto the node
+denominator.  Every term is homogeneous, so the output accumulates by L1
+exponent alone and the pi exponent follows.  The orbit-agreement check
+compares the integer numerators c / (a1 + 1) by cross-multiplication; one
+Fraction per orbit is built once it passes.
 """
 
 from __future__ import annotations
@@ -112,38 +112,6 @@ def zeta_even_coeff(i: int) -> Fraction:
     b = bernoulli_number(2 * i)
     sign = -1 if i % 2 == 0 else 1
     return Fraction(sign * b.numerator * 4 ** i, b.denominator * 2 * math.factorial(2 * i))
-
-
-@lru_cache(maxsize=None)
-def moment_F(k: int) -> dict:
-    """Exact F_{2k+1}(t) as ``{(t exponent, pi exponent): coefficient}``:
-    even in t, homogeneous of degree 2k+2, leading term t^(2k+2)/(4k+4).
-    The map is shared by every caller and must not be changed."""
-    if k < 0:
-        raise ValueError("moment index must be nonnegative")
-    fac, terms = math.factorial(2 * k + 1), {}
-    for i in range(k + 2):
-        z, s = zeta_even_coeff(i), 2 * k + 2 - 2 * i
-        terms[(s, 2 * i)] = Fraction(
-            fac * z.numerator * (4 ** i - 2), z.denominator * math.factorial(s)
-        )
-    return terms
-
-
-@lru_cache(maxsize=None)
-def pair_moment(k: int) -> dict:
-    """F_{2k+1}(u + v) + F_{2k+1}(u - v) as ``{(u exponent, v exponent,
-    pi exponent): coefficient}``, shared like ``moment_F``.
-
-    Odd powers of v cancel, so the result is even in both variables; this is
-    the x^(2k+1) transform of the kernel H(x, u+v) + H(x, u-v).  The term
-    c t^s gives 2 C(s, r) c u^(s-r) v^r for each even r, each key once.
-    """
-    return {
-        (s - r, r, p): Fraction(2 * math.comb(s, r) * c.numerator, c.denominator)
-        for (s, p), c in moment_F(k).items()
-        for r in range(0, s + 1, 2)
-    }
 
 
 def _tails(length: int, budget: int, top: int):
@@ -315,8 +283,9 @@ def _moment_rows(half: int) -> tuple[list, list]:
     """The kept A rows, at least half - 1 of them, and B rows, at least half.
 
     Row s of A is F_{2s+3}(t) / (2s+3)! = sum_i c_i t^m / m!, m = 2s+4-2i,
-    as (den, [(t, numerator)]); row k of B is pair_moment(k) / (2k+1)! =
-    sum_i sum_{r even} 2 c_i u^(m-r) v^r / (r! (m-r)!), m = 2k+2-2i, as
+    as (den, [(t, numerator)]); row k of B is (F_{2k+1}(u+v) +
+    F_{2k+1}(u-v)) / (2k+1)! = sum_i sum_{r even} 2 c_i u^(m-r) v^r /
+    (r! (m-r)!), m = 2k+2-2i, odd powers of v cancelling, as
     (den, {r: [(m - r, numerator)]}).  Each row is integers over its least
     denominator, built from the closed form and grown on demand; the pi
     exponent follows from t, as the moments are homogeneous.

@@ -1,21 +1,9 @@
-"""Symmetric extension by one variable, the specialization at 2*pi*i and
-pi-stratified reconstruction.
+"""The specialization at 2*pi*i and pi-stratified reconstruction, which
+extends a symmetric polynomial by one variable.
 
-All three work on symmetric polynomials by orbit, ``{(pattern, pi_exp): c}``
+Both work on symmetric polynomials by orbit, ``{(pattern, pi_exp): c}``
 with ``pattern`` the L exponents sorted descending (see ``poly``) and c a
 Fraction or an int, which comes out as it went in (the lift's numerators).
-
-``sym_lift_zero`` solves: given a symmetric polynomial f in n variables
-with even L exponents, produce the symmetric polynomial S in n+1 variables
-that restricts to f at L_{n+1} = 0 and carries no monomial involving all
-n+1 variables.  Those two conditions pin S down uniquely: two candidates
-differ by a symmetric polynomial vanishing at L_{n+1} = 0, hence divisible
-by the product of all variables, and the no-all-variables condition kills
-that difference.  When the degree of f in the squared variables is below
-n+1 the extension of that degree is unique outright and the convention is
-vacuous.  On orbits the lift appends a zero exponent to every pattern,
-which is the closed form of the 2**n inclusion-exclusion sum over subsets
-of zeroed variables.
 
 ``at_two_pi_i`` is the package's one evaluation at 2*pi*i; the lifts and
 every relation check are built on it.
@@ -83,16 +71,6 @@ def add(a: dict, b: dict, scale=1) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def sym_lift_zero(orbits: dict) -> dict:
-    """Extend a symmetric even polynomial from n to n+1 variables, by orbit.
-
-    Raises LiftError if an L exponent is odd.
-    """
-    if any(e % 2 for pattern, _ in orbits for e in pattern):
-        raise LiftError("lift input has an odd L exponent")
-    return {(pattern + (0,), pi_exp): c for (pattern, pi_exp), c in orbits.items()}
-
-
 def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[dict], dict]:
     """Reconstruct V in n+1 variables, by orbit, from V(L1..Ln, 2*pi*i).
 
@@ -104,6 +82,11 @@ def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[dic
     ``evaluation`` exactly.  When the squared degree of V reaches n+1 the
     candidate is the representative with no all-variable orbit; callers
     needing a different representative add a correction downstream.
+
+    Each stratum extends by a zero exponent appended to every pattern: two
+    extensions restricting to it at L_{n+1} = 0 differ by a multiple of
+    L1...L_{n+1}, so the one with no all-variable orbit is unique.  An odd
+    L exponent raises LiftError.
     """
     D = target_half_degree
     if D < 0:
@@ -118,9 +101,10 @@ def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[dic
                 f"stratum {k} is not homogeneous of degree {2 * (D - k)}",
                 residual={key: c for key, c in residual.items() if c},
             )
-        w = sym_lift_zero(layer)
-        strata.append(w)
-        stratum = {(pattern, 2 * k): c for (pattern, _), c in w.items()}
+        if any(e % 2 for p, _ in layer for e in p):
+            raise LiftError("lift input has an odd L exponent")
+        strata.append({(p + (0,), 0): c for (p, _), c in layer.items()})
+        stratum = {(p + (0,), 2 * k): c for (p, _), c in layer.items()}
         total.update(stratum)
         for key, c in at_two_pi_i(stratum).items():
             residual[key] = residual.get(key, 0) - c

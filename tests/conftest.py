@@ -9,12 +9,14 @@ orbit-based implementation can be checked against both.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
+from wpvol import mirzakhani
 from wpvol.volume import seed_volume
 from dense_oracle import Dense, add, coeff_pi, drop_var, eval_zero, mul, pi, scale
 
@@ -39,6 +41,15 @@ def reversed_split_product(*factors):
     factor counts down, so the kernel recursion's split shapes, a product of
     ranges nested in a product, come in exactly the reversed order."""
     return product(*(f[::-1] if isinstance(f, range) else f for f in factors))
+
+
+def kernel_moment(k: int) -> dict:
+    """F_{2k+1}(t) as ``{(t exponent, pi exponent): coefficient}``, read off
+    the kernel's B row k at v^0, which holds 2 F_{2k+1}(u) / (2k+1)!: the
+    numbers the recursion multiplies, for the quadrature oracles."""
+    den, row = mirzakhani._moment_rows(k + 1)[1][k]
+    factor = Fraction(math.factorial(2 * k + 1), 2 * den)
+    return {(t, 2 * k + 2 - t): c * factor for t, c in row[0]}
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,10 @@ can hold the orbit code against them.  They also carry the dense calculus
 and inspection helpers the tests use to state properties of polynomials.
 Variable indices are 1-based (L1..Ln).
 
-The exact moments (Bernoulli numbers, ``moment_F``, ``pair_moment``) are
-here as the ``Fraction`` recurrences they were first computed by; the
-package builds them in integers and must give the same maps.
+The exact moments (Bernoulli numbers, F_{2k+1}(t) and F_{2k+1}(u+v) +
+F_{2k+1}(u-v)) are here as the ``Fraction`` recurrences they were first
+computed by, and the reference kernel below reads only these; the package
+builds its moment rows in integers and must give the same values.
 
 The kernel half is the recursion as it ran on ``Fraction`` coefficients,
 one double moment per (a, b) and one product per term, with the connected
@@ -51,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from wpvol.mirzakhani import _tails, moment_F, pair_moment
+from wpvol.mirzakhani import _tails
 from wpvol.poly import Poly
 from wpvol.store import SCHEMA_VERSION
 from wpvol.volume import (
@@ -463,8 +464,10 @@ def reference_zeta_even_coeff(i: int) -> Fraction:
     return sign * reference_bernoulli_number(2 * i) * Fraction(2 ** (2 * i), 2 * math.factorial(2 * i))
 
 
+@lru_cache(maxsize=None)
 def reference_moment_F(k: int) -> dict:
-    """F_{2k+1}(t) term by term in Fraction arithmetic."""
+    """F_{2k+1}(t) term by term in Fraction arithmetic; the map is shared
+    by every caller and must not be changed."""
     fac = math.factorial(2 * k + 1)
     terms = {}
     for i in range(k + 2):
@@ -474,8 +477,10 @@ def reference_moment_F(k: int) -> dict:
     return terms
 
 
+@lru_cache(maxsize=None)
 def reference_pair_moment(k: int) -> dict:
-    """F_{2k+1}(u + v) + F_{2k+1}(u - v), summed term by term."""
+    """F_{2k+1}(u + v) + F_{2k+1}(u - v), summed term by term, shared like
+    ``reference_moment_F``."""
     out = {}
     for (s, pi_exp), c in reference_moment_F(k).items():
         for r in range(0, s + 1, 2):
@@ -497,7 +502,7 @@ def double_moment(a: int, b: int) -> Dense:
         math.factorial(2 * a + 1) * math.factorial(2 * b + 1),
         math.factorial(2 * a + 2 * b + 3),
     )
-    return Dense(1, {key: c * beta for key, c in moment_F(a + b + 1).items()})
+    return Dense(1, {key: c * beta for key, c in reference_moment_F(a + b + 1).items()})
 
 
 def _take(pattern: tuple, head: int):
@@ -571,7 +576,7 @@ def reference_volume(g: int, n: int, store) -> VolumePolynomial:
                 key = (t, beta, p + q)
                 reps[key] = reps.get(key, 0) + c * mc
         for (k, v, p), c in pairs.items():
-            for (t, w, q), mc in pair_moment(k).items():
+            for (t, w, q), mc in reference_pair_moment(k).items():
                 if w == v:
                     key = (t, beta, p + q)
                     reps[key] = reps.get(key, 0) + c * mc

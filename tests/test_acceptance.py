@@ -16,12 +16,12 @@ import wpvol.mirzakhani
 from wpvol.cli import main, run_verification
 from wpvol.compute import ensure_volume, lift_volume
 from wpvol.intersections import compositions, identity_cases, psi_kappa
-from wpvol.mirzakhani import mirzakhani_volume, moment_F
+from wpvol.mirzakhani import mirzakhani_volume
 from wpvol.store import VolumeStore, parse_entry, serialize_entry
 from wpvol.stringdilaton import closed_volume
 from wpvol.symmetric import stratified_lift
 from wpvol.volume import seed_volume
-from conftest import random_symmetric_even, reversed_split_product
+from conftest import kernel_moment, random_symmetric_even, reversed_split_product
 from dense_oracle import (
     Dense,
     boundary_cofactor,
@@ -145,7 +145,7 @@ def test_criterion_07_kernel_moment_oracle(capsys):
     started = time.monotonic()
     worst = 0.0
     for k in range(7):
-        F = moment_F(k)
+        F = kernel_moment(k)
         for t in (0.0, 1.0, 2.0, 5.0):
             numeric, _ = quad(
                 lambda x: x ** (2 * k + 1) * kernel_H(x, t), 0, math.inf, limit=200

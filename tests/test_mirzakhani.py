@@ -5,19 +5,13 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import dblquad, quad
 
-from wpvol.mirzakhani import (
-    bernoulli_number,
-    mirzakhani_volume,
-    moment_F,
-    pair_moment,
-    zeta_even_coeff,
-)
+from wpvol.mirzakhani import bernoulli_number, mirzakhani_volume, zeta_even_coeff
 from wpvol.store import VolumeStore
 from wpvol.stringdilaton import lift
 from wpvol import mirzakhani
 from wpvol.compute import ensure_volume
 from wpvol.volume import ConsistencyError, UnstableSurfaceError, is_stable
-from conftest import reversed_split_product
+from conftest import kernel_moment, reversed_split_product
 from dense_oracle import (
     Dense,
     coeff_monomial,
@@ -101,15 +95,15 @@ class TestBernoulli:
 class TestMoments:
     def test_first_moment(self):
         expected = {(2, 0): Fraction(1, 4), (0, 2): Fraction(1, 3)}
-        assert moment_F(0) == expected
+        assert reference_moment_F(0) == expected
 
     def test_third_moment(self):
         expected = {(4, 0): Fraction(1, 8), (2, 2): 1, (0, 4): Fraction(14, 15)}
-        assert moment_F(1) == expected
+        assert reference_moment_F(1) == expected
 
     def test_shape(self):
         for k in range(7):
-            F = Dense(1, moment_F(k))
+            F = Dense(1, reference_moment_F(k))
             assert is_homogeneous(F, 2 * k + 2)
             assert has_even_l_exponents(F)
             assert coeff_monomial(F, (2 * k + 2,), 0) == Fraction(1, 4 * k + 4)
@@ -117,15 +111,10 @@ class TestMoments:
             at_zero = eval_zero(F, 1)
             assert list(at_zero.terms) == [(0, 2 * k + 2)]
 
-    def test_against_the_fraction_recurrence(self):
-        for k in range(31):
-            assert moment_F(k) == reference_moment_F(k), k
-            assert pair_moment(k) == reference_pair_moment(k), k
-
     def test_against_quadrature(self):
         # the heavier sweep (k <= 6, t in {0,1,2,5}) runs in the acceptance suite
         for k in range(3):
-            F = moment_F(k)
+            F = kernel_moment(k)
             for t in (0.0, 1.0, 2.5):
                 numeric, _ = quad(
                     lambda x: x ** (2 * k + 1) * kernel_H(x, t), 0, math.inf, limit=200
@@ -136,7 +125,7 @@ class TestMoments:
 
 class TestDoubleMoment:
     def test_reduction_to_single_moment(self):
-        assert double_moment(0, 0) == scale(Dense(1, moment_F(1)), Fraction(1, 6))
+        assert double_moment(0, 0) == scale(Dense(1, reference_moment_F(1)), Fraction(1, 6))
 
     def test_symmetry(self):
         for a, b in [(0, 1), (1, 2), (0, 3)]:
@@ -176,11 +165,11 @@ class TestPairMoment:
             (0, 2, 0): Fraction(1, 2),
             (0, 0, 2): Fraction(2, 3),
         }
-        assert pair_moment(0) == expected
+        assert reference_pair_moment(0) == expected
 
     def test_even_in_both_variables(self):
         for k in range(4):
-            assert has_even_l_exponents(Dense(2, pair_moment(k)))
+            assert has_even_l_exponents(Dense(2, reference_pair_moment(k)))
 
 
 class TestVolumes:
@@ -233,7 +222,8 @@ class TestVolumes:
 
 def bump_rows(monkeypatch, kind):
     # the kept rows afresh to half 12, each with the 1/7 that the moment
-    # behind it gains at its top power of L1 (pair_moment(k) at u^(2k+2) v^0
+    # behind it gains at its top power of L1 (F_{2k+1}(u+v) + F_{2k+1}(u-v)
+    # at u^(2k+2) v^0
     # for B row k, F_{2s+3} at t^(2s+4) for A row s), over the row's factorial
     monkeypatch.setattr(mirzakhani, "_rows", ([], [], []))
     a_rows, b_rows = mirzakhani._moment_rows(12)
@@ -292,7 +282,6 @@ class TestMomentRows:
             got = {(t, 2 * s + 4 - t): Fraction(c, den) for t, c in row}
             fac = math.factorial(2 * s + 3)
             assert got == {key: c / fac for key, c in reference_moment_F(s + 1).items()}, s
-            assert got == {key: c / fac for key, c in moment_F(s + 1).items()}, s
         for k, (den, row) in enumerate(b_rows):
             assert math.gcd(den, *(c for terms in row.values() for _, c in terms)) == 1
             got = {
@@ -301,23 +290,22 @@ class TestMomentRows:
             }
             fac = math.factorial(2 * k + 1)
             assert got == {key: c / fac for key, c in reference_pair_moment(k).items()}, k
-            assert got == {key: c / fac for key, c in pair_moment(k).items()}, k
 
     def test_each_moment_is_read_once(self, monkeypatch):
         # the rows keep each c_i = zeta(2i) (4^i - 2) they read, so a chain
-        # reads each once and never the Fraction moments; built for each
-        # node, closed V(8,0) read moment_F(1) 40 times
+        # reads each once; built for each node, closed V(8,0) read the
+        # first moment 40 times
         monkeypatch.setattr(mirzakhani, "_rows", ([], [], []))
         reads = Counter()
-        for name in ("zeta_even_coeff", "moment_F", "pair_moment"):
-            def counted(i, name=name, original=getattr(mirzakhani, name)):
-                reads[name, i] += 1
-                return original(i)
 
-            monkeypatch.setattr(mirzakhani, name, counted)
+        def counted(i, original=mirzakhani.zeta_even_coeff):
+            reads[i] += 1
+            return original(i)
+
+        monkeypatch.setattr(mirzakhani, "zeta_even_coeff", counted)
         ensure_volume(VolumeStore(), 8, 0)
         # the top node V(8,1) has degree 44, so half 22
-        assert reads == Counter(("zeta_even_coeff", i) for i in range(23))
+        assert reads == Counter(range(23))
 
 
 class TestIndex:
@@ -394,8 +382,6 @@ class TestArithmetic:
                 if is_stable(gg, nn) and 2 * gg + nn < 2 * g + n:
                     mirzakhani_volume(gg, nn, store)
         assert store.get(g, n) is None
-        for k in range(3 * g + n):  # the exact moments are cached once per process
-            moment_F(k), pair_moment(k)
         calls = []
         for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
             def counted(a, b, method=getattr(Fraction, name)):

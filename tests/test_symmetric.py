@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wpvol.symmetric import LiftError, stratified_lift, sym_lift_zero
+from wpvol.symmetric import LiftError, stratified_lift
 from conftest import (
     brute_force_lift,
     epsilon_lift,
@@ -20,6 +20,7 @@ from dense_oracle import (
     eval_zero,
     is_symmetric,
     l_degree,
+    mul,
     pi,
     scale,
     var,
@@ -27,8 +28,15 @@ from dense_oracle import (
 
 
 def lift(f):
-    """sym_lift_zero on the orbits of f, expanded in n + 1 variables."""
-    return Dense.from_orbits(f.n_vars + 1, sym_lift_zero(f.orbit_coefficients()))
+    """The extension of f to n + 1 variables that ``stratified_lift`` makes
+    of each stratum: every orbit of f is lifted alone, as a pi-free
+    evaluation of its own degree, read off ``strata[0]`` and given back its
+    pi exponent."""
+    out = {}
+    for (pattern, pi_exp), c in f.orbit_coefficients().items():
+        strata, _ = stratified_lift({(pattern, 0): c}, sum(pattern) // 2)
+        out.update({(p, pi_exp): c for (p, _), c in strata[0].items()})
+    return Dense.from_orbits(f.n_vars + 1, out)
 
 
 def reconstruct(evaluation, half_degree):
@@ -74,7 +82,8 @@ class TestSymLiftZero:
             assert is_symmetric(lifted)
 
     def test_odd_exponent_rejected(self):
-        odd = add(var(2, 1), var(2, 2))
+        # of even degree, so the homogeneity check passes first
+        odd = mul(var(2, 1), var(2, 2))
         with pytest.raises(LiftError, match="odd"):
             lift(odd)
 
