@@ -11,11 +11,11 @@ identical cache produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from .compute import ensure_volume
 from .intersections import balanced, identity_cases, psi_kappa
@@ -50,36 +50,30 @@ class _Refused(Exception):
     """A request the CLI refuses: ``main`` prints ``error: <message>``, exit 2."""
 
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse's help at the width ``shutil.get_terminal_size`` gives:
-    $COLUMNS, else the terminal of ``sys.__stdout__``, else 80 columns.
-    Read here, since importing ``shutil`` loads ``bz2`` and ``lzma``."""
-
-    def __init__(self, prog):
+def _width() -> int:
+    """argparse's help width from what ``shutil.get_terminal_size`` gives:
+    $COLUMNS, else the terminal of ``sys.__stdout__``, else 80 columns, less
+    2.  Read here, since importing ``shutil`` loads ``bz2`` and ``lzma``."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
         try:
-            columns = int(os.environ["COLUMNS"])
-        except (KeyError, ValueError):
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
             columns = 0
-        if columns <= 0:
-            try:
-                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-            except (AttributeError, ValueError, OSError):
-                columns = 0
-        super().__init__(prog, width=(columns or 80) - 2)
-
-
-class _Parser(argparse.ArgumentParser):
-    """A parser, and through ``add_subparsers`` its subparsers, on _Formatter."""
-
-    def __init__(self, **kwargs):
-        super().__init__(formatter_class=_Formatter, **kwargs)
+    return (columns or 80) - 2
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    # one width for the parser, ``common`` and every subparser, read once
+    formatter = functools.partial(argparse.HelpFormatter, width=_width())
+    parser = argparse.ArgumentParser(
         prog="wpvol",
         description="Exact volume polynomials of moduli spaces of bordered "
         "hyperbolic surfaces, and their intersection numbers.",
+        formatter_class=formatter,
     )
     parser.add_argument(
         "--cache-dir",
@@ -88,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # also accepted after the subcommand; SUPPRESS keeps the global value
     # when the per-command flag is absent
-    common = _Parser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
     common.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparser = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     p_compute = sub.add_parser("compute", parents=[common], help="compute one volume polynomial")
     p_compute.add_argument("--genus", type=int, required=True)
@@ -291,7 +286,8 @@ def _cmd_export(args) -> int:
         text = vol.poly.to_latex() + "\n"
     if args.output:
         try:
-            Path(args.output).write_text(text)
+            with open(args.output, "w") as handle:
+                handle.write(text)
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
             return EXIT_IO

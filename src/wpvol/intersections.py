@@ -24,8 +24,10 @@ M(g, n+1) for string and of M(g, n) for dilaton.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .compute import ensure_volume
 from .store import VolumeStore
@@ -120,17 +122,16 @@ def _read(numerators: dict, alpha: tuple, kappa: int) -> int:
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order.  By stars and bars: the partial sums of the first
+    parts - 1 entries are a nondecreasing tuple in [0, total], and those
+    tuples come out of ``combinations_with_replacement`` in the same order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    for sums in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(operator.sub, sums + (total,), (0,) + sums))
 
 
 def admissible(budget: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -13,9 +13,9 @@ Q * pi^(2i):
                   zeta(2i) (2^(2i) - 2) t^(2k+2-2i) / (2k+2-2i)!
 
 where zeta(0) = -1/2 and zeta(2i) is the even zeta value, a rational
-multiple of pi^(2i) through the Bernoulli numbers.  The leading term is
-t^(2k+2)/(4k+4); the quadrature oracle pins these coefficients (a common
-alternative convention doubles the kernel and with it every moment).  The
+multiple of pi^(2i).  The leading term is t^(2k+2)/(4k+4); the quadrature
+oracle pins these coefficients (a common alternative convention doubles
+the kernel and with it every moment).  The
 double transform with kernel H(x+y, t) against x^(2a+1) y^(2b+1) reduces by
 the Euler beta integral to
 
@@ -67,51 +67,25 @@ disconnected split, a product of two lower volumes) are rescaled by one
 integer each onto a common denominator, summed by s = a + b, and met with
 row s, F_{2s+3}/(2s+3)!, once per s instead of once per (a, b); the B-term
 inputs meet row k, (F_{2k+1}(u+v) + F_{2k+1}(u-v))/(2k+1)!, the x^(2k+1)
-transform of H(x, u+v) + H(x, u-v).  The rows are integers over the least
-denominator of each, built from the closed forms with each
-c_i = zeta(2i)(4^i - 2) read once, grown on demand and kept across nodes.
-One integer per row and node takes an input times its row onto the node
-denominator.  Every term is homogeneous, so the output accumulates by L1
-exponent alone and the pi exponent follows.  The orbit-agreement check
-compares the integer numerators c / (a1 + 1) by cross-multiplication; one
-Fraction per orbit is built once it passes.
+transform of H(x, u+v) + H(x, u-v).  One table is kept across nodes and
+grown on demand: the constants c_i = zeta(2i)(4^i - 2)/pi^(2i), from the
+tangent numbers in integers, and the B rows, integers over the least
+denominator of each, built from the closed form.  A row s is B row s + 1
+at v^0 over twice its denominator.  One integer per row and node takes an
+input times its row onto the node denominator.  Every term is homogeneous,
+so the output accumulates by L1 exponent alone and the pi exponent
+follows.  The orbit-agreement check compares the integer numerators
+c / (a1 + 1) by cross-multiplication; one Fraction per orbit is built once
+it passes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .volume import ConsistencyError, VolumePolynomial, is_stable, require_stable
-
-
-@lru_cache(maxsize=None)
-def bernoulli_number(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (B_1 = -1/2 convention): an even B_m, m = 2j,
-    is (-1)^(j-1) 2j T_j / (4^j (4^j - 1)), T_j the tangent numbers 1, 2, 16,
-    272, ..., built in integers by the Knuth-Buckholtz recurrence."""
-    if m < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
-    if m < 2 or m % 2:
-        return {0: Fraction(1), 1: Fraction(-1, 2)}.get(m, Fraction(0))
-    j = m // 2
-    tangent = [0] + [math.factorial(i - 1) for i in range(1, j + 1)]
-    for k in range(2, j + 1):
-        for i in range(k, j + 1):
-            tangent[i] = (i - k) * tangent[i - 1] + (i - k + 2) * tangent[i]
-    return Fraction((-1) ** (j - 1) * m * tangent[j], 4 ** j * (4 ** j - 1))
-
-
-@lru_cache(maxsize=None)
-def zeta_even_coeff(i: int) -> Fraction:
-    """The rational r with zeta(2i) = r * pi^(2i); zeta(0) = -1/2."""
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    b = bernoulli_number(2 * i)
-    sign = -1 if i % 2 == 0 else 1
-    return Fraction(sign * b.numerator * 4 ** i, b.denominator * 2 * math.factorial(2 * i))
 
 
 def _tails(length: int, budget: int, top: int):
@@ -181,12 +155,14 @@ def _node(g: int, n: int, store) -> VolumePolynomial:
     half = degree // 2
     # the connected term's weight (2b+1)! for each second head 2b, onto d_a
     conn_weight = [math.factorial(2 * b + 1) * (d_a // d_conn) for b in range(half - 1)]
-    a_rows, b_rows = _moment_rows(half)
+    b_rows = _moment_rows(half)
+    # A row s is B row s + 1 at v^0 over twice its denominator (_moment_rows)
+    a_rows = [(2 * den, row[0]) for den, row in b_rows[1:half]]
     # the node denominator, and per row one integer taking an input onto it
     d_node = math.lcm(
-        *(d_a * den for den, _ in a_rows[:half - 1]), *(d_pair * den for den, _ in b_rows[:half])
+        *(d_a * den for den, _ in a_rows), *(d_pair * den for den, _ in b_rows[:half])
     )
-    a_scale = [d_node // (d_a * den) for den, _ in a_rows[:half - 1]]
+    a_scale = [d_node // (d_a * den) for den, _ in a_rows]
     b_scale = [d_node // (d_pair * den) for den, _ in b_rows[:half]]
 
     orbits: dict = {}  # (pattern, pi) -> {a1: c}, coefficient c / (d_node * (a1 + 1))
@@ -274,47 +250,48 @@ def _node(g: int, n: int, store) -> VolumePolynomial:
     return VolumePolynomial(g, n, result)
 
 
-# [c_i, A rows, B rows]: c_i = zeta(2i) (4^i - 2) / pi^(2i), each read once
-# from zeta_even_coeff, and the rows built from them
-_rows: tuple = ([], [], [])
+# [c_i, B rows]: the constants c_i = zeta(2i) (4^i - 2) / pi^(2i) and the
+# rows built from them, both grown on demand
+_rows: tuple = ([], [])
 
 
-def _moment_rows(half: int) -> tuple[list, list]:
-    """The kept A rows, at least half - 1 of them, and B rows, at least half.
+def _moment_rows(half: int) -> list:
+    """The kept B rows, at least half of them.
 
-    Row s of A is F_{2s+3}(t) / (2s+3)! = sum_i c_i t^m / m!, m = 2s+4-2i,
-    as (den, [(t, numerator)]); row k of B is (F_{2k+1}(u+v) +
-    F_{2k+1}(u-v)) / (2k+1)! = sum_i sum_{r even} 2 c_i u^(m-r) v^r /
-    (r! (m-r)!), m = 2k+2-2i, odd powers of v cancelling, as
-    (den, {r: [(m - r, numerator)]}).  Each row is integers over its least
-    denominator, built from the closed form and grown on demand; the pi
-    exponent follows from t, as the moments are homogeneous.
+    Row k is (F_{2k+1}(u+v) + F_{2k+1}(u-v)) / (2k+1)! = sum_i sum_{r even}
+    2 c_i u^(m-r) v^r / (r! (m-r)!), m = 2k+2-2i, odd powers of v
+    cancelling, as (den, {r: [(m - r, numerator)]}) over its least
+    denominator; the pi exponent follows, as the moments are homogeneous.
+    At v^0 row s + 1 is twice A row s, F_{2s+3}(t) / (2s+3)!, whose term
+    t^(2s+4) / (2 (2s+4)!) keeps its least denominator even: A row s is
+    row s + 1 at r = 0 over twice its denominator.
     """
-    cs, a_rows, b_rows = _rows
-    cs += [zeta_even_coeff(i) * (4 ** i - 2) for i in range(len(cs), half + 1)]
-    # row s of A holds c_i for i <= s + 2, row k of B 2 c_i for i <= k + 1;
-    # over q * top!, q the lcm of their denominators, term i of A has the
-    # numerator c_i q top! / m!, and term (i, r) of B 2 c_i q top! / m! C(m, r)
-    grow = [(a_rows, 1, s + 3, 2 * s + 4) for s in range(len(a_rows), half - 1)]
-    grow += [(b_rows, 2, k + 2, 2 * k + 2) for k in range(len(b_rows), half)]
-    for rows, scale, count, top in grow:
-        q = math.lcm(*(c.denominator for c in cs[:count]))
+    cs, b_rows = _rows
+    if len(b_rows) >= half:
+        return b_rows
+    # c_0 = 1/2 and c_i = T_i (4^i - 2) / (2 (4^i - 1) (2i - 1)!), T_i the
+    # tangent numbers 1, 2, 16, 272, ..., by the Knuth-Buckholtz recurrence
+    tangent = [0] + [math.factorial(i - 1) for i in range(1, half + 1)]
+    for k in range(2, half + 1):
+        for i in range(k, half + 1):
+            tangent[i] = (i - k) * tangent[i - 1] + (i - k + 2) * tangent[i]
+    cs += [Fraction(tangent[i] * (4 ** i - 2), 2 * (4 ** i - 1) * math.factorial(2 * i - 1))
+           if i else Fraction(1, 2) for i in range(len(cs), half + 1)]
+    # row k holds 2 c_i for i <= k + 1; over q * top!, q the lcm of their
+    # denominators, term (i, r) has the numerator 2 c_i q top! / m! C(m, r)
+    for k in range(len(b_rows), half):
+        top = 2 * k + 2
+        q = math.lcm(*(c.denominator for c in cs[:k + 2]))
         den = q * math.factorial(top)
-        nums = [
-            scale * c.numerator * (q // c.denominator) * math.perm(top, 2 * i)
-            for i, c in enumerate(cs[:count])
-        ]
-        # every other numerator is a multiple of these (B holds each at r = 0),
-        # so one gcd takes the row onto its least denominator
+        nums = [2 * c.numerator * (q // c.denominator) * math.perm(top, 2 * i)
+                for i, c in enumerate(cs[:k + 2])]
+        # every numerator is a multiple of these, the row at r = 0, so one
+        # gcd takes the row onto its least denominator
         g = math.gcd(den, *nums)
         row = [(top - 2 * i, c // g) for i, c in enumerate(nums)]
-        if rows is b_rows:
-            row = {
-                r: [(m - r, c * math.comb(m, r)) for m, c in row if m >= r]
-                for r in range(0, top + 1, 2)
-            }
-        rows.append((den // g, row))
-    return a_rows, b_rows
+        b_rows.append((den // g, {r: [(m - r, c * math.comb(m, r)) for m, c in row if m >= r]
+                                  for r in range(0, top + 1, 2)}))
+    return b_rows
 
 
 def _build_index(orbits: dict) -> tuple[int, dict]:

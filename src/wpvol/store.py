@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from pathlib import Path
 
 from .volume import InvariantError, UnstableSurfaceError, VolumePolynomial, is_seed, seed_volume
 
@@ -52,14 +51,9 @@ class ProvenanceConflictError(CacheError):
     """Two computation paths stored different polynomials for one (g, n)."""
 
 
-def resolve_cache_dir(flag_value: str | None = None) -> Path:
+def resolve_cache_dir(flag_value: str | None = None) -> str:
     """Cache directory: explicit flag, else WPVOL_CACHE, else ./wpvol-cache."""
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path(DEFAULT_CACHE_DIR)
+    return flag_value or os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
 
 
 def serialize_entry(vol: VolumePolynomial, provenance: str) -> str:
@@ -121,29 +115,32 @@ class VolumeStore:
     caller and each file write is atomic (write to a temp file, then rename).
     """
 
-    def __init__(self, directory: Path | str | None = None):
-        self.directory = Path(directory) if directory is not None else None
+    def __init__(self, directory: str | os.PathLike | None = None):
+        self.directory = os.fspath(directory) if directory is not None else None
         if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
+            os.makedirs(self.directory, exist_ok=True)
         # (g, n) -> (the one volume, the provenances that produced it)
         self._entries: dict[tuple[int, int], tuple[VolumePolynomial, list[str]]] = {}
 
-    def _path(self, g: int, n: int) -> Path:
-        return self.directory / f"g{g}_n{n}.json"
+    def _path(self, g: int, n: int) -> str:
+        return os.path.join(self.directory, f"g{g}_n{n}.json")
 
     def _read(self, g: int, n: int) -> tuple[VolumePolynomial, str] | None:
         """The volume and provenance in the file of (g, n), parsed and
         checked to hold that key; None when there is no such file."""
-        if self.directory is None or not self._path(g, n).exists():
+        if self.directory is None:
             return None
         path = self._path(g, n)
         try:
-            text = path.read_text()
+            with open(path) as handle:
+                text = handle.read()
+        except FileNotFoundError:
+            return None
         except UnicodeDecodeError as exc:
             raise CacheError(f"unreadable cache document: {exc}") from exc
         vol, provenance = parse_entry(text)
         if (vol.g, vol.n) != (g, n):
-            raise CacheError(f"cache file {path.name} holds V({vol.g},{vol.n})")
+            raise CacheError(f"cache file {os.path.basename(path)} holds V({vol.g},{vol.n})")
         return vol, provenance
 
     def _held(self, g: int, n: int) -> tuple[VolumePolynomial, list[str]] | None:
@@ -196,11 +193,11 @@ class VolumeStore:
             held[1].append(provenance)
         if self.directory is not None:
             path = self._path(vol.g, vol.n)
-            if not path.exists():
+            if not os.path.exists(path):
                 self._write_atomic(path, serialize_entry(vol, provenance))
 
-    def _write_atomic(self, path: Path, text: str) -> None:
-        tmp = path.with_name(f"{path.stem}.{os.urandom(8).hex()}.tmp")
+    def _write_atomic(self, path: str, text: str) -> None:
+        tmp = f"{os.path.splitext(path)[0]}.{os.urandom(8).hex()}.tmp"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
         try:
             with os.fdopen(fd, "w") as handle:
@@ -214,14 +211,14 @@ class VolumeStore:
     def keys(self) -> list[tuple[int, int]]:
         found = set(self._entries)
         if self.directory is not None:
-            for path in self.directory.glob("g*_n*.json"):
+            for name in os.listdir(self.directory):
                 try:
-                    g_part, n_part = path.stem.split("_")
+                    g_part, n_part = name[:-len(".json")].split("_")
                     key = (int(g_part[1:]), int(n_part[1:]))
                 except ValueError:
                     continue
                 # a name such as g01_n3.json is not the file of (1, 3)
-                if self._path(*key).name == path.name:
+                if self._path(*key) == os.path.join(self.directory, name):
                     found.add(key)
         return sorted(found)
 
@@ -233,7 +230,9 @@ class VolumeStore:
         self._entries.clear()
         for key in keys if self.directory is not None else ():
             try:
-                self._path(*key).unlink(missing_ok=True)
+                os.unlink(self._path(*key))
+            except FileNotFoundError:
+                pass
             except OSError as exc:
                 failure = failure or exc
         if failure is not None:

@@ -107,26 +107,21 @@ class VolumePolynomial:
         return 6 * self.g - 6 + 2 * self.n
 
     def validate(self) -> None:
-        require_stable(self.g, self.n)
-        keys = list(self.orbits)
+        g, n, orbits, degree = self.g, self.n, self.orbits, self.degree
+        require_stable(g, n)
         checks = (
-            (all(len(p) == self.n for p, _ in keys),
-             f"orbit key without {self.n} L exponents"),
-            (all(all(a >= b for a, b in zip(p, p[1:])) for p, _ in keys),
+            ({len(p) for p, _ in orbits} <= {n}, f"orbit key without {n} L exponents"),
+            (all(p == tuple(sorted(p, reverse=True)) for p, _ in orbits),
              "orbit key not sorted descending"),
-            (all(e % 2 == 0 for p, _ in keys for e in p), "odd L exponent present"),
-            (all(sum(p) + q == self.degree for p, q in keys),
-             f"not homogeneous of degree {self.degree}"),
-            (all(self.orbits.values()), "zero coefficient stored"),
+            (all(e % 2 == 0 for e in {e for p, _ in orbits for e in p}), "odd L exponent present"),
+            ({sum(p) + q for p, q in orbits} <= {degree}, f"not homogeneous of degree {degree}"),
+            (all(orbits.values()), "zero coefficient stored"),
             # V(g, n)(0) is the Weil-Petersson volume of M(g, n)
-            (self.orbits.get(((0,) * self.n, self.degree), 0) > 0,
-             "constant term is not positive"),
+            (orbits.get(((0,) * n, degree), 0) > 0, "constant term is not positive"),
         )
         problems = [message for ok, message in checks if not ok]
         if problems:
-            raise InvariantError(
-                f"V({self.g},{self.n}) invariant failure: " + "; ".join(problems)
-            )
+            raise InvariantError(f"V({g},{n}) invariant failure: " + "; ".join(problems))
 
 
 def seed_volume(g: int, n: int) -> VolumePolynomial:

@@ -47,7 +47,7 @@ def kernel_moment(k: int) -> dict:
     """F_{2k+1}(t) as ``{(t exponent, pi exponent): coefficient}``, read off
     the kernel's B row k at v^0, which holds 2 F_{2k+1}(u) / (2k+1)!: the
     numbers the recursion multiplies, for the quadrature oracles."""
-    den, row = mirzakhani._moment_rows(k + 1)[1][k]
+    den, row = mirzakhani._moment_rows(k + 1)[k]
     factor = Fraction(math.factorial(2 * k + 1), 2 * den)
     return {(t, 2 * k + 2 - t): c * factor for t, c in row[0]}
 

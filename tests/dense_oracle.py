@@ -444,6 +444,21 @@ def genus0_psi(alpha: Sequence[int]) -> Fraction:
     return Fraction(value)
 
 
+def reference_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of `parts` nonnegative integers summing to `total`, by
+    recursion on the first entry, which ascends."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in reference_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
 # ----------------------------------------------------------------------
 # the exact moments by their Fraction recurrences
 

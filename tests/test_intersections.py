@@ -14,7 +14,7 @@ from wpvol.intersections import (
 )
 from wpvol.store import VolumeStore
 from wpvol.volume import UnstableSurfaceError, is_stable
-from dense_oracle import genus0_psi
+from dense_oracle import genus0_psi, reference_compositions
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,10 @@ def test_compositions_cover_simplex():
     assert items == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(2, 0)) == []
+    # in the recursive order, which the verify report lists its cases in
+    for total in range(9):
+        for parts in range(6):
+            assert list(compositions(total, parts)) == list(reference_compositions(total, parts))
 
 
 def test_nonnegativity_observed(store):

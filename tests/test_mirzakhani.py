@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import dblquad, quad
 
-from wpvol.mirzakhani import bernoulli_number, mirzakhani_volume, zeta_even_coeff
+from wpvol.mirzakhani import mirzakhani_volume
 from wpvol.store import VolumeStore
 from wpvol.stringdilaton import lift
 from wpvol import mirzakhani
@@ -56,7 +56,17 @@ class TestKernel:
         assert kernel_H(1e6, -1e5) == 0.0
 
 
+def kept_constants(monkeypatch, half):
+    # the constants c_i = zeta(2i) (4^i - 2) / pi^(2i), i <= half, of a
+    # table built afresh
+    monkeypatch.setattr(mirzakhani, "_rows", ([], []))
+    mirzakhani._moment_rows(half)
+    return mirzakhani._rows[0]
+
+
 class TestBernoulli:
+    # the kernel reads its constants off the tangent numbers; the oracle's
+    # Bernoulli recurrence behind the reference zeta values is pinned here
     def test_known_values(self):
         known = {
             0: Fraction(1),
@@ -70,26 +80,29 @@ class TestBernoulli:
             12: Fraction(-691, 2730),
         }
         for m, value in known.items():
-            assert bernoulli_number(m) == value
+            assert reference_bernoulli_number(m) == value
 
     def test_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         for m in range(0, 20, 2):
             p, q = mpmath.bernfrac(m)
-            assert bernoulli_number(m) == Fraction(int(p), int(q))
+            assert reference_bernoulli_number(m) == Fraction(int(p), int(q))
 
-    def test_against_the_fraction_recurrence(self):
+    def test_against_the_fraction_recurrence(self, monkeypatch):
         # the tangent-number route in integers gives the recurrence's values
-        for m in range(81):
-            assert bernoulli_number(m) == reference_bernoulli_number(m), m
-        for i in range(41):
-            assert zeta_even_coeff(i) == reference_zeta_even_coeff(i), i
+        cs = kept_constants(monkeypatch, 40)
+        assert len(cs) == 41
+        for i, c in enumerate(cs):
+            assert c == reference_zeta_even_coeff(i) * (4 ** i - 2), i
 
-    def test_even_zeta(self):
-        assert zeta_even_coeff(0) == Fraction(-1, 2)
-        assert zeta_even_coeff(1) == Fraction(1, 6)
-        assert zeta_even_coeff(2) == Fraction(1, 90)
-        assert zeta_even_coeff(3) == Fraction(1, 945)
+    def test_even_zeta(self, monkeypatch):
+        assert reference_zeta_even_coeff(0) == Fraction(-1, 2)
+        assert reference_zeta_even_coeff(1) == Fraction(1, 6)
+        assert reference_zeta_even_coeff(2) == Fraction(1, 90)
+        assert reference_zeta_even_coeff(3) == Fraction(1, 945)
+        # c_i = zeta(2i) (4^i - 2) / pi^(2i)
+        expected = [Fraction(1, 2), Fraction(1, 3), Fraction(7, 45), Fraction(62, 945)]
+        assert kept_constants(monkeypatch, 3) == expected
 
 
 class TestMoments:
@@ -220,22 +233,31 @@ class TestVolumes:
         assert first is again
 
 
+def a_rows(b_rows):
+    # A row s, F_{2s+3}(t) / (2s+3)!, as the kernel reads it: B row s + 1
+    # at v^0 over twice its denominator
+    return [(2 * den, row[0]) for den, row in b_rows[1:]]
+
+
 def bump_rows(monkeypatch, kind):
-    # the kept rows afresh to half 12, each with the 1/7 that the moment
-    # behind it gains at its top power of L1 (F_{2k+1}(u+v) + F_{2k+1}(u-v)
-    # at u^(2k+2) v^0
-    # for B row k, F_{2s+3} at t^(2s+4) for A row s), over the row's factorial
-    monkeypatch.setattr(mirzakhani, "_rows", ([], [], []))
-    a_rows, b_rows = mirzakhani._moment_rows(12)
-    rows = a_rows if kind == "A" else b_rows
-    for j, (den, row) in enumerate(rows):
-        step = 7 * math.factorial(2 * j + 3 if kind == "A" else 2 * j + 1)
+    # the kept rows afresh to half 12, each B row k with the 1/7 that
+    # F_{2k+1}(u+v) + F_{2k+1}(u-v) gains at its top power u^(2k+2) v^0,
+    # over (2k+1)!; for kind "A" the bump is doubled and starts at B row 1,
+    # so that A row s, read off B row s + 1, gains 1/7 of F_{2s+3} at
+    # t^(2s+4), over (2s+3)!, and B row 0, the only row V(0,4) reads,
+    # stays exact
+    monkeypatch.setattr(mirzakhani, "_rows", ([], []))
+    rows = mirzakhani._moment_rows(12)
+    for k in range(kind == "A", len(rows)):
+        den, row = rows[k]
+        step = 7 * math.factorial(2 * k + 1)
+        if kind == "A":
+            step //= 2
         new = math.lcm(den, step)
-        lists = {w: [(t, c * (new // den)) for t, c in terms]
-                 for w, terms in ({0: row} if kind == "A" else row).items()}
+        lists = {r: [(t, c * (new // den)) for t, c in terms] for r, terms in row.items()}
         t, c = lists[0][0]  # the top power, first in its list
         lists[0][0] = (t, c + new // step)
-        rows[j] = (new, lists[0] if kind == "A" else lists)
+        rows[k] = (new, lists)
 
 
 class TestOrbitCheck:
@@ -263,8 +285,15 @@ class TestOrbitCheck:
 
 class TestMomentRows:
     def test_perturbed_a_rows_are_caught(self, monkeypatch):
-        # the twin of TestOrbitCheck's B-row perturbation
+        # the twin of TestOrbitCheck's B-row perturbation, made where the
+        # kernel reads the A rows, at v^0 of B rows 1 and up
         bump_rows(monkeypatch, "A")
+        for s, (den, row) in enumerate(a_rows(mirzakhani._rows[1])):
+            got = {(t, 2 * s + 4 - t): Fraction(c, den) for t, c in row}
+            fac = math.factorial(2 * s + 3)
+            exact = {key: c / fac for key, c in reference_moment_F(s + 1).items()}
+            exact[(2 * s + 4, 0)] += Fraction(1, 7 * fac)
+            assert got == exact, s
         store = VolumeStore()
         with pytest.raises(ConsistencyError, match="orbit-agreement"):
             mirzakhani_volume(0, 5, store)
@@ -273,11 +302,13 @@ class TestMomentRows:
     def test_rows_equal_the_exact_moments(self, monkeypatch):
         # the rows come from the closed form in integers, grown on demand,
         # each over its least denominator
-        monkeypatch.setattr(mirzakhani, "_rows", ([], [], []))
+        monkeypatch.setattr(mirzakhani, "_rows", ([], []))
         mirzakhani._moment_rows(10)
-        a_rows, b_rows = mirzakhani._moment_rows(30)
-        assert (len(a_rows), len(b_rows)) == (29, 30)
-        for s, (den, row) in enumerate(a_rows):
+        b_rows = mirzakhani._moment_rows(30)
+        assert b_rows is mirzakhani._rows[1] and len(b_rows) == 30
+        # A row s, read off B row s + 1, is F_{2s+3}(t) / (2s+3)! over its
+        # least denominator: the B row's denominator at v^0 is never odd
+        for s, (den, row) in enumerate(a_rows(b_rows)):
             assert math.gcd(den, *(c for _, c in row)) == 1
             got = {(t, 2 * s + 4 - t): Fraction(c, den) for t, c in row}
             fac = math.factorial(2 * s + 3)
@@ -292,20 +323,29 @@ class TestMomentRows:
             assert got == {key: c / fac for key, c in reference_pair_moment(k).items()}, k
 
     def test_each_moment_is_read_once(self, monkeypatch):
-        # the rows keep each c_i = zeta(2i) (4^i - 2) they read, so a chain
-        # reads each once; built for each node, closed V(8,0) read the
+        # the table keeps each constant c_i = zeta(2i) (4^i - 2) / pi^(2i)
+        # it computes, and computes them only when it grows, so a chain
+        # computes each once; built for each node, closed V(8,0) read the
         # first moment 40 times
-        monkeypatch.setattr(mirzakhani, "_rows", ([], [], []))
-        reads = Counter()
+        monkeypatch.setattr(mirzakhani, "_rows", ([], []))
+        cs, b_rows = mirzakhani._rows
+        calls = Counter()
 
-        def counted(i, original=mirzakhani.zeta_even_coeff):
-            reads[i] += 1
-            return original(i)
+        def counted(half, original=mirzakhani._moment_rows):
+            before, grows = list(cs), len(b_rows) < half
+            rows = original(half)
+            # new constants only when the table grows, and the kept ones
+            # are the same objects ever after
+            assert (len(cs) > len(before)) == grows
+            assert all(c is k for c, k in zip(cs, before))
+            calls[grows] += 1
+            return rows
 
-        monkeypatch.setattr(mirzakhani, "zeta_even_coeff", counted)
+        monkeypatch.setattr(mirzakhani, "_moment_rows", counted)
         ensure_volume(VolumeStore(), 8, 0)
         # the top node V(8,1) has degree 44, so half 22
-        assert reads == Counter(range(23))
+        assert len(cs) == 23 and len(b_rows) == 22
+        assert calls[True] and calls[False]  # both paths ran
 
 
 class TestIndex:

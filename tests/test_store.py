@@ -221,22 +221,25 @@ def test_every_generator_is_served_the_one_seed(tmp_path):
     assert [path.name for path in tmp_path.iterdir()] == ["g0_n3.json"]
 
 
-def test_clear(tmp_path, v03):
+def test_clear(tmp_path, v03, v11):
     store = VolumeStore(tmp_path)
     store.put(v03, "seed")
-    assert store.clear() == 1
+    store.put(v11, "seed")
+    # an entry whose file is already gone is cleared without an error
+    (tmp_path / "g1_n1.json").unlink()
+    assert store.clear() == 2
     assert store.get(0, 3) is None
     assert not list(tmp_path.glob("*.json"))
 
 
 def test_resolve_cache_dir(monkeypatch, tmp_path):
     monkeypatch.delenv("WPVOL_CACHE", raising=False)
-    assert resolve_cache_dir("explicit").name == "explicit"
+    assert resolve_cache_dir("explicit") == "explicit"
     monkeypatch.setenv("WPVOL_CACHE", str(tmp_path / "env"))
-    assert resolve_cache_dir(None) == tmp_path / "env"
-    assert resolve_cache_dir(str(tmp_path / "flag")) == tmp_path / "flag"
+    assert resolve_cache_dir(None) == str(tmp_path / "env")
+    assert resolve_cache_dir(str(tmp_path / "flag")) == str(tmp_path / "flag")
     monkeypatch.delenv("WPVOL_CACHE")
-    assert resolve_cache_dir(None).name == "wpvol-cache"
+    assert resolve_cache_dir(None) == "wpvol-cache"
 
 
 def test_get_absent(tmp_path):
