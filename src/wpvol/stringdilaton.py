@@ -63,19 +63,20 @@ def string_rhs(vol: VolumePolynomial, step: tuple[int, dict] | None = None) -> t
     """sum_k of the integral from 0 to L_k of L_k * V, by orbit in n variables,
     as (den, integer numerators over den); ``step`` is ``_numerators(vol)``.
 
-    Equals the one-more-boundary volume evaluated at L_{n+1} = 2*pi*i.  The
-    integral raises one exponent v to v + 2 and divides by v + 2; on orbits,
-    raising one copy of v reaches each monomial of the target orbit once per
-    slot holding v + 2.
+    Equals the one-more-boundary volume evaluated at L_{n+1} = 2*pi*i, the
+    relation ``stratified_lift`` inverts.  The integral raises one exponent
+    v to v + 2 and divides by v + 2; on orbits, raising one copy of v
+    reaches each monomial of the target orbit once per slot holding v + 2.
+    The exponents are even, so raising the first copy keeps the pattern
+    descending, and the target holds one more v + 2 than the pattern.
     """
     den, numerators = step or _numerators(vol)
     out: dict = {}
     for (pattern, pi_exp), c in numerators.items():
         for v in set(pattern):
             i = pattern.index(v)
-            target = tuple(sorted(pattern[:i] + (v + 2,) + pattern[i + 1:], reverse=True))
-            key = (target, pi_exp)
-            out[key] = out.get(key, 0) + c // (v + 2) * target.count(v + 2)
+            key = (pattern[:i] + (v + 2,) + pattern[i + 1:], pi_exp)
+            out[key] = out.get(key, 0) + c // (v + 2) * (pattern.count(v + 2) + 1)
     return den, {key: c for key, c in out.items() if c}
 
 

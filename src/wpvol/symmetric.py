@@ -5,15 +5,15 @@ Both work on symmetric polynomials by orbit, ``{(pattern, pi_exp): c}``
 with ``pattern`` the L exponents sorted descending (see ``poly``) and c a
 Fraction or an int, which comes out as it went in (the lift's numerators).
 
-``at_two_pi_i`` is the package's one evaluation at 2*pi*i; the lifts and
-every relation check are built on it.
+``at_two_pi_i`` evaluates a polynomial or its first or second derivative at
+2*pi*i: the dilaton step of a lift, the relation checks and the closed volume.
 
 ``stratified_lift`` rebuilds a symmetric, even, homogeneous polynomial V in
 n+1 variables of total degree 2D from its evaluation E = V(L1,...,Ln, 2*pi*i),
-peeling one pi stratum at a time: the pi**2k coefficient of the running
-residual is exactly stratum k restricted to L_{n+1} = 0, so lift it, subtract
-its own evaluation in place from one copy of E, and continue.  A nonzero
-final residual means E is not such an evaluation.
+peeling one pi stratum at a time: the pi**2k layer of the residual, a copy of
+E filed once by pi exponent, is exactly stratum k restricted to L_{n+1} = 0,
+so lift it and subtract in place each part of its evaluation with a nonzero
+power v of L_{n+1} from layer 2k + v (the v = 0 part is the layer itself).
 """
 
 from __future__ import annotations
@@ -85,30 +85,38 @@ def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[dic
 
     Each stratum extends by a zero exponent appended to every pattern: two
     extensions restricting to it at L_{n+1} = 0 differ by a multiple of
-    L1...L_{n+1}, so the one with no all-variable orbit is unique.  An odd
-    L exponent raises LiftError.
+    L1...L_{n+1}, so the one with no all-variable orbit is unique.  Its
+    evaluation is subtracted here, not by ``at_two_pi_i``.  An odd L
+    exponent, an inhomogeneous stratum or a nonzero residual raises LiftError.
     """
     D = target_half_degree
     if D < 0:
         raise ValueError("target half degree must be nonnegative")
-    residual = dict(evaluation)  # updated in place; ``evaluation`` is left as given
-    strata = []
-    total: dict = {}
+    layers: dict = {}  # the residual by pi exponent; ``evaluation`` is left as given
+    for (pattern, pi_exp), c in evaluation.items():
+        layers.setdefault(pi_exp, {})[pattern] = c
+    weights = {v: (-4) ** (v >> 1) for v in range(2, 2 * D + 1, 2)}  # (2*pi*i)**v / pi**v
+    strata, total = [], {}
     for k in range(D + 1):
-        layer = {(p, 0): c for (p, pi_exp), c in residual.items() if pi_exp == 2 * k and c}
-        if any(sum(p) != 2 * (D - k) for p, _ in layer):
+        layer = {p: c for p, c in layers.get(2 * k, {}).items() if c}
+        if any(sum(p) != 2 * (D - k) for p in layer):
             raise LiftError(
                 f"stratum {k} is not homogeneous of degree {2 * (D - k)}",
-                residual={key: c for key, c in residual.items() if c},
+                residual=_nonzero(layers),
             )
-        if any(e % 2 for p, _ in layer for e in p):
+        if any(e % 2 for p in layer for e in p):
             raise LiftError("lift input has an odd L exponent")
-        strata.append({(p + (0,), 0): c for (p, _), c in layer.items()})
-        stratum = {(p + (0,), 2 * k): c for (p, _), c in layer.items()}
-        total.update(stratum)
-        for key, c in at_two_pi_i(stratum).items():
-            residual[key] = residual.get(key, 0) - c
-    residual = {key: c for key, c in residual.items() if c}
+        layers.pop(2 * k, None)
+        strata.append({(p + (0,), 0): c for p, c in layer.items()})
+        total.update({(p + (0,), 2 * k): c for p, c in layer.items()})
+        for p, c in layer.items():
+            for v in set(p):
+                if v:
+                    i = p.index(v)
+                    bucket = layers.setdefault(2 * k + v, {})
+                    key = p[:i] + p[i + 1:] + (0,)
+                    bucket[key] = bucket.get(key, 0) - c * weights[v]
+    residual = _nonzero(layers)
     if residual:
         raise LiftError(
             "nonzero residual: the input is not the evaluation of any "
@@ -116,3 +124,8 @@ def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[dic
             residual=residual,
         )
     return strata, total
+
+
+def _nonzero(layers: dict) -> dict:
+    """The filed residual by orbit, zero coefficients dropped."""
+    return {(p, e): c for e, layer in layers.items() for p, c in layer.items() if c}

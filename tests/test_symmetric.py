@@ -47,6 +47,13 @@ def reconstruct(evaluation, half_degree):
     return expanded, Dense.from_orbits(n_plus_1, total)
 
 
+def without_all_variable_orbits(f):
+    """f less its orbits with no zero exponent, so that f is the
+    representative ``stratified_lift`` returns for f's evaluation."""
+    orbits = f.orbit_coefficients()
+    return Dense.from_orbits(f.n_vars, {key: c for key, c in orbits.items() if 0 in key[0]})
+
+
 def half_sum_of_squares(n):
     halves = (scale(var(n, k, 2), Fraction(1, 2)) for k in range(1, n + 1))
     return add(Dense(n, {}), *halves)
@@ -130,13 +137,27 @@ class TestStratifiedLift:
             evaluation = drop_var(eval_two_pi_i(target, n_plus_1), n_plus_1)
             _, recovered = reconstruct(evaluation, half_degree)
             assert recovered == target
+        # five to eight strata
+        for half_degree in [5, 6, 7, 8] * 3:
+            n_plus_1 = rng.randint(3, 5)
+            target = without_all_variable_orbits(random_symmetric_even(rng, n_plus_1, half_degree))
+            evaluation = drop_var(eval_two_pi_i(target, n_plus_1), n_plus_1)
+            _, recovered = reconstruct(evaluation, half_degree)
+            assert recovered == target
 
     def test_integer_evaluation_lifts_in_integers(self, rng):
         # the lift chain runs it on integer numerators over one denominator
+        targets = []
         for _ in range(10):
             n_plus_1 = rng.randint(3, 5)
             half_degree = rng.randint(0, n_plus_1)
-            target = random_symmetric_even(rng, n_plus_1, half_degree)
+            targets.append((random_symmetric_even(rng, n_plus_1, half_degree), half_degree))
+        # five to eight strata
+        for half_degree in [5, 6, 7, 8] * 2:
+            target = random_symmetric_even(rng, rng.randint(3, 5), half_degree)
+            targets.append((without_all_variable_orbits(target), half_degree))
+        for target, half_degree in targets:
+            n_plus_1 = target.n_vars
             evaluation = drop_var(eval_two_pi_i(target, n_plus_1), n_plus_1).orbit_coefficients()
             scale_by = math.lcm(*(c.denominator for c in evaluation.values()))
             numerators = {key: int(c * scale_by) for key, c in evaluation.items()}
@@ -155,6 +176,74 @@ class TestStratifiedLift:
         with pytest.raises(LiftError, match="residual") as info:
             reconstruct(bad, 1)
         assert info.value.residual is not None
+
+    def test_inhomogeneous_later_stratum_carries_the_residual(self):
+        # the layers below are lifted and cancelled; the residual holds the
+        # failing layer and what the lifted strata left above it
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cases = [
+            (
+                {((4, 0), 0): half, ((2, 2), 0): Fraction(3),
+                 ((4, 0), 2): Fraction(5, 7), ((2, 0), 2): 1},
+                2,
+                "stratum 1 is not homogeneous of degree 2",
+                {((4, 0), 2): Fraction(5, 7), ((2, 0), 2): 13, ((0, 0), 4): -8},
+            ),
+            (
+                {((6, 0, 0), 0): third, ((2, 2, 2), 0): Fraction(1, 5),
+                 ((4, 0, 0), 2): -2 * third, ((2, 2, 0), 4): half / 2,
+                 ((2, 0, 0), 4): half * third},
+                3,
+                "stratum 2 is not homogeneous of degree 2",
+                {((2, 2, 0), 4): half / 2, ((2, 0, 0), 4): Fraction(101, 30),
+                 ((0, 0, 0), 6): 32},
+            ),
+        ]
+        for evaluation, half_degree, message, residual in cases:
+            with pytest.raises(LiftError) as info:
+                stratified_lift(evaluation, half_degree)
+            assert str(info.value) == message
+            assert info.value.residual == residual
+
+    def test_homogeneity_is_checked_before_odd_exponents(self):
+        # one layer with an odd-exponent orbit ahead of an inhomogeneous one
+        with pytest.raises(LiftError) as info:
+            stratified_lift({((4, 0), 0): 1, ((1, 1), 2): 2, ((4, 0), 2): 3}, 2)
+        assert str(info.value) == "stratum 1 is not homogeneous of degree 2"
+        assert info.value.residual == {((1, 1), 2): 2, ((4, 0), 2): 3, ((0, 0), 4): -16}
+
+    def test_odd_exponent_in_a_later_stratum_rejected(self):
+        evaluation = {
+            ((6, 0), 0): Fraction(1, 3), ((2, 2), 2): Fraction(1, 5),
+            ((1, 1), 4): Fraction(2), ((2, 0), 4): Fraction(1, 2),
+        }
+        with pytest.raises(LiftError, match="odd") as info:
+            stratified_lift(evaluation, 3)
+        assert str(info.value) == "lift input has an odd L exponent"
+        assert info.value.residual is None
+
+    def test_odd_and_high_pi_powers_are_left_in_the_residual(self):
+        bad = {((2, 0), 3): Fraction(5), ((0, 0), 5): Fraction(-1, 9), ((2, 0), 6): Fraction(7)}
+        evaluation = {
+            ((4, 0), 0): Fraction(1, 2), ((2, 2), 0): Fraction(3),
+            ((2, 0), 2): Fraction(-5, 3), ((0, 0), 4): Fraction(7), **bad,
+        }
+        with pytest.raises(LiftError, match="nonzero residual") as info:
+            stratified_lift(evaluation, 2)
+        assert info.value.residual == bad
+
+    def test_zero_coefficients_are_skipped(self):
+        # zeros that would fail the homogeneity, odd and residual checks
+        clean = {((4, 0), 0): Fraction(1, 2), ((2, 0), 2): Fraction(3), ((0, 0), 4): Fraction(-8)}
+        with_zeros = {
+            ((6, 0), 0): 0, ((3, 1), 0): Fraction(0), ((1, 1), 2): 0,
+            ((2, 0), 3): Fraction(0), ((0, 0), 8): 0, **clean,
+        }
+        expected = (
+            [{((4, 0, 0), 0): Fraction(1, 2)}, {((2, 0, 0), 0): 3}, {((0, 0, 0), 0): -4}],
+            {((4, 0, 0), 0): Fraction(1, 2), ((2, 0, 0), 2): 3, ((0, 0, 0), 4): -4},
+        )
+        assert stratified_lift(with_zeros, 2) == stratified_lift(clean, 2) == expected
 
     def test_strata_are_pi_free_and_homogeneous(self, rng):
         n_plus_1 = 4
