@@ -95,7 +95,7 @@ def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[dic
     layers: dict = {}  # the residual by pi exponent; ``evaluation`` is left as given
     for (pattern, pi_exp), c in evaluation.items():
         layers.setdefault(pi_exp, {})[pattern] = c
-    weights = {v: (-4) ** (v >> 1) for v in range(2, 2 * D + 1, 2)}  # (2*pi*i)**v / pi**v
+    weights: dict = {}  # (2*pi*i)**v / pi**v by v
     strata, total = [], {}
     for k in range(D + 1):
         layer = {p: c for p, c in layers.get(2 * k, {}).items() if c}
@@ -111,11 +111,12 @@ def stratified_lift(evaluation: dict, target_half_degree: int) -> tuple[list[dic
         total.update({(p + (0,), 2 * k): c for p, c in layer.items()})
         for p, c in layer.items():
             for v in set(p):
-                if v:
+                if v > 0:
+                    weight = weights.get(v) or weights.setdefault(v, (-4) ** (v >> 1))
                     i = p.index(v)
                     bucket = layers.setdefault(2 * k + v, {})
                     key = p[:i] + p[i + 1:] + (0,)
-                    bucket[key] = bucket.get(key, 0) - c * weights[v]
+                    bucket[key] = bucket.get(key, 0) - c * weight
     residual = _nonzero(layers)
     if residual:
         raise LiftError(
