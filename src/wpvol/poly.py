@@ -23,14 +23,15 @@ lexicographic L exponents.  ``str``, ``to_latex`` and the JSON export share
 one walk over prefix multisets from L_n back to L_1 (``_build_plan``,
 ``block_pieces``) that lists no monomial.  A node of the walk is keyed by
 one int, a count per distinct exponent with the pi exponent above, so a
-parent's key is its child's less one weight.  Each orbit is one leaf block:
-its coefficient's printed form, a marker, and its pi factor.  A node's
-block joins its children's, each after one ``str.replace`` that puts the
-child's factor (``*L3^4``, `` L_{3}^{4}``) after the marker in all its
-terms.  The walk stops at depth 2: each piece of the text is a depth-2
-block with L_1's and L_2's factors put in by one ``str.replace``.  The
-plan and each kind's leaf blocks are built on first use and kept, so a
-warm render formats no coefficient.
+parent's key is its child's less one weight; each count has only the bits
+its largest value needs.  Each orbit is one leaf block: its coefficient's
+printed form, a marker, and its pi factor.  A node's block joins its
+children's, each after one ``str.replace`` that puts the child's factor
+(``*L4^4``, `` L_{4}^{4}``) after the marker in all its terms.  The walk
+stops at depth 3: each piece of the text is a depth-3 block with its head,
+L_1's, L_2's and L_3's factors, put in by one ``str.replace``.  The plan
+and each kind's leaf blocks and heads are built on first use and kept, so
+a warm render formats no coefficient and builds no head.
 
 A polynomial is never changed after construction, so values can be shared
 freely between threads; the plan filled in on first use comes out the same
@@ -132,47 +133,44 @@ def _coefficient(c: Fraction, latex: bool) -> tuple[str, str]:
 
 
 def _build_plan(orbits: dict, n: int) -> tuple:
-    """The walk that renders an orbit map: (orbits, levels, roots, leaves).
+    """The walk that renders an orbit map: (orbits, levels, starts, upper, kept).
 
     A node at depth k stands for the term prefixes of k L exponents with one
     pi exponent and one multiset, which alone fixes the suffixes that follow.
-    Its key is one int: a count field of ``n.bit_length()`` bits per distinct
-    exponent, with the pi exponent above them, so that a parent's key is the
-    child's less the weight of the value dropped.  The leaves, at depth n,
-    are the orbits, listed as (orbit, coefficient).  ``levels`` lists, for
-    k = n - 1 down to 2, (k, the nodes of depth k), each node as its children
-    (value of L_{k+1}, index one level down) by descending value.  ``roots``
-    lists the depth-2 nodes in canonical order, each as (value of L_1, value
-    of L_2, index); when n < 2 the values past L_n are 0 and the index is a
-    leaf's.  ``leaves`` keeps each text kind's leaf blocks.
+    Its key is one int: a count field per distinct exponent, with the pi
+    exponent above them, so that a parent's key is the child's less the
+    weight of the value dropped.  A field has the bits of its largest count:
+    n for exponent 0, else ``min(n, top // abs(e))`` with ``top`` the largest
+    sum of absolute exponents of an orbit, so the keys of ``V(0,10)`` take 19
+    bits, one CPython digit.  The leaves, at depth n, are the orbits, listed
+    as (orbit, coefficient).  ``levels`` lists, for k = n - 1 down to 3, (k,
+    the nodes of depth k), each node as its children (value of L_{k+1}, index
+    one level down) by descending value; ``upper`` lists the same for k = 0,
+    1, 2 while k < n, and ``starts`` the depth-0 nodes, one per pi exponent,
+    in ascending order.  ``kept`` keeps each text kind's leaf blocks and heads.
     """
     items = list(orbits.items())
-    exponents = sorted({e for pattern, _ in orbits for e in pattern}, reverse=True)
-    width = n.bit_length()  # a count of n fits
-    weight = {e: 1 << width * j for j, e in enumerate(exponents)}
-    above = width * len(weight)  # where the pi exponent starts
+    top = max((sum(map(abs, pattern)) for pattern, _ in orbits), default=0)
+    fields, above = {}, 0  # above: where the pi exponent starts
+    for e in sorted({e for pattern, _ in orbits for e in pattern}, reverse=True):
+        width = (min(n, top // abs(e)) if e else n).bit_length()
+        fields[e] = (1 << above, ((1 << width) - 1) << above)  # weight, count field
+        above += width
     level = {
-        sum([weight[e] for e in pattern], pi_exp << above): i
+        sum([fields[e][0] for e in pattern], pi_exp << above): i
         for i, ((pattern, pi_exp), _) in enumerate(items)
     }
     levels = []
     for k in reversed(range(n)):
         parents: dict = {}
-        for v, w in weight.items():  # by descending value
-            mask = (w << width) - w  # the count field of v
+        for v, (w, mask) in fields.items():  # by descending value
             for code, i in level.items():
                 if code & mask:
                     parents.setdefault(code - w, []).append((v, i))
         levels.append((k, list(parents.values())))
         level = {code: i for i, code in enumerate(parents)}
-    roots = [(0, 0, level[code]) for code in sorted(level)]  # by pi exponent
-    if n:  # each root's children, by the value of L_1
-        nodes = levels.pop()[1]
-        roots = [(v, 0, i) for _, _, r in roots for v, i in nodes[r]]
-    if n > 1:  # and theirs, by the value of L_2
-        nodes = levels.pop()[1]
-        roots = [(v, w, i) for v, _, j in roots for w, i in nodes[j]]
-    return items, levels, roots, {}
+    upper = [levels.pop() for _ in range(min(n, 3))]  # k = 0, 1, 2
+    return items, levels, [level[code] for code in sorted(level)], upper, {}
 
 
 # MARK stands in each term where the next factor goes; DROP marks a term
@@ -185,17 +183,23 @@ def block_pieces(p: Poly, kind: str, leaf, tables: list) -> list:
 
     The leaves, kept in the plan by ``kind``, are ``leaf(pattern, pi_exp, c)``
     for each orbit: MARK in front of the pi factor, or the bare term.  From
-    L_n back to L_3, each node's block joins its children's, and one
+    L_n back to L_4, each node's block joins its children's, and one
     ``str.replace`` puts a child's factor from ``tables[k]`` after MARK in all
     of its terms; a child whose factor is empty is reused.  The pieces are
-    the depth-2 blocks, each with L_1's and L_2's factors in place of MARK
-    in one ``str.replace``."""
+    the depth-3 blocks, each with its head in place of MARK in one
+    ``str.replace``.  A head is the factors of L_1, L_2 and L_3 (as far as
+    they exist) on the path to one depth-3 node, joined once and kept beside
+    the leaves, so a kind must come with the same tables on every call."""
     if p._plan is None:
         p._plan = _build_plan(p.orbits, p.n_vars)
-    items, levels, roots, leaves = p._plan
-    blocks = leaves.get(kind)
-    if blocks is None:
-        blocks = leaves[kind] = [leaf(*orbit, c) for orbit, c in items]
+    items, levels, starts, upper, kept = p._plan
+    if kind not in kept:
+        heads = [("", i) for i in starts]
+        for k, nodes in upper:
+            table = tables[k]
+            heads = [(head + table[v], i) for head, j in heads for v, i in nodes[j]]
+        kept[kind] = [leaf(*orbit, c) for orbit, c in items], heads
+    blocks, heads = kept[kind]
     for k, nodes in levels:
         table = tables[k]
         blocks = [
@@ -205,9 +209,7 @@ def block_pieces(p: Poly, kind: str, leaf, tables: list) -> list:
             ])
             for node in nodes
         ]
-    first = tables[0] if p.n_vars else ("",)
-    second = tables[1] if p.n_vars > 1 else ("",)
-    return [blocks[i].replace(MARK, first[v] + second[w]) for v, w, i in roots]
+    return [blocks[i].replace(MARK, head) for head, i in heads]
 
 
 def _render(p: Poly, latex: bool) -> str:

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -749,6 +751,17 @@ def test_import_stays_lean():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert result.stdout.split() == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml declares the oldest Python wpvol runs on; every module
+    # must parse with that version's grammar, whichever Python runs the suite
+    root = Path(wpvol.cli.__file__).parent
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (root.parents[1] / "pyproject.toml").read_text())
+    sources = sorted(root.glob("*.py"))
+    assert floor and sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(floor[1])))
 
 
 def test_import_builds_no_moments():

@@ -348,12 +348,32 @@ COVERED = set(range(7)) | {
 }
 
 
+# (n, orbit map) inputs that the random ones rarely or never draw.  At the
+# field bounds: n = 9 with the largest sum of exponents 16, so the count
+# fields of 4 and 2 hold at most 4 and 8, and both counts reach that bound;
+# a field one bit short overflows into the next.
+AT_FIELD_BOUNDS = (9, {((4, 4, 4, 4) + (0,) * 5, 0): Fraction(1), ((2,) * 8 + (0,), 0): Fraction(-5, 12)})
+# Malformed lift input reaches the text edge through ``LiftError.defect``,
+# which the CLI prints: negative, odd and inhomogeneous exponents.
+MALFORMED = [
+    (2, {((4, -2), 0): Fraction(1)}),
+    (5, {((6, -2, -2, -2, -2), 0): Fraction(1), ((2, 2, 0, 0, 0), 0): Fraction(1, 3)}),
+    (3, {((3, 1, -1), 2): Fraction(-2), ((5, 0, 0), -1): Fraction(7, 3), ((0, 0, -4), 0): Fraction(1)}),
+]
+
+
+def orbit_maps(rng, shared: list, *fixed):
+    """The fixed (n, orbit map) pairs, then 200 random ones."""
+    yield from fixed
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        yield n, random_orbit_map(rng, n, shared)
+
+
 def test_orbit_walk_renders_like_dense(rng):
     shared = [Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 12)]
     seen = set()
-    for _ in range(200):
-        n = rng.randint(0, 6)
-        orbits = random_orbit_map(rng, n, shared)
+    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS, *MALFORMED):
         p = Poly(n, orbits)
         assert str(p) == dense.render(p)
         assert p.to_latex() == dense.render_latex(p)
@@ -368,9 +388,7 @@ def test_writer_lists_random_orbit_maps_like_dense(rng):
     # sorts the term map
     shared = [Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 12)]
     seen = set()
-    for _ in range(200):
-        n = rng.randint(0, 6)
-        orbits = random_orbit_map(rng, n, shared)
+    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS):
         vol = VolumePolynomial(rng.randint(0, 3), n, orbits)
         assert export_document(vol, "mirzakhani") == dense.serialize_entry(vol, "mirzakhani")
         seen |= coverage(orbits, n)
