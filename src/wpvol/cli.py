@@ -19,7 +19,7 @@ import sys
 
 from .compute import ensure_volume
 from .intersections import balanced, identity_cases, psi_kappa
-from .poly import MARK, Poly, block_pieces
+from .poly import MARK, Poly, block_pieces, marked
 from .store import CacheError, VolumeStore, resolve_cache_dir
 from .stringdilaton import NONZERO_REMAINDER, relation_defect
 from .volume import (
@@ -220,6 +220,9 @@ def run_verification(
 
 
 def _cmd_verify(args) -> int:
+    for flag, bound in (("--max-genus", args.max_genus), ("--max-boundaries", args.max_boundaries)):
+        if bound < 0:  # would check nothing and pass
+            raise _Refused(f"{flag} must be nonnegative, not {bound}")
     _require_size_limit(args.max_genus, args.max_boundaries)
     report = run_verification(_open_store(args), args.relation, args.max_genus,
                               args.max_boundaries)
@@ -264,8 +267,8 @@ def export_document(vol: VolumePolynomial, provenance: str) -> str:
     it.  The orbit walk that prints a volume runs over exponent tables ("e,"
     for each L variable, "e" for L_n) with one leaf term per orbit."""
     top = range(max((pattern[0] for pattern, _ in vol.orbits if pattern), default=0) + 1)
-    tables = [[f"{e}," for e in top]] * (vol.n - 1) + [[str(e) for e in top]]
-    pieces = block_pieces(vol.poly, "json", _json_term, tables)
+    tables = marked([[f"{e}," for e in top]] * (vol.n - 1) + [[str(e) for e in top]])
+    pieces, _ = block_pieces(vol.poly, "json", _json_term, tables)
     if pieces:
         pieces[-1] = pieces[-1][:-1]  # the comma after the last term
     head = f'{{"schema":1,"g":{vol.g},"n":{vol.n},"provenance":"{provenance}",'

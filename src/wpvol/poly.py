@@ -25,13 +25,16 @@ one walk over prefix multisets from L_n back to L_1 (``_build_plan``,
 one int, a count per distinct exponent with the pi exponent above, so a
 parent's key is its child's less one weight; each count has only the bits
 its largest value needs.  Each orbit is one leaf block: its coefficient's
-printed form, a marker, and its pi factor.  A node's block joins its
-children's, each after one ``str.replace`` that puts the child's factor
-(``*L4^4``, `` L_{4}^{4}``) after the marker in all its terms.  The walk
-stops at depth 3: each piece of the text is a depth-3 block with its head,
-L_1's, L_2's and L_3's factors, put in by one ``str.replace``.  The plan
-and each kind's leaf blocks and heads are built on first use and kept, so
-a warm render formats no coefficient and builds no head.
+printed form, a marker, and its pi factor.  Each level is one pass over
+its flat edges: one ``str.replace`` per edge puts the child's factor, kept
+with the marker in front (``*L4^4``, `` L_{4}^{4}``), in place of the
+marker in all its terms, and each node joins its run of the results.  The
+walk stops at depth 3, where one ``str.replace`` puts in each block's
+head, L_1's, L_2's and L_3's factors.  The plan and each kind's leaf
+blocks and heads are built on first use and kept, with a flag for a leaf
+whose first factor loses its separator (LaTeX, or a unit coefficient in
+plain text), so a warm render formats no coefficient, builds no head, and
+scans for that mark only when it is set.
 
 A polynomial is never changed after construction, so values can be shared
 freely between threads; the plan filled in on first use comes out the same
@@ -43,6 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 
 class Poly:
@@ -83,11 +87,12 @@ def _arrangement_count(pattern: tuple[int, ...], n: int) -> int:
 
 class _Powers(dict):
     """Exponent -> printed factor of one variable (``*L3^4``, `` L_{3}^{4}``),
-    each entry built on first use.  Every factor starts with its separator."""
+    each entry built on first use.  Every factor starts with ``mark`` (MARK for
+    the variables the walk puts in below its heads), then its separator."""
 
-    def __init__(self, factor: str, power: str, close: str):
-        super().__init__({0: "", 1: factor})
-        self.head, self.tail = factor + power, close
+    def __init__(self, factor: str, power: str, close: str, mark: str = ""):
+        super().__init__({0: "", 1: mark + factor})
+        self.head, self.tail = mark + factor + power, close
 
     def __missing__(self, e: int) -> str:
         text = self[e] = f"{self.head}{e}{self.tail}"
@@ -103,7 +108,7 @@ def _tables(n_vars: int, latex: bool) -> tuple:
     names = [f" L_{{{i}}}" if latex else f"*L{i}" for i in range(1, n_vars + 1)]
     names.append(" \\pi" if latex else "*pi")
     power = ("^{", "}") if latex else ("^", "")
-    tables = [_Powers(name, *power) for name in names]
+    tables = [_Powers(name, *power, MARK * (HEAD <= k < n_vars)) for k, name in enumerate(names)]
     powers_of_pi = tables[-1]
 
     def leaf(pattern: tuple, pi_exp: int, c: Fraction) -> str:
@@ -143,11 +148,13 @@ def _build_plan(orbits: dict, n: int) -> tuple:
     n for exponent 0, else ``min(n, top // abs(e))`` with ``top`` the largest
     sum of absolute exponents of an orbit, so the keys of ``V(0,10)`` take 19
     bits, one CPython digit.  The leaves, at depth n, are the orbits, listed
-    as (orbit, coefficient).  ``levels`` lists, for k = n - 1 down to 3, (k,
-    the nodes of depth k), each node as its children (value of L_{k+1}, index
-    one level down) by descending value; ``upper`` lists the same for k = 0,
-    1, 2 while k < n, and ``starts`` the depth-0 nodes, one per pi exponent,
-    in ascending order.  ``kept`` keeps each text kind's leaf blocks and heads.
+    as (orbit, coefficient).  A node's edges are its children (value of
+    L_{k+1}, index one level down) by descending value.  ``upper`` lists, for
+    k = 0 .. HEAD - 1 while k < n, (k, the nodes of depth k as edge lists);
+    ``levels`` lists, for k = n - 1 down to HEAD, (k, (edges, lo, hi)), every
+    edge of the level in one list, node j's being ``edges[lo[j]:hi[j]]``.
+    ``starts`` lists the depth-0 nodes, one per pi exponent, in ascending
+    order.  ``kept`` keeps each text kind's leaves, heads and DROP flag.
     """
     items = list(orbits.items())
     top = max((sum(map(abs, pattern)) for pattern, _ in orbits), default=0)
@@ -167,29 +174,40 @@ def _build_plan(orbits: dict, n: int) -> tuple:
             for code, i in level.items():
                 if code & mask:
                     parents.setdefault(code - w, []).append((v, i))
-        levels.append((k, list(parents.values())))
+        nodes = list(parents.values())
+        if k >= HEAD:
+            hi = list(accumulate(map(len, nodes)))
+            nodes = [edge for node in nodes for edge in node], [0, *hi[:-1]], hi
+        levels.append((k, nodes))
         level = {code: i for i, code in enumerate(parents)}
-    upper = [levels.pop() for _ in range(min(n, 3))]  # k = 0, 1, 2
+    upper = [levels.pop() for _ in range(min(n, HEAD))]  # k = 0 .. HEAD - 1
     return items, levels, [level[code] for code in sorted(level)], upper, {}
 
 
 # MARK stands in each term where the next factor goes; DROP marks a term
-# whose first factor loses its separator
-MARK, DROP = "\x00", "\x01"
+# whose first factor loses its separator; the walk stops at depth HEAD
+MARK, DROP, HEAD = "\x00", "\x01", 3
 
 
-def block_pieces(p: Poly, kind: str, leaf, tables: list) -> list:
-    """Pieces whose join is every term of p in canonical order.
+def marked(columns: list) -> list:
+    """Factor tables of L_1..L_n, each a list by exponent, as ``block_pieces``
+    reads them: MARK in front of each nonempty factor from L_{HEAD+1} on."""
+    return columns[:HEAD] + [[f and MARK + f for f in column] for column in columns[HEAD:]]
+
+
+def block_pieces(p: Poly, kind: str, leaf, tables: list) -> tuple:
+    """Pieces whose join is every term of p in canonical order, and whether
+    any holds DROP, as found once when the leaves were built.
 
     The leaves, kept in the plan by ``kind``, are ``leaf(pattern, pi_exp, c)``
     for each orbit: MARK in front of the pi factor, or the bare term.  From
-    L_n back to L_4, each node's block joins its children's, and one
-    ``str.replace`` puts a child's factor from ``tables[k]`` after MARK in all
-    of its terms; a child whose factor is empty is reused.  The pieces are
-    the depth-3 blocks, each with its head in place of MARK in one
-    ``str.replace``.  A head is the factors of L_1, L_2 and L_3 (as far as
-    they exist) on the path to one depth-3 node, joined once and kept beside
-    the leaves, so a kind must come with the same tables on every call."""
+    L_n back to L_{HEAD+1}, each level is one pass over its flat edges: one
+    ``str.replace`` of MARK by the child's factor from ``tables[k]``, MARK
+    in front (``marked``), or the child itself if that is empty; then each
+    node joins its run.  The pieces are the depth-HEAD blocks, each with its
+    head in place of MARK: the factors of L_1 .. L_HEAD (as far as they
+    exist) on the path to it, joined once and kept beside the leaves, so a
+    kind must come with the same tables on every call."""
     if p._plan is None:
         p._plan = _build_plan(p.orbits, p.n_vars)
     items, levels, starts, upper, kept = p._plan
@@ -198,26 +216,24 @@ def block_pieces(p: Poly, kind: str, leaf, tables: list) -> list:
         for k, nodes in upper:
             table = tables[k]
             heads = [(head + table[v], i) for head, j in heads for v, i in nodes[j]]
-        kept[kind] = [leaf(*orbit, c) for orbit, c in items], heads
-    blocks, heads = kept[kind]
-    for k, nodes in levels:
+        blocks = [leaf(*orbit, c) for orbit, c in items]
+        kept[kind] = blocks, heads, any(DROP in block for block in blocks)
+    blocks, heads, dropped = kept[kind]
+    for k, (edges, lo, hi) in levels:
         table = tables[k]
-        blocks = [
-            "".join([
-                blocks[i].replace(MARK, MARK + f) if f else blocks[i]
-                for v, i in node for f in [table[v]]
-            ])
-            for node in nodes
-        ]
-    return [blocks[i].replace(MARK, head) for head, i in heads]
+        parts = [blocks[i].replace(MARK, f) if (f := table[v]) else blocks[i] for v, i in edges]
+        blocks = ["".join(parts[a:b]) for a, b in zip(lo, hi)]
+        del parts  # so it does not live through the next level or the heads
+    return [blocks[i].replace(MARK, head) for head, i in heads], dropped
 
 
 def _render(p: Poly, latex: bool) -> str:
     tables, leaf, drop = _TABLES.get((p.n_vars, latex)) or _tables(p.n_vars, latex)
-    pieces = block_pieces(p, "latex" if latex else "str", leaf, tables)
-    for j, piece in enumerate(pieces):
-        if DROP in piece:  # a memchr scan, far faster than a replace's
-            pieces[j] = piece.replace(drop, "")
+    pieces, dropped = block_pieces(p, "latex" if latex else "str", leaf, tables)
+    if dropped:
+        for j, piece in enumerate(pieces):
+            if DROP in piece:  # a memchr scan, far faster than a replace's
+                pieces[j] = piece.replace(drop, "")
     if not pieces:
         return "0"
     first = pieces[0]

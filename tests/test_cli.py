@@ -638,6 +638,10 @@ TOO_BIG = "needs more than 500000 dense terms, the limit of this command\n"
     ("export --format latex --genus 0 --boundaries 13", f"error: V(0,13) {TOO_BIG}"),
     ("intersect --genus 200 --n 1 --alpha 0 --kappa 598", f"error: V(200,1) {TOO_BIG}"),
     ("verify --relation all --max-genus 3 --max-boundaries 8", f"error: V(3,8) {TOO_BIG}"),
+    ("verify --relation all --max-genus -1 --max-boundaries 3",
+     "error: --max-genus must be nonnegative, not -1\n"),
+    ("verify --relation string --max-genus 1 --max-boundaries -2",
+     "error: --max-boundaries must be nonnegative, not -2\n"),
 ])
 def test_every_refusal(capsys, cache, argv, err):
     # one line on stderr, nothing on stdout, exit 2, and no cache directory

@@ -333,10 +333,14 @@ def coverage(orbits: dict, n: int) -> set:
     values = list(orbits.values())
     if len({id(c) for c in values}) < len(values):
         seen.add("shared")
-    for c in values:
+    for (pattern, pi_exp), c in orbits.items():
         seen.add("negative" if c < 0 else "positive")
         if abs(c) == 1:
             seen.add("unit")
+            # some term's first factor is L_4 or later, or pi alone: the walk
+            # below the depth-3 heads puts it in, and plain text drops its "*"
+            if n >= 5 and pattern.count(0) >= 3 and (pi_exp or any(pattern)):
+                seen.add("unit past L3")
         elif c.denominator == 1:
             seen.add("integer")
     return seen
@@ -344,7 +348,7 @@ def coverage(orbits: dict, n: int) -> set:
 
 COVERED = set(range(7)) | {
     "zero", "nonzero", "constant", "one monomial", "several pi", "inhomogeneous", "shared",
-    "negative", "positive", "unit", "integer",
+    "negative", "positive", "unit", "integer", "unit past L3",
 }
 
 
@@ -362,6 +366,15 @@ MALFORMED = [
 ]
 
 
+# Unit coefficients whose first printed factor is L_4 or later, or pi alone,
+# next to a term with no unit coefficient.
+UNIT_PAST_L3 = [
+    (5, {((2, 0, 0, 0, 0), 0): Fraction(1), ((0,) * 5, 2): Fraction(-1)}),
+    (6, {((4, 2, 0, 0, 0, 0), 1): Fraction(-1), ((2, 2, 2, 0, 0, 0), 0): Fraction(1, 3)}),
+    (7, {((0,) * 7, 1): Fraction(1), ((6,) + (0,) * 6, 0): Fraction(5, 2)}),
+]
+
+
 def orbit_maps(rng, shared: list, *fixed):
     """The fixed (n, orbit map) pairs, then 200 random ones."""
     yield from fixed
@@ -373,7 +386,7 @@ def orbit_maps(rng, shared: list, *fixed):
 def test_orbit_walk_renders_like_dense(rng):
     shared = [Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 12)]
     seen = set()
-    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS, *MALFORMED):
+    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS, *MALFORMED, *UNIT_PAST_L3):
         p = Poly(n, orbits)
         assert str(p) == dense.render(p)
         assert p.to_latex() == dense.render_latex(p)
