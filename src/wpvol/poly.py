@@ -27,10 +27,11 @@ parent's key is its child's less one weight; each count has only the bits
 its largest value needs.  Each orbit is one leaf block: its coefficient's
 printed form, a marker, and its pi factor.  Each level is one pass over
 its flat edges: one ``str.replace`` per edge puts the child's factor, kept
-with the marker in front (``*L4^4``, `` L_{4}^{4}``), in place of the
+with the marker in front (``*L5^4``, `` L_{5}^{4}``), in place of the
 marker in all its terms, and each node joins its run of the results.  The
-walk stops at depth 3, where one ``str.replace`` puts in each block's
-head, L_1's, L_2's and L_3's factors.  The plan and each kind's leaf
+walk stops at depth 4, where one ``str.replace`` puts in each block's
+head, the factors of L_1 to L_4, one head per path to the block (for
+n <= 5, one per monomial).  The plan and each kind's leaf
 blocks and heads are built on first use and kept, with a flag for a leaf
 whose first factor loses its separator (LaTeX, or a unit coefficient in
 plain text), so a warm render formats no coefficient, builds no head, and
@@ -150,8 +151,8 @@ def _build_plan(orbits: dict, n: int) -> tuple:
     bits, one CPython digit.  The leaves, at depth n, are the orbits, listed
     as (orbit, coefficient).  A node's edges are its children (value of
     L_{k+1}, index one level down) by descending value.  ``upper`` lists, for
-    k = 0 .. HEAD - 1 while k < n, (k, the nodes of depth k as edge lists);
-    ``levels`` lists, for k = n - 1 down to HEAD, (k, (edges, lo, hi)), every
+    k = 0 .. 3 (HEAD - 1) while k < n, (k, the nodes of depth k as edge lists);
+    ``levels`` lists, for k = n - 1 down to 4, (k, (edges, lo, hi)), every
     edge of the level in one list, node j's being ``edges[lo[j]:hi[j]]``.
     ``starts`` lists the depth-0 nodes, one per pi exponent, in ascending
     order.  ``kept`` keeps each text kind's leaves, heads and DROP flag.
@@ -186,7 +187,7 @@ def _build_plan(orbits: dict, n: int) -> tuple:
 
 # MARK stands in each term where the next factor goes; DROP marks a term
 # whose first factor loses its separator; the walk stops at depth HEAD
-MARK, DROP, HEAD = "\x00", "\x01", 3
+MARK, DROP, HEAD = "\x00", "\x01", 4
 
 
 def marked(columns: list) -> list:
@@ -204,10 +205,11 @@ def block_pieces(p: Poly, kind: str, leaf, tables: list) -> tuple:
     L_n back to L_{HEAD+1}, each level is one pass over its flat edges: one
     ``str.replace`` of MARK by the child's factor from ``tables[k]``, MARK
     in front (``marked``), or the child itself if that is empty; then each
-    node joins its run.  The pieces are the depth-HEAD blocks, each with its
-    head in place of MARK: the factors of L_1 .. L_HEAD (as far as they
+    node joins its run.  The pieces are the depth-HEAD (4) blocks, each with
+    its head in place of MARK: the factors of L_1 .. L_4 (as far as they
     exist) on the path to it, joined once and kept beside the leaves, so a
-    kind must come with the same tables on every call."""
+    kind must come with the same tables on every call.  There is one head
+    per path to a block, which for n <= 5 is one per monomial."""
     if p._plan is None:
         p._plan = _build_plan(p.orbits, p.n_vars)
     items, levels, starts, upper, kept = p._plan

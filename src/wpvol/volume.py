@@ -6,7 +6,9 @@ structural facts used everywhere in this package:
 
   * every L exponent is even (the volume is a polynomial in the L_k**2),
   * the polynomial is symmetric under relabeling of the boundaries,
-  * it is homogeneous of total degree 6g - 6 + 2n once deg pi = deg L = 1.
+  * it is homogeneous of total degree 6g - 6 + 2n once deg pi = deg L = 1,
+  * every coefficient is positive (Mirzakhani), so every admissible orbit,
+    a multiset of n even L exponents with sum at most 6g - 6 + 2n, is present.
 
 Coefficients are plain rationals (times the pi power), so realness needs no
 check: the coefficient type guarantees it.
@@ -14,7 +16,7 @@ check: the coefficient type guarantees it.
 ``VolumePolynomial`` holds the canonical form of a volume, its coefficients
 by symmetry orbit: ``{(L exponents sorted descending, pi exponent): c}``.
 Symmetry holds by construction, and ``validate`` checks the rest on the orbit
-keys alone.  ``poly``, the text form, is a ``Poly`` on the same orbits, built
+map alone.  ``poly``, the text form, is a ``Poly`` on the same orbits, built
 on first use for printing; it renders by the orbit walk and never lists the
 monomials.  Every produced volume is validated once, by ``VolumeStore.put``
 before anyone can read it, and every stored one as ``store`` parses it.  A
@@ -25,7 +27,7 @@ an ``InvariantError``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .poly import Poly
 
@@ -116,12 +118,27 @@ class VolumePolynomial:
             (all(e % 2 == 0 for e in {e for p, _ in orbits for e in p}), "odd L exponent present"),
             ({sum(p) + q for p, q in orbits} <= {degree}, f"not homogeneous of degree {degree}"),
             (all(orbits.values()), "zero coefficient stored"),
+            (not any(c.numerator < 0 for c in orbits.values()), "negative coefficient stored"),
             # V(g, n)(0) is the Weil-Petersson volume of M(g, n)
             (orbits.get(((0,) * n, degree), 0) > 0, "constant term is not positive"),
+            (len(orbits) == (count := admissible_orbits(n, self.dimension)),
+             f"orbit count {len(orbits)} is not {count}"),
         )
         problems = [message for ok, message in checks if not ok]
         if problems:
             raise InvariantError(f"V({g},{n}) invariant failure: " + "; ".join(problems))
+
+
+@cache
+def admissible_orbits(n: int, top: int) -> int:
+    """The orbit keys of a volume with n boundaries and dimension top: the
+    multisets of n nonnegative halves of L exponents with sum at most top.
+    Counted as the partitions of top into parts 1..n and a marked part 1."""
+    ways = [1] + [0] * top
+    for part in (1, *range(1, n + 1)):
+        for s in range(part, top + 1):
+            ways[s] += ways[s - part]
+    return ways[top]
 
 
 def seed_volume(g: int, n: int) -> VolumePolynomial:

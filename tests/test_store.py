@@ -386,5 +386,6 @@ def test_empty_orbit_list_rejected():
     with pytest.raises(CacheError) as info:
         parse_entry(_with_orbits(doc, []))
     assert str(info.value) == (
-        "stored entry fails validation: V(0,5) invariant failure: constant term is not positive"
+        "stored entry fails validation: V(0,5) invariant failure: constant term is not positive;"
+        " orbit count 0 is not 4"
     )
