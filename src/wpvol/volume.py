@@ -7,8 +7,8 @@ structural facts used everywhere in this package:
   * every L exponent is even (the volume is a polynomial in the L_k**2),
   * the polynomial is symmetric under relabeling of the boundaries,
   * it is homogeneous of total degree 6g - 6 + 2n once deg pi = deg L = 1,
-  * every coefficient is positive (Mirzakhani), so every admissible orbit,
-    a multiset of n even L exponents with sum at most 6g - 6 + 2n, is present.
+  * every coefficient, a positive multiple of a psi/kappa_1 number, is
+    positive: every orbit of n even L exponents with sum <= 6g-6+2n is present.
 
 Coefficients are plain rationals (times the pi power), so realness needs no
 check: the coefficient type guarantees it.
@@ -111,14 +111,15 @@ class VolumePolynomial:
     def validate(self) -> None:
         g, n, orbits, degree = self.g, self.n, self.orbits, self.degree
         require_stable(g, n)
+        numerators = [c.numerator for c in orbits.values()]
         checks = (
             ({len(p) for p, _ in orbits} <= {n}, f"orbit key without {n} L exponents"),
             (all(p == tuple(sorted(p, reverse=True)) for p, _ in orbits),
              "orbit key not sorted descending"),
             (all(e % 2 == 0 for e in {e for p, _ in orbits for e in p}), "odd L exponent present"),
             ({sum(p) + q for p, q in orbits} <= {degree}, f"not homogeneous of degree {degree}"),
-            (all(orbits.values()), "zero coefficient stored"),
-            (not any(c.numerator < 0 for c in orbits.values()), "negative coefficient stored"),
+            (all(numerators), "zero coefficient stored"),
+            (min(numerators, default=0) >= 0, "negative coefficient stored"),
             # V(g, n)(0) is the Weil-Petersson volume of M(g, n)
             (orbits.get(((0,) * n, degree), 0) > 0, "constant term is not positive"),
             (len(orbits) == (count := admissible_orbits(n, self.dimension)),
@@ -131,11 +132,10 @@ class VolumePolynomial:
 
 @cache
 def admissible_orbits(n: int, top: int) -> int:
-    """The orbit keys of a volume with n boundaries and dimension top: the
-    multisets of n nonnegative halves of L exponents with sum at most top.
-    Counted as the partitions of top into parts 1..n and a marked part 1."""
-    ways = [1] + [0] * top
-    for part in (1, *range(1, n + 1)):
+    """The orbit keys of a volume with n boundaries and dimension top (multisets
+    of n halves of L exponents, sum <= top): partitions of top into 1..n, 1'."""
+    ways = [1] * (top + 1)  # the part 1' alone
+    for part in range(1, n + 1):
         for s in range(part, top + 1):
             ways[s] += ways[s - part]
     return ways[top]

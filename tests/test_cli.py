@@ -119,6 +119,29 @@ class TestCompute:
             assert (code, out) == (1, "")
             assert err.startswith("cache error: stored entry fails validation: ")
 
+    def test_negative_cache_coefficient_is_a_cache_error(self, capsys, cache):
+        # every coefficient of a volume is positive, so a negative one is corruption
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "5")
+        path = Path(cache) / "g0_n4.json"
+        path.write_text(path.read_text().replace('"c":"1/2"', '"c":"-1/2"'))
+        message = ("cache error: stored entry fails validation: V(0,4) invariant failure: "
+                   "negative coefficient stored\n")
+        for argv in (("compute", "--genus", "0", "--boundaries", "4"),
+                     ("intersect", "--genus", "0", "--n", "4", "--alpha", "1,0,0,0")):
+            assert run(capsys, "--cache-dir", cache, *argv) == (1, "", message)
+
+    def test_cache_entry_missing_an_orbit_is_a_cache_error(self, capsys, cache):
+        # V(0,4) has two orbits; the constant one alone is not the volume
+        run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")
+        path = Path(cache) / "g0_n4.json"
+        document = json.loads(path.read_text())
+        document["orbits"] = [orbit for orbit in document["orbits"] if not any(orbit["l"])]
+        path.write_text(json.dumps(document, separators=(",", ":")))
+        code, out, err = run(capsys, "--cache-dir", cache, "compute", "--genus", "0",
+                             "--boundaries", "4")
+        assert (code, out, err) == (1, "", "cache error: stored entry fails validation: "
+                                           "V(0,4) invariant failure: orbit count 1 is not 2\n")
+
     def test_undecodable_cache_file_is_a_cache_error(self, capsys, cache):
         # bytes that are not UTF-8 used to escape as a UnicodeDecodeError
         run(capsys, "--cache-dir", cache, "compute", "--genus", "0", "--boundaries", "4")

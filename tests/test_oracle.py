@@ -8,7 +8,8 @@ random symmetric perturbations of them, and on random symmetric
 polynomials.  A further test checks that computing and verifying build no
 text form.  The rendering tests require the orbit walk, in the printed
 text and in the term list of the JSON export, to match the term-at-a-time
-reference byte for byte, and the walk to build no term map.  The kernel
+reference byte for byte, the bytes not to depend on the depth where the
+walk keeps its heads, and the walk to build no term map.  The kernel
 tests require the integer recursion to give the orbit maps, and so the
 text, of the Fraction recursion.
 """
@@ -337,10 +338,11 @@ def coverage(orbits: dict, n: int) -> set:
         seen.add("negative" if c < 0 else "positive")
         if abs(c) == 1:
             seen.add("unit")
-            # some term's first factor is L_4 or later, or pi alone: the walk
-            # below the depth-3 heads puts it in, and plain text drops its "*"
-            if n >= 5 and pattern.count(0) >= 3 and (pi_exp or any(pattern)):
-                seen.add("unit past L3")
+            # some term's first factor is L_{HEAD+1} or later, or pi alone:
+            # the walk below the heads puts it in, and plain text drops its "*"
+            head = wpvol.poly.HEAD
+            if n >= head + 2 and pattern.count(0) >= head and (pi_exp or any(pattern)):
+                seen.add("unit past heads")
         elif c.denominator == 1:
             seen.add("integer")
     return seen
@@ -348,7 +350,7 @@ def coverage(orbits: dict, n: int) -> set:
 
 COVERED = set(range(7)) | {
     "zero", "nonzero", "constant", "one monomial", "several pi", "inhomogeneous", "shared",
-    "negative", "positive", "unit", "integer", "unit past L3",
+    "negative", "positive", "unit", "integer", "unit past heads",
 }
 
 
@@ -367,11 +369,13 @@ MALFORMED = [
 
 
 # Unit coefficients whose first printed factor is L_4 or later, or pi alone,
-# next to a term with no unit coefficient.
-UNIT_PAST_L3 = [
+# next to a term with no unit coefficient; from n = 6 on, past the depth-4
+# heads, which the random maps (n <= 6) seldom reach.
+UNIT_PAST_HEADS = [
     (5, {((2, 0, 0, 0, 0), 0): Fraction(1), ((0,) * 5, 2): Fraction(-1)}),
     (6, {((4, 2, 0, 0, 0, 0), 1): Fraction(-1), ((2, 2, 2, 0, 0, 0), 0): Fraction(1, 3)}),
     (7, {((0,) * 7, 1): Fraction(1), ((6,) + (0,) * 6, 0): Fraction(5, 2)}),
+    (8, {((2,) + (0,) * 7, 0): Fraction(-1), ((4, 4, 2, 2, 2, 0, 0, 0), 2): Fraction(7)}),
 ]
 
 
@@ -386,7 +390,7 @@ def orbit_maps(rng, shared: list, *fixed):
 def test_orbit_walk_renders_like_dense(rng):
     shared = [Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 12)]
     seen = set()
-    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS, *MALFORMED, *UNIT_PAST_L3):
+    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS, *MALFORMED, *UNIT_PAST_HEADS):
         p = Poly(n, orbits)
         assert str(p) == dense.render(p)
         assert p.to_latex() == dense.render_latex(p)
@@ -401,11 +405,32 @@ def test_writer_lists_random_orbit_maps_like_dense(rng):
     # sorts the term map
     shared = [Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 12)]
     seen = set()
-    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS):
+    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS, *UNIT_PAST_HEADS):
         vol = VolumePolynomial(rng.randint(0, 3), n, orbits)
         assert export_document(vol, "mirzakhani") == dense.serialize_entry(vol, "mirzakhani")
         seen |= coverage(orbits, n)
     assert seen >= COVERED
+
+
+def rendered(vol: VolumePolynomial) -> tuple:
+    """str, LaTeX and, for nonnegative exponents, the JSON export of vol, each
+    from a fresh plan."""
+    p = Poly(vol.n, vol.orbits)
+    fresh = VolumePolynomial(vol.g, vol.n, vol.orbits)
+    nonnegative = all(e >= 0 for pattern, _ in vol.orbits for e in pattern)
+    return str(p), p.to_latex(), nonnegative and export_document(fresh, "mirzakhani")
+
+
+def test_render_bytes_do_not_depend_on_the_head_depth(store, monkeypatch):
+    maps = [AT_FIELD_BOUNDS, *MALFORMED, *UNIT_PAST_HEADS]
+    vols = [VolumePolynomial(1, n, orbits) for n, orbits in maps]
+    vols += [volume(store, g, n) for g, n in ((0, 7), (1, 6), (2, 3), (3, 0))]
+    expected = [rendered(vol) for vol in vols]  # at the default depth
+    for vol, texts in zip(vols, expected):
+        for depth in range(vol.n + 2):
+            monkeypatch.setattr(wpvol.poly, "HEAD", depth)
+            monkeypatch.setattr(wpvol.poly, "_TABLES", {})
+            assert rendered(vol) == texts, (vol.n, depth)
 
 
 @pytest.mark.parametrize("n", range(1, 10))

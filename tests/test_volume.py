@@ -1,6 +1,7 @@
 import ast
 import re
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from wpvol.volume import (
     InvariantError,
     UnstableSurfaceError,
     VolumePolynomial,
+    admissible_orbits,
     is_stable,
     seed_volume,
 )
@@ -108,6 +110,34 @@ def test_zero_coefficient_rejected():
     vol = VolumePolynomial(0, 4, {((2, 0, 0, 0), 0): Fraction(0)})
     with pytest.raises(InvariantError, match="zero coefficient"):
         vol.validate()
+
+
+@pytest.mark.parametrize("c, problem", [
+    (Fraction(-1, 2), "negative coefficient stored"),
+    (Fraction(0), "zero coefficient stored"),
+])
+def test_negative_and_zero_coefficients_are_told_apart(c, problem):
+    vol = VolumePolynomial(0, 4, {((2, 0, 0, 0), 0): c, ((0,) * 4, 2): Fraction(2)})
+    with pytest.raises(InvariantError) as info:
+        vol.validate()
+    assert str(info.value) == f"V(0,4) invariant failure: {problem}"
+
+
+def test_admissible_orbits_count_the_multisets_of_halves():
+    for n in range(8):
+        for top in range(9):
+            listed = {tuple(sorted(halves)) for halves in product(range(top + 1), repeat=n)
+                      if sum(halves) <= top}
+            assert admissible_orbits(n, top) == len(listed)
+
+
+def test_a_volume_missing_an_orbit_is_rejected():
+    vol = ensure_volume(VolumeStore(), 1, 3)
+    orbits = dict(vol.orbits)
+    del orbits[(2, 2, 0), 2]
+    with pytest.raises(InvariantError) as info:
+        VolumePolynomial(1, 3, orbits).validate()
+    assert str(info.value) == "V(1,3) invariant failure: orbit count 6 is not 7"
 
 
 @pytest.mark.parametrize("orbits", [
