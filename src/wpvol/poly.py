@@ -155,7 +155,7 @@ def _build_plan(orbits: dict, n: int) -> tuple:
     ``levels`` lists, for k = n - 1 down to 4, (k, (edges, lo, hi)), every
     edge of the level in one list, node j's being ``edges[lo[j]:hi[j]]``.
     ``starts`` lists the depth-0 nodes, one per pi exponent, in ascending
-    order.  ``kept`` keeps each kind's leaves, heads, their blocks and DROP flag.
+    order.  ``kept`` keeps each text kind's leaves, heads and DROP flag.
     """
     items = list(orbits.items())
     top = max((sum(map(abs, pattern)) for pattern, _ in orbits), default=0)
@@ -207,27 +207,26 @@ def block_pieces(p: Poly, kind: str, leaf, tables: list) -> tuple:
     in front (``marked``), or the child itself if that is empty; then each
     node joins its run.  The pieces are the depth-HEAD (4) blocks, each with
     its head in place of MARK: the factors of L_1 .. L_4 (as far as they
-    exist) on the path to it, joined once (one per path, so per monomial if
-    n <= 5) and kept beside the leaves, apart from the indices of their blocks,
-    so a kind must come with the same tables on every call."""
+    exist) on the path to it, joined once and kept beside the leaves, so a
+    kind must come with the same tables on every call.  There is one head
+    per path to a block, which for n <= 5 is one per monomial."""
     if p._plan is None:
         p._plan = _build_plan(p.orbits, p.n_vars)
     items, levels, starts, upper, kept = p._plan
     if kind not in kept:
-        heads, index = [""] * len(starts), starts
+        heads = [("", i) for i in starts]
         for k, nodes in upper:
             table = tables[k]
-            heads = [head + table[v] for head, j in zip(heads, index) for v, _ in nodes[j]]
-            index = [i for j in index for _, i in nodes[j]]
+            heads = [(head + table[v], i) for head, j in heads for v, i in nodes[j]]
         blocks = [leaf(*orbit, c) for orbit, c in items]
-        kept[kind] = blocks, heads, index, any(DROP in block for block in blocks)
-    blocks, heads, index, dropped = kept[kind]
+        kept[kind] = blocks, heads, any(DROP in block for block in blocks)
+    blocks, heads, dropped = kept[kind]
     for k, (edges, lo, hi) in levels:
         table = tables[k]
         parts = [blocks[i].replace(MARK, f) if (f := table[v]) else blocks[i] for v, i in edges]
         blocks = ["".join(parts[a:b]) for a, b in zip(lo, hi)]
         del parts  # so it does not live through the next level or the heads
-    return [blocks[i].replace(MARK, head) for head, i in zip(heads, index)], dropped
+    return [blocks[i].replace(MARK, head) for head, i in heads], dropped
 
 
 def _render(p: Poly, latex: bool) -> str:
