@@ -264,11 +264,12 @@ def _json_term(pattern: tuple, pi_exp: int, c) -> str:
 def export_document(vol: VolumePolynomial, provenance: str) -> str:
     """The JSON export of vol: a dense document, one term per monomial in
     the canonical order, as ``json.dumps`` with separators (",", ":") writes
-    it.  The orbit walk that prints a volume runs over exponent tables ("e,"
-    for each L variable, "e" for L_n) with one leaf term per orbit."""
+    it.  The orbit walk that prints a volume runs over ``vol.orbits`` with
+    exponent tables ("e," for each L variable, "e" for L_n) and one leaf
+    term per orbit, and keeps nothing: the CLI exports once per process."""
     top = range(max((pattern[0] for pattern, _ in vol.orbits if pattern), default=0) + 1)
     tables = marked([[f"{e}," for e in top]] * (vol.n - 1) + [[str(e) for e in top]])
-    pieces, _ = block_pieces(vol.poly, "json", _json_term, tables)
+    pieces = block_pieces(vol.orbits, vol.n, _json_term, tables)
     if pieces:
         pieces[-1] = pieces[-1][:-1]  # the comma after the last term
     head = f'{{"schema":1,"g":{vol.g},"n":{vol.n},"provenance":"{provenance}",'

@@ -20,26 +20,28 @@ a ring (sum, product, scaling, the monomials) as a reference, in
 
 Rendering.  The canonical order is ascending pi exponent, then descending
 lexicographic L exponents.  ``str``, ``to_latex`` and the JSON export share
-one walk over prefix multisets from L_n back to L_1 (``_build_plan``,
-``block_pieces``) that lists no monomial.  A node of the walk is keyed by
-one int, a count per distinct exponent with the pi exponent above, so a
-parent's key is its child's less one weight; each count has only the bits
-its largest value needs.  Each orbit is one leaf block: its coefficient's
-printed form, a marker, and its pi factor.  Each level is one pass over
-its flat edges: one ``str.replace`` per edge puts the child's factor, kept
-with the marker in front (``*L5^4``, `` L_{5}^{4}``), in place of the
-marker in all its terms, and each node joins its run of the results.  The
-walk stops at depth 4, where one ``str.replace`` puts in each block's
-head, the factors of L_1 to L_4, one head per path to the block (for
-n <= 5, one per monomial).  The plan and each kind's leaf
-blocks and heads are built on first use and kept, with a flag for a leaf
-whose first factor loses its separator (LaTeX, or a unit coefficient in
-plain text), so a warm render formats no coefficient, builds no head, and
-scans for that mark only when it is set.
+one walk over prefix multisets from L_n back to L_1 (``block_pieces``) that
+lists no monomial.  A node of the walk is keyed by one int, a count per
+distinct exponent with the pi exponent above, so a parent's key is its
+child's less one weight; each count has only the bits its largest value
+needs.  Each orbit is one leaf block: its coefficient's printed form, a
+marker, and its pi factor.  Each level is built and rendered at once: one
+``str.replace`` per edge puts the child's factor, kept with the marker in
+front (``*L5^4``, `` L_{5}^{4}``), in place of the marker in all its terms,
+and each node joins its children.  The walk stops at depth 4, where one
+``str.replace`` puts in each block's head, the factors of L_1 to L_4, one
+head per path to the block (for n <= 5, one per monomial).  A leaf whose
+first factor loses its separator (LaTeX, or a unit coefficient in plain
+text) carries a second mark, and the finished pieces are scanned for it.
 
-A polynomial is never changed after construction, so values can be shared
-freely between threads; the plan filled in on first use comes out the same
-whichever thread builds it.
+What is kept is the text, not the walk: ``str`` and ``to_latex`` each walk
+once and keep their finished text, so a warm render is a lookup.  The trade
+is memory: a volume's text lives as long as the volume, 12 MB of plain text
+and 22 MB of LaTeX for ``V(0,12)``.  The JSON export keeps nothing.
+
+A polynomial is never changed after construction (it keeps a copy of the
+map it is given), so values can be shared freely between threads; the text
+kept on first use comes out the same whichever thread renders it.
 """
 
 from __future__ import annotations
@@ -47,20 +49,20 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
 
 
 class Poly:
     """Symmetric exact polynomial in L1..Ln and pi, by orbit: ``orbits``
     maps ``(pattern, pi_exp)``, the pattern the ``n_vars`` L exponents
-    sorted descending, to a nonzero Fraction.  Keeps a copy of the map."""
+    sorted descending, to a nonzero Fraction.  Keeps a copy of the map, and
+    its ``str`` and ``to_latex`` once rendered."""
 
-    __slots__ = ("n_vars", "orbits", "_plan")
+    __slots__ = ("n_vars", "orbits", "_texts")
 
     def __init__(self, n_vars: int, orbits: dict):
         self.n_vars = n_vars
         self.orbits = dict(orbits)
-        self._plan = None
+        self._texts = {}  # latex -> the text, kept once rendered
 
     def __bool__(self) -> bool:
         return bool(self.orbits)
@@ -69,13 +71,13 @@ class Poly:
         return sum(_arrangement_count(pattern, self.n_vars) for pattern, _ in self.orbits)
 
     def __str__(self) -> str:
-        return _render(self, False)
+        return self._texts.get(False) or _render(self, False)
 
     def __repr__(self) -> str:
         return f"Poly({self.n_vars}, {self})"
 
     def to_latex(self) -> str:
-        return _render(self, True)
+        return self._texts.get(True) or _render(self, True)
 
 
 def _arrangement_count(pattern: tuple[int, ...], n: int) -> int:
@@ -138,53 +140,6 @@ def _coefficient(c: Fraction, latex: bool) -> tuple[str, str]:
     return sign + digits + (DROP if latex else ""), sign + digits
 
 
-def _build_plan(orbits: dict, n: int) -> tuple:
-    """The walk that renders an orbit map: (orbits, levels, starts, upper, kept).
-
-    A node at depth k stands for the term prefixes of k L exponents with one
-    pi exponent and one multiset, which alone fixes the suffixes that follow.
-    Its key is one int: a count field per distinct exponent, with the pi
-    exponent above them, so that a parent's key is the child's less the
-    weight of the value dropped.  A field has the bits of its largest count:
-    n for exponent 0, else ``min(n, top // abs(e))`` with ``top`` the largest
-    sum of absolute exponents of an orbit, so the keys of ``V(0,10)`` take 19
-    bits, one CPython digit.  The leaves, at depth n, are the orbits, listed
-    as (orbit, coefficient).  A node's edges are its children (value of
-    L_{k+1}, index one level down) by descending value.  ``upper`` lists, for
-    k = 0 .. 3 (HEAD - 1) while k < n, (k, the nodes of depth k as edge lists);
-    ``levels`` lists, for k = n - 1 down to 4, (k, (edges, lo, hi)), every
-    edge of the level in one list, node j's being ``edges[lo[j]:hi[j]]``.
-    ``starts`` lists the depth-0 nodes, one per pi exponent, in ascending
-    order.  ``kept`` keeps each text kind's leaves, heads and DROP flag.
-    """
-    items = list(orbits.items())
-    top = max((sum(map(abs, pattern)) for pattern, _ in orbits), default=0)
-    fields, above = {}, 0  # above: where the pi exponent starts
-    for e in sorted({e for pattern, _ in orbits for e in pattern}, reverse=True):
-        width = (min(n, top // abs(e)) if e else n).bit_length()
-        fields[e] = (1 << above, ((1 << width) - 1) << above)  # weight, count field
-        above += width
-    level = {
-        sum([fields[e][0] for e in pattern], pi_exp << above): i
-        for i, ((pattern, pi_exp), _) in enumerate(items)
-    }
-    levels = []
-    for k in reversed(range(n)):
-        parents: dict = {}
-        for v, (w, mask) in fields.items():  # by descending value
-            for code, i in level.items():
-                if code & mask:
-                    parents.setdefault(code - w, []).append((v, i))
-        nodes = list(parents.values())
-        if k >= HEAD:
-            hi = list(accumulate(map(len, nodes)))
-            nodes = [edge for node in nodes for edge in node], [0, *hi[:-1]], hi
-        levels.append((k, nodes))
-        level = {code: i for i, code in enumerate(parents)}
-    upper = [levels.pop() for _ in range(min(n, HEAD))]  # k = 0 .. HEAD - 1
-    return items, levels, [level[code] for code in sorted(level)], upper, {}
-
-
 # MARK stands in each term where the next factor goes; DROP marks a term
 # whose first factor loses its separator; the walk stops at depth HEAD
 MARK, DROP, HEAD = "\x00", "\x01", 4
@@ -196,48 +151,68 @@ def marked(columns: list) -> list:
     return columns[:HEAD] + [[f and MARK + f for f in column] for column in columns[HEAD:]]
 
 
-def block_pieces(p: Poly, kind: str, leaf, tables: list) -> tuple:
-    """Pieces whose join is every term of p in canonical order, and whether
-    any holds DROP, as found once when the leaves were built.
+def block_pieces(orbits: dict, n: int, leaf, tables: list) -> list:
+    """Pieces whose join is every term of an orbit map in n L variables, in
+    canonical order, from one walk that lists no monomial and keeps nothing.
 
-    The leaves, kept in the plan by ``kind``, are ``leaf(pattern, pi_exp, c)``
-    for each orbit: MARK in front of the pi factor, or the bare term.  From
-    L_n back to L_{HEAD+1}, each level is one pass over its flat edges: one
-    ``str.replace`` of MARK by the child's factor from ``tables[k]``, MARK
-    in front (``marked``), or the child itself if that is empty; then each
-    node joins its run.  The pieces are the depth-HEAD (4) blocks, each with
-    its head in place of MARK: the factors of L_1 .. L_4 (as far as they
-    exist) on the path to it, joined once and kept beside the leaves, so a
-    kind must come with the same tables on every call.  There is one head
-    per path to a block, which for n <= 5 is one per monomial."""
-    if p._plan is None:
-        p._plan = _build_plan(p.orbits, p.n_vars)
-    items, levels, starts, upper, kept = p._plan
-    if kind not in kept:
-        heads = [("", i) for i in starts]
-        for k, nodes in upper:
-            table = tables[k]
-            heads = [(head + table[v], i) for head, j in heads for v, i in nodes[j]]
-        blocks = [leaf(*orbit, c) for orbit, c in items]
-        kept[kind] = blocks, heads, any(DROP in block for block in blocks)
-    blocks, heads, dropped = kept[kind]
-    for k, (edges, lo, hi) in levels:
-        table = tables[k]
-        parts = [blocks[i].replace(MARK, f) if (f := table[v]) else blocks[i] for v, i in edges]
-        blocks = ["".join(parts[a:b]) for a, b in zip(lo, hi)]
-        del parts  # so it does not live through the next level or the heads
-    return [blocks[i].replace(MARK, head) for head, i in heads], dropped
+    A node at depth k stands for the term prefixes of k L exponents with one
+    pi exponent and one multiset, which alone fixes the suffixes that follow.
+    Its key is one int: a count field per distinct exponent, with the pi
+    exponent above them, so that a parent's key is the child's less the
+    weight of the value dropped.  A field has the bits of its largest count:
+    n for exponent 0, else ``min(n, top // abs(e))`` with ``top`` the largest
+    sum of absolute exponents of an orbit, so the keys of ``V(0,10)`` take 19
+    bits, one CPython digit.  The leaves, at depth n, are the orbits'
+    ``leaf(pattern, pi_exp, c)``: MARK in front of the pi factor, or the bare
+    term.  Each level from L_n back to L_{HEAD+1} is built and rendered at
+    once, and the level below it dropped: by descending value, each child
+    joins its parent's run with one ``str.replace`` of MARK by its factor
+    from ``tables[k]``, MARK in front (``marked``), or as it is if that is
+    empty; then each node joins its run.  Only the top HEAD levels keep their
+    edges, (factor, child) by node, to build the heads: the factors of L_1 ..
+    L_HEAD (as far as they exist) on each path to a depth-HEAD block, joined
+    once.  The pieces are those blocks, each with its head in place of MARK,
+    one per path, which for n <= HEAD + 1 is one per monomial."""
+    top = max((sum(map(abs, pattern)) for pattern, _ in orbits), default=0)
+    fields, above = {}, 0  # above: where the pi exponent starts
+    for e in sorted({e for pattern, _ in orbits for e in pattern}, reverse=True):
+        width = (min(n, top // abs(e)) if e else n).bit_length()
+        fields[e] = (1 << above, ((1 << width) - 1) << above)  # weight, count field
+        above += width
+    level = {
+        sum([fields[e][0] for e in pattern], pi_exp << above): leaf(pattern, pi_exp, c)
+        for (pattern, pi_exp), c in orbits.items()
+    }
+    for k in reversed(range(HEAD, n)):
+        table, parents = tables[k], {}
+        for v, (w, mask) in fields.items():  # by descending value
+            f = table[v]
+            for code, block in level.items():
+                if code & mask:
+                    parents.setdefault(code - w, []).append(block.replace(MARK, f) if f else block)
+        level = {code: "".join(run) for code, run in parents.items()}
+    blocks, upper = level, []
+    for k in reversed(range(min(n, HEAD))):
+        table, parents = tables[k], {}
+        for v, (w, mask) in fields.items():
+            for code in level:
+                if code & mask:
+                    parents.setdefault(code - w, []).append((table[v], code))
+        upper.append(level := parents)
+    heads = [("", code) for code in sorted(level)]  # by ascending pi exponent
+    for nodes in reversed(upper):
+        heads = [(head + f, child) for head, code in heads for f, child in nodes[code]]
+    return [blocks[code].replace(MARK, head) for head, code in heads]
 
 
 def _render(p: Poly, latex: bool) -> str:
     tables, leaf, drop = _TABLES.get((p.n_vars, latex)) or _tables(p.n_vars, latex)
-    pieces, dropped = block_pieces(p, "latex" if latex else "str", leaf, tables)
-    if dropped:
-        for j, piece in enumerate(pieces):
-            if DROP in piece:  # a memchr scan, far faster than a replace's
-                pieces[j] = piece.replace(drop, "")
-    if not pieces:
-        return "0"
-    first = pieces[0]
-    pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-    return "".join(pieces)
+    pieces = block_pieces(p.orbits, p.n_vars, leaf, tables)
+    for j, piece in enumerate(pieces):
+        if DROP in piece:  # a memchr scan, far faster than a replace's
+            pieces[j] = piece.replace(drop, "")
+    if pieces:
+        first = pieces[0]
+        pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    text = p._texts[latex] = "".join(pieces) or "0"
+    return text

@@ -17,8 +17,9 @@ check: the coefficient type guarantees it.
 by symmetry orbit: ``{(L exponents sorted descending, pi exponent): c}``.
 Symmetry holds by construction, and ``validate`` checks the rest on the orbit
 map alone.  ``poly``, the text form, is a ``Poly`` on the same orbits, built
-on first use for printing; it renders by the orbit walk and never lists the
-monomials.  Every produced volume is validated once, by ``VolumeStore.put``
+on first use for printing; it renders by the orbit walk, never lists the
+monomials, and keeps its ``str`` and LaTeX once printed, as long as the
+volume lives, but not the walk.  Every produced volume is validated once, by ``VolumeStore.put``
 before anyone can read it, and every stored one as ``store`` parses it.  A
 convention or arithmetic slip anywhere in a recursion therefore surfaces as
 an ``InvariantError``.
@@ -95,7 +96,8 @@ class VolumePolynomial:
 
     @cached_property
     def poly(self) -> Poly:
-        """The text form, built on first use: it prints by the orbit walk."""
+        """The text form, built on first use: it prints by the orbit walk and
+        keeps each text it prints, as long as this volume lives."""
         return Poly(self.n, self.orbits)
 
     @property

@@ -26,6 +26,7 @@ from conftest import (
     random_symmetric_even,
     reversed_split_product,
 )
+import wpvol.cli
 import wpvol.poly
 from wpvol import mirzakhani
 from wpvol.cli import export_document, run_verification
@@ -392,12 +393,11 @@ def test_orbit_walk_renders_like_dense(rng):
     seen = set()
     for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS, *MALFORMED, *UNIT_PAST_HEADS):
         p = Poly(n, orbits)
-        assert str(p) == dense.render(p)
-        assert p.to_latex() == dense.render_latex(p)
-        if p._plan is not None:
-            seen.add("walk")
+        text, latex = str(p), p.to_latex()
+        assert text == dense.render(p) and latex == dense.render_latex(p)
+        assert p._texts == {False: text, True: latex}  # the text is kept
         seen |= coverage(orbits, n)
-    assert seen >= COVERED | {"walk"}
+    assert seen >= COVERED
 
 
 def test_writer_lists_random_orbit_maps_like_dense(rng):
@@ -414,7 +414,7 @@ def test_writer_lists_random_orbit_maps_like_dense(rng):
 
 def rendered(vol: VolumePolynomial) -> tuple:
     """str, LaTeX and, for nonnegative exponents, the JSON export of vol, each
-    from a fresh plan."""
+    from a fresh walk."""
     p = Poly(vol.n, vol.orbits)
     fresh = VolumePolynomial(vol.g, vol.n, vol.orbits)
     nonnegative = all(e >= 0 for pattern, _ in vol.orbits for e in pattern)
@@ -451,20 +451,27 @@ def test_an_exponent_in_every_slot_renders_like_dense(n):
     assert export_document(vol, "mirzakhani") == dense.serialize_entry(vol, "mirzakhani")
 
 
-def test_render_keeps_the_walk_and_builds_no_term_map(monkeypatch):
-    plans = []
-    build_plan = wpvol.poly._build_plan
-    monkeypatch.setattr(
-        wpvol.poly, "_build_plan", lambda *a: plans.append(a) or build_plan(*a)
-    )
+def test_each_kind_walks_once_and_builds_no_term_map(monkeypatch):
+    walks = []
+    walk = wpvol.poly.block_pieces
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(wpvol.poly, "block_pieces", counted)
+    monkeypatch.setattr(wpvol.cli, "block_pieces", counted)
     vol = lift_volume(VolumeStore(), 0, 10)
     p = vol.poly
     text, latex = str(p), p.to_latex()
-    assert str(p) == text and p.to_latex() == latex
+    assert len(walks) == 2
+    # a warm render walks none and returns the kept text itself
+    assert str(p) is text and p.to_latex() is latex and len(walks) == 2
     assert (len(p), bool(p)) == (19448, True)
-    export_document(vol, "genus0_lift")
-    assert len(plans) == 1
-    assert p.__slots__ == ("n_vars", "orbits", "_plan") and not hasattr(p, "terms")
+    # the export keeps nothing, so each one walks
+    first = export_document(vol, "genus0_lift")
+    assert export_document(vol, "genus0_lift") == first and len(walks) == 4
+    assert p.__slots__ == ("n_vars", "orbits", "_texts") and not hasattr(p, "terms")
     # the reference expands the orbits into a term map of its own
     assert text == dense.render(p) and latex == dense.render_latex(p)
 
@@ -479,7 +486,7 @@ def test_one_monomial_renders_alike_on_both_paths(store, g, n):
     for p in (vol.poly, parsed.poly):
         assert str(p) == dense.render(p)
         assert p.to_latex() == dense.render_latex(p)
-        assert p._plan is not None
+        assert p._texts == {False: str(p), True: p.to_latex()}
 
 
 def test_arrangements_match_dense(rng):

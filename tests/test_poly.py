@@ -261,20 +261,14 @@ def test_rendered_bytes_match_pinned_digests():
     assert digests == PINNED_DIGESTS
 
 
-def containers(value):
-    """value and every list, tuple and dict inside it."""
-    if isinstance(value, (list, tuple, dict)):
-        yield value
-        for item in (value.items() if isinstance(value, dict) else value):
-            yield from containers(item)
-
-
-def test_plan_keeps_no_per_monomial_state_and_warm_renders_format_nothing(monkeypatch):
+def test_rendered_poly_keeps_only_its_texts_and_warm_renders_format_nothing(monkeypatch):
     vol = lift_volume(VolumeStore(), 0, 10)
     closed = ensure_volume(VolumeStore(), 2, 0)
     p = vol.poly
     first = (str(p), p.to_latex(), export_document(vol, "genus0_lift"), str(closed.poly))
-    assert max(len(c) for c in containers(p._plan)) < len(p) == 19448
+    # no walk, leaf or head outlives the render: the orbits and the two texts
+    assert [getattr(p, name) for name in Poly.__slots__] == [10, vol.orbits, p._texts]
+    assert p._texts == {False: first[0], True: first[1]} and len(p) == 19448
     formatted = []
     coefficient = wpvol.poly._coefficient
     monkeypatch.setattr(
@@ -282,6 +276,21 @@ def test_plan_keeps_no_per_monomial_state_and_warm_renders_format_nothing(monkey
     )
     again = (str(p), p.to_latex(), export_document(vol, "genus0_lift"), str(closed.poly))
     assert again == first and formatted == []
+
+
+def test_the_kept_text_does_not_follow_the_callers_map():
+    # Poly copies its map, so the text it keeps, and the LaTeX it renders
+    # later, stay those of the map it was given
+    orbits = {((2, 0), 0): Fraction(1, 2), ((0, 0), 2): Fraction(3)}
+    fresh = Poly(2, dict(orbits))
+    p = Poly(2, orbits)
+    text = str(p)
+    orbits[(2, 2), 0] = Fraction(5)
+    orbits[(0, 0), 2] = Fraction(-1)
+    del orbits[(2, 0), 0]
+    assert p.orbits == fresh.orbits and p.orbits != orbits
+    assert str(p) is text and text == str(fresh) == "(1/2)*L1^2 + (1/2)*L2^2 + 3*pi^2"
+    assert p.to_latex() == fresh.to_latex()
 
 
 def test_the_per_monomial_walk_is_gone():

@@ -163,9 +163,9 @@ def test_parsed_volume_renders_like_the_computed_one(g, n):
     assert parsed == computed
     assert str(parsed.poly) == str(computed.poly)
     assert parsed.poly.to_latex() == computed.poly.to_latex()
-    # the parsed volume renders from its orbits: no term map is kept
+    # the parsed volume renders from its orbits: no term map is kept, only the text
     assert parsed.poly.orbits == computed.orbits and not hasattr(parsed.poly, "terms")
-    assert parsed.poly._plan is not None
+    assert parsed.poly._texts == {False: str(computed.poly), True: computed.poly.to_latex()}
 
 
 def test_volume_is_an_unhashable_read_only_value(v11):
