@@ -75,7 +75,8 @@ def identity_cases(
 ) -> Iterator[tuple[tuple[int, ...], int, Fraction, Fraction]]:
     """(alpha, m, lhs, rhs) of the string (order 0) or dilaton (order 1)
     identity of V(g, n+1) against V(g, n) in ``admissible`` order, read one
-    coefficient at a time: a check independent of ``relation_defect``."""
+    coefficient at a time: a check independent of ``relation_defect``.  Both
+    sides are symmetric in alpha, so each (sorted alpha, m) is read once."""
     g, n = smaller.g, smaller.n
     if bigger.g != g or bigger.n != n + 1 or order not in (0, 1):
         raise ValueError(
@@ -84,19 +85,23 @@ def identity_cases(
         )
     d_bigger, bigger_at = _numerators(bigger)
     d_smaller, smaller_at = _numerators(smaller)
+    sides = {}  # (alpha sorted descending, m) -> (lhs, rhs)
     for alpha, m in admissible(3 * g - 2 + n - order, n):
-        lhs = sum(
-            (-1) ** j * math.comb(m, j) * _read(bigger_at, alpha + (j + order,), m - j)
-            for j in range(m + 1)
-        )
-        if order:
-            rhs = (2 * g - 2 + n) * _read(smaller_at, alpha, m)
-        else:
-            rhs = sum(
-                _read(smaller_at, alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:], m)
-                for k in range(n) if alpha[k]
+        key = tuple(sorted(alpha, reverse=True)), m
+        if key not in sides:
+            lhs = sum(
+                (-1) ** j * math.comb(m, j) * _read(bigger_at, alpha + (j + order,), m - j)
+                for j in range(m + 1)
             )
-        yield alpha, m, Fraction(lhs, d_bigger), Fraction(rhs, d_smaller)
+            if order:
+                rhs = (2 * g - 2 + n) * _read(smaller_at, alpha, m)
+            else:
+                rhs = sum(
+                    _read(smaller_at, alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:], m)
+                    for k in range(n) if alpha[k]
+                )
+            sides[key] = Fraction(lhs, d_bigger), Fraction(rhs, d_smaller)
+        yield alpha, m, *sides[key]
 
 
 def _numerators(vol: VolumePolynomial) -> tuple[int, dict]:

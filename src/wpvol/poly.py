@@ -27,12 +27,13 @@ child's less one weight; each count has only the bits its largest value
 needs.  Each orbit is one leaf block: its coefficient's printed form, a
 marker, and its pi factor.  Each level is built and rendered at once: one
 ``str.replace`` per edge puts the child's factor, kept with the marker in
-front (``*L5^4``, `` L_{5}^{4}``), in place of the marker in all its terms,
-and each node joins its children.  The walk stops at depth 4, where one
-``str.replace`` puts in each block's head, the factors of L_1 to L_4, one
-head per path to the block (for n <= 5, one per monomial).  A leaf whose
-first factor loses its separator (LaTeX, or a unit coefficient in plain
-text) carries a second mark, and the finished pieces are scanned for it.
+front (``*L5^4``, ``L_{5}^{4} ``), in place of the marker in all its terms,
+and each node joins its children.  The walk stops at depth 4: each block
+there is split at its markers once, and each path to it joins the parts
+with its head, the factors of L_1 to L_4 (for n <= 5, one per monomial).
+A LaTeX factor has its space behind it; a plain-text factor has its "*" in
+front, which a unit coefficient's first factor loses, so such a leaf
+carries a second mark, and one scan of the finished text looks for it.
 
 What is kept is the text, not the walk: ``str`` and ``to_latex`` each walk
 once and keep their finished text, so a warm render is a lookup.  The trade
@@ -89,28 +90,27 @@ def _arrangement_count(pattern: tuple[int, ...], n: int) -> int:
 
 
 class _Powers(dict):
-    """Exponent -> printed factor of one variable (``*L3^4``, `` L_{3}^{4}``),
+    """Exponent -> printed factor of one variable (``*L3^4``, ``L_{3}^{4} ``),
     each entry built on first use.  Every factor starts with ``mark`` (MARK for
-    the variables the walk puts in below its heads), then its separator."""
+    the variables the walk puts in below its heads) and ends with ``end``."""
 
-    def __init__(self, factor: str, power: str, close: str, mark: str = ""):
-        super().__init__({0: "", 1: mark + factor})
-        self.head, self.tail = mark + factor + power, close
+    def __init__(self, factor: str, power: str, close: str, end: str, mark: str = ""):
+        super().__init__({0: "", 1: mark + factor + end})
+        self.head, self.tail = mark + factor + power, close + end
 
     def __missing__(self, e: int) -> str:
         text = self[e] = f"{self.head}{e}{self.tail}"
         return text
 
 
-# (n_vars, latex) -> the _Powers of L1..Ln and of pi, the maker of an orbit's
-# leaf block and the text that DROP marks for removal, kept across calls
+# kept across calls: (n_vars, latex) -> the _Powers of L1..Ln and pi, leaf maker
 _TABLES: dict = {}
 
 
 def _tables(n_vars: int, latex: bool) -> tuple:
-    names = [f" L_{{{i}}}" if latex else f"*L{i}" for i in range(1, n_vars + 1)]
-    names.append(" \\pi" if latex else "*pi")
-    power = ("^{", "}") if latex else ("^", "")
+    names = [f"L_{{{i}}}" if latex else f"*L{i}" for i in range(1, n_vars + 1)]
+    names.append("\\pi" if latex else "*pi")
+    power = ("^{", "}", " ") if latex else ("^", "", "")
     tables = [_Powers(name, *power, MARK * (HEAD <= k < n_vars)) for k, name in enumerate(names)]
     powers_of_pi = tables[-1]
 
@@ -118,16 +118,16 @@ def _tables(n_vars: int, latex: bool) -> tuple:
         head, bare = _coefficient(c, latex)
         return head + MARK + powers_of_pi[pi_exp] if pi_exp or any(pattern) else bare
 
-    entry = _TABLES[(n_vars, latex)] = tables, leaf, DROP + (" " if latex else "*")
+    entry = _TABLES[(n_vars, latex)] = tables, leaf
     return entry
 
 
 def _coefficient(c: Fraction, latex: bool) -> tuple[str, str]:
-    """How c prints: the text before the factors, which ends in DROP where
-    the first factor loses its separator (always in LaTeX, and after a bare
-    sign), and the term with no factor.  Both open with " + " or " - "."""
+    """How c prints: the text before the factors, with DROP after a bare sign
+    in plain text, and the term with no factor.  Both open with " + " or " - "
+    in plain text, "+ " or "- " in LaTeX, where the second ends in a space."""
     num, den = c.numerator, c.denominator
-    sign = " - " if num < 0 else " + "
+    sign = (" - " if num < 0 else " + ")[latex:]
     num = abs(num)
     if den == 1:
         digits = str(num)
@@ -135,13 +135,13 @@ def _coefficient(c: Fraction, latex: bool) -> tuple[str, str]:
         digits = f"\\frac{{{num}}}{{{den}}}"
     else:
         digits = f"({num}/{den})"
-    if num == den == 1:
-        return sign + DROP, sign + digits
-    return sign + digits + (DROP if latex else ""), sign + digits
+    if latex:
+        return sign + ("" if num == den else digits), sign + digits + " "
+    return sign + (DROP if num == den else digits), sign + digits
 
 
-# MARK stands in each term where the next factor goes; DROP marks a term
-# whose first factor loses its separator; the walk stops at depth HEAD
+# MARK stands in each term where the next factor goes; DROP marks a plain-text
+# term whose first factor loses its "*"; the walk stops at depth HEAD
 MARK, DROP, HEAD = "\x00", "\x01", 4
 
 
@@ -170,9 +170,10 @@ def block_pieces(orbits: dict, n: int, leaf, tables: list) -> list:
     from ``tables[k]``, MARK in front (``marked``), or as it is if that is
     empty; then each node joins its run.  Only the top HEAD levels keep their
     edges, (factor, child) by node, to build the heads: the factors of L_1 ..
-    L_HEAD (as far as they exist) on each path to a depth-HEAD block, joined
-    once.  The pieces are those blocks, each with its head in place of MARK,
-    one per path, which for n <= HEAD + 1 is one per monomial."""
+    L_HEAD (as far as they exist) on each path to a depth-HEAD block.  Each
+    block is split at MARK once, and the last head level goes straight into
+    the pieces, one per path (for n <= HEAD + 1 one per monomial): the
+    block's parts joined by the parent's head and the last edge's factor."""
     top = max((sum(map(abs, pattern)) for pattern, _ in orbits), default=0)
     fields, above = {}, 0  # above: where the pi exponent starts
     for e in sorted({e for pattern, _ in orbits for e in pattern}, reverse=True):
@@ -191,7 +192,7 @@ def block_pieces(orbits: dict, n: int, leaf, tables: list) -> list:
                 if code & mask:
                     parents.setdefault(code - w, []).append(block.replace(MARK, f) if f else block)
         level = {code: "".join(run) for code, run in parents.items()}
-    blocks, upper = level, []
+    parts, upper = {code: block.split(MARK) for code, block in level.items()}, []
     for k in reversed(range(min(n, HEAD))):
         table, parents = tables[k], {}
         for v, (w, mask) in fields.items():
@@ -200,19 +201,24 @@ def block_pieces(orbits: dict, n: int, leaf, tables: list) -> list:
                     parents.setdefault(code - w, []).append((table[v], code))
         upper.append(level := parents)
     heads = [("", code) for code in sorted(level)]  # by ascending pi exponent
+    last = upper.pop(0) if upper else {code: [("", code)] for code in level}
     for nodes in reversed(upper):
         heads = [(head + f, child) for head, code in heads for f, child in nodes[code]]
-    return [blocks[code].replace(MARK, head) for head, code in heads]
+    return [(head + f).join(parts[child]) for head, code in heads for f, child in last[code]]
 
 
 def _render(p: Poly, latex: bool) -> str:
-    tables, leaf, drop = _TABLES.get((p.n_vars, latex)) or _tables(p.n_vars, latex)
+    """The text of p, kept: the joined pieces with the first sign cut to ""
+    or "-", in LaTeX the last term's space, and in plain text any DROP."""
+    tables, leaf = _TABLES.get((p.n_vars, latex)) or _tables(p.n_vars, latex)
     pieces = block_pieces(p.orbits, p.n_vars, leaf, tables)
-    for j, piece in enumerate(pieces):
-        if DROP in piece:  # a memchr scan, far faster than a replace's
-            pieces[j] = piece.replace(drop, "")
     if pieces:
-        first = pieces[0]
-        pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-    text = p._texts[latex] = "".join(pieces) or "0"
+        first, cut = pieces[0], 3 - latex  # the first sign is " + " or "+ "
+        pieces[0] = first[cut:] if "+" in first[:cut] else "-" + first[cut:]
+        if latex:
+            pieces[-1] = pieces[-1][:-1]  # the space after the last term
+    text = "".join(pieces) or "0"
+    if DROP in text:  # one memchr scan; only plain text has DROP
+        text = text.replace(DROP + "*", "")
+    p._texts[latex] = text
     return text

@@ -4,6 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
+from wpvol import intersections
 from wpvol.compute import ensure_volume
 from wpvol.intersections import (
     admissible,
@@ -157,6 +158,40 @@ class TestDilatonIdentity:
             assert list(found) == list(admissible(3 * g - 3 + n, n))
             for (alpha, m), (lhs, rhs) in found.items():
                 assert lhs == rhs, (g, n, alpha, m, lhs, rhs)
+
+
+@pytest.mark.parametrize("order", [0, 1], ids=["string2_case", "dilaton2_case"])
+def test_each_sorted_alpha_is_read_once_per_pair(store, monkeypatch, order):
+    # both sides are symmetric in alpha, so a rearrangement reads nothing:
+    # the reads are those of one case per (sorted alpha, m)
+    g, n = 1, 4
+    bigger, smaller = ensure_volume(store, g, n + 1), ensure_volume(store, g, n)
+    reads = []
+    read = intersections._read
+    monkeypatch.setattr(intersections, "_read", lambda *args: reads.append(args) or read(*args))
+    found = list(identity_cases(bigger, smaller, order))
+    monkeypatch.undo()
+    keys = {(tuple(sorted(alpha, reverse=True)), m) for alpha, m, _, _ in found}
+    assert [(alpha, m) for alpha, m, _, _ in found] == list(admissible(3 * g - 2 + n - order, n))
+    assert len(found) > 2 * len(keys)
+    bigger_at, smaller_at = intersections._numerators(bigger)[1], intersections._numerators(smaller)[1]
+    assert sum(at is bigger_at for at, _, _ in reads) == sum(m + 1 for _, m in keys)
+    assert sum(at is smaller_at for at, _, _ in reads) == sum(
+        1 if order else sum(map(bool, alpha)) for alpha, _ in keys
+    )
+    # every case, a rearrangement or not, carries its own sides
+    for alpha, m, lhs, rhs in found:
+        assert lhs == sum(
+            (-1) ** j * math.comb(m, j) * psi_kappa(g, n + 1, alpha + (j + order,), m - j, store)
+            for j in range(m + 1)
+        )
+        if order:
+            assert rhs == (2 * g - 2 + n) * psi_kappa(g, n, alpha, m, store)
+        else:
+            assert rhs == sum(
+                psi_kappa(g, n, alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:], m, store)
+                for k in range(n) if alpha[k]
+            )
 
 
 @pytest.mark.parametrize("order", [0, 1], ids=["string2_case", "dilaton2_case"])

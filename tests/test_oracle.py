@@ -346,12 +346,21 @@ def coverage(orbits: dict, n: int) -> set:
                 seen.add("unit past heads")
         elif c.denominator == 1:
             seen.add("integer")
+    if orbits:
+        # the canonically first term, lowest pi then highest lex: its sign is
+        # cut, and a unit coefficient drops its first factor's separator
+        (pattern, pi_exp), c = min(orbits.items(), key=lambda i: (i[0][1], [-e for e in i[0][0]]))
+        if c < 0:
+            seen.add("negative first term")
+        if abs(c) == 1 and (pi_exp or any(pattern)):
+            seen.add("unit first term")
     return seen
 
 
 COVERED = set(range(7)) | {
     "zero", "nonzero", "constant", "one monomial", "several pi", "inhomogeneous", "shared",
     "negative", "positive", "unit", "integer", "unit past heads",
+    "unit first term", "negative first term",
 }
 
 
@@ -380,6 +389,15 @@ UNIT_PAST_HEADS = [
 ]
 
 
+# The canonically first term with a unit coefficient and a factor, or
+# negative: L1^2*L2^2 alone, -(7/2)*L1^2*pi, and -pi alone past the heads.
+FIRST_TERMS = [
+    (3, {((2, 2, 0), 0): Fraction(1), ((4, 0, 0), 2): Fraction(3, 5)}),
+    (2, {((2, 0), 1): Fraction(-7, 2), ((0, 0), 2): Fraction(1)}),
+    (6, {((0,) * 6, 1): Fraction(-1), ((2,) * 6, 3): Fraction(5)}),
+]
+
+
 def orbit_maps(rng, shared: list, *fixed):
     """The fixed (n, orbit map) pairs, then 200 random ones."""
     yield from fixed
@@ -391,7 +409,8 @@ def orbit_maps(rng, shared: list, *fixed):
 def test_orbit_walk_renders_like_dense(rng):
     shared = [Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 12)]
     seen = set()
-    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS, *MALFORMED, *UNIT_PAST_HEADS):
+    fixed = AT_FIELD_BOUNDS, *MALFORMED, *UNIT_PAST_HEADS, *FIRST_TERMS
+    for n, orbits in orbit_maps(rng, shared, *fixed):
         p = Poly(n, orbits)
         text, latex = str(p), p.to_latex()
         assert text == dense.render(p) and latex == dense.render_latex(p)
@@ -405,7 +424,7 @@ def test_writer_lists_random_orbit_maps_like_dense(rng):
     # sorts the term map
     shared = [Fraction(1), Fraction(-1), Fraction(6), Fraction(-5, 12)]
     seen = set()
-    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS, *UNIT_PAST_HEADS):
+    for n, orbits in orbit_maps(rng, shared, AT_FIELD_BOUNDS, *UNIT_PAST_HEADS, *FIRST_TERMS):
         vol = VolumePolynomial(rng.randint(0, 3), n, orbits)
         assert export_document(vol, "mirzakhani") == dense.serialize_entry(vol, "mirzakhani")
         seen |= coverage(orbits, n)
@@ -422,9 +441,10 @@ def rendered(vol: VolumePolynomial) -> tuple:
 
 
 def test_render_bytes_do_not_depend_on_the_head_depth(store, monkeypatch):
-    maps = [AT_FIELD_BOUNDS, *MALFORMED, *UNIT_PAST_HEADS]
+    maps = [AT_FIELD_BOUNDS, *MALFORMED, *UNIT_PAST_HEADS, *FIRST_TERMS]
     vols = [VolumePolynomial(1, n, orbits) for n, orbits in maps]
-    vols += [volume(store, g, n) for g, n in ((0, 7), (1, 6), (2, 3), (3, 0))]
+    # V(1,8) has 1,287 head paths at depth 4, all through the last head level
+    vols += [volume(store, g, n) for g, n in ((0, 7), (1, 6), (2, 3), (3, 0), (1, 8))]
     expected = [rendered(vol) for vol in vols]  # at the default depth
     for vol, texts in zip(vols, expected):
         for depth in range(vol.n + 2):

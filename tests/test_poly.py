@@ -261,6 +261,32 @@ def test_rendered_bytes_match_pinned_digests():
     assert digests == PINNED_DIGESTS
 
 
+# sha256 of each text of lift V(0,12) and V(1,10), as the renderer that put
+# in each depth-4 head with one str.replace per path wrote them
+LARGE_DIGESTS = {
+    (0, 12, "str"): "fe11db01276b0cd9ff125f35271c530c01660b50199fe95a56ae0e5cd29e6899",
+    (0, 12, "latex"): "faeae17aef36d753d3ccf56a6b68e4b2e83eae2ab6bf8ff713b9ad5acf3a7710",
+    (0, 12, "json"): "33622050d1d784d7e7f0c7384fbe95cfd5efc0280f13bfdf34d5c14481d772cd",
+    (1, 10, "str"): "58abd621430a90af4c2843eb4fd6710172380e9bb9500df3bf70c0f653aebc96",
+    (1, 10, "latex"): "8d1f634f09f0f6075220fa489ce7b1c9a0ddbfbf5b7004fb8a37c61f02e706f0",
+    (1, 10, "json"): "a752b6c272f00928b116e06bbd780552bde3d12b33938599054dece4b8fae196",
+}
+
+
+def test_large_prints_match_pinned_digests():
+    # 293,930 and 184,756 monomials, 2,002 and 3,003 pieces at depth 4
+    store = VolumeStore()
+    digests = {}
+    for g, n in ((0, 12), (1, 10)):
+        vol = lift_volume(store, g, n)
+        p = Poly(n, vol.orbits)  # its texts go with it
+        for kind, render in (("str", str), ("latex", Poly.to_latex)):
+            digests[g, n, kind] = hashlib.sha256(render(p).encode()).hexdigest()
+        text = export_document(vol, store.find(g, n)[1])
+        digests[g, n, "json"] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == LARGE_DIGESTS
+
+
 def test_rendered_poly_keeps_only_its_texts_and_warm_renders_format_nothing(monkeypatch):
     vol = lift_volume(VolumeStore(), 0, 10)
     closed = ensure_volume(VolumeStore(), 2, 0)
